@@ -46,8 +46,6 @@ from .months import (
     DataError,
     Horizon,
     MonthFormatError,
-    format_month,
-    parse_month,
 )
 from .stats import (
     BinomialCI,
@@ -73,6 +71,7 @@ from .strategies import (
     build_planned,
     build_reactive,
     count_updates,
+    first_nonvulnerable,
     initial_versions,
 )
 from .versions import (
@@ -80,7 +79,6 @@ from .versions import (
     VersionConstraint,
     affected_releases,
     compare_versions,
-    first_nonvulnerable,
     version_key,
 )
 

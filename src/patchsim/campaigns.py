@@ -1,9 +1,10 @@
-"""Campaign exposure matrices and vulnerability-lifecycle classification.
+"""Campaign exposure and vulnerability-lifecycle classification.
 
-A campaign's exposure matrix marks, over the shared (product-version x month)
-space, every release affected by one of its CVEs from the campaign start
-through the end of the window (a campaign is assumed to stay active once
-observed).
+A campaign's exposure marks, over the rows of the shared (product-version x
+month) space, every release affected by one of its CVEs. Each marked row is
+targeted from the campaign start through the end of the window (a campaign is
+assumed to stay active once observed), so a row mask and the start month
+describe the whole exposed region.
 
 Attacks are classified on two axes at the campaign start month:
 
@@ -58,40 +59,25 @@ class AttackScenario(Enum):
 @dataclass(frozen=True, eq=False)
 class ExposureMatrix:
     space: MatrixSpace
-    cells: np.ndarray
+    cells: np.ndarray  # bool, one per row: targeted from campaign.start_month on
     campaign: CampaignRecord
 
     @property
     def empty(self) -> bool:
         return not self.cells.any()
 
-    def validate(self) -> list[str]:
-        problems = []
-        for i in range(len(self.space.rows)):
-            months = np.flatnonzero(self.cells[i])
-            if months.size == 0:
-                continue
-            expected = np.arange(self.campaign.start_month, self.space.n_months)
-            if months[0] != self.campaign.start_month or not np.array_equal(months, expected):
-                problems.append(f"row {self.space.rows[i].row_label}: not a contiguous suffix from start")
-        return problems
-
     def to_csv(self, fh) -> None:
-        matrix_to_csv(self.space, self.cells, fh)
+        months = np.arange(self.space.n_months) >= self.campaign.start_month
+        matrix_to_csv(self.space, np.outer(self.cells, months), fh)
 
 
 def build_campaign_matrix(campaign: CampaignRecord, catalog: Catalog, space: Optional[MatrixSpace] = None) -> ExposureMatrix:
-    """Mark every release affected by the campaign's CVEs from its start month on."""
+    """Mark every release affected by one of the campaign's CVEs."""
     space = space or MatrixSpace(catalog)
-    cells = np.zeros(space.shape, dtype=bool)
-    for cve in sorted(campaign.cve_ids):
-        vuln = catalog.vulns.get(cve)
-        if vuln is None:
-            continue
-        for i, rel in enumerate(space.rows):
-            quirks = vendor_quirks(rel.product.vendor)
-            if any(c.matches(rel.version, quirks) for c in vuln.constraints_for(rel.product.key)):
-                cells[i, campaign.start_month :] = True
+    cells = np.zeros(len(space.rows), dtype=bool)
+    for cve in campaign.cve_ids:
+        for rel in catalog.affected.get(cve, ()):
+            cells[space.row_index[rel]] = True
     cells.setflags(write=False)
     return ExposureMatrix(space=space, cells=cells, campaign=campaign)
 

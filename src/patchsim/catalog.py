@@ -22,11 +22,12 @@ import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
 from .months import DataError, Horizon, split_date
-from .versions import VersionConstraint, vendor_quirks, version_key
+from .versions import VersionConstraint, affected_releases, vendor_quirks, version_key
 
 log = logging.getLogger(__name__)
 
@@ -55,8 +56,6 @@ _VECTOR_BY_TAG = {v.value: v for v in AttackVector}
 class SoftwareProduct:
     vendor: str
     name: str
-    platform: str = ""
-    cumulative: bool = False  # KB-style cumulative updates; informational only
 
     @property
     def key(self) -> ProductKey:
@@ -133,8 +132,19 @@ class Catalog:
             out |= c.cve_ids
         return frozenset(out)
 
-    def timeline(self, key: ProductKey) -> ReleaseTimeline:
-        return self.timelines[key]
+    @cached_property
+    def affected(self) -> dict[str, frozenset[VersionRelease]]:
+        """The affects-index: CVE id -> every cataloged release one of its
+        constraints matches. Products without a timeline contribute nothing."""
+        index = {}
+        for cve, vuln in self.vulns.items():
+            hit: set[VersionRelease] = set()
+            for pc in vuln.affected:
+                timeline = self.timelines.get(pc.key)
+                if timeline is not None:
+                    hit |= affected_releases(pc.constraint, timeline)
+            index[cve] = frozenset(hit)
+        return index
 
 
 @dataclass(frozen=True)
@@ -383,8 +393,7 @@ def catalog_diagnostics(catalog: Catalog) -> dict:
             if timeline is None:
                 off_catalog.append({"cve": cve, "vendor": pc.vendor, "product": pc.product})
                 continue
-            rules = vendor_quirks(pc.vendor)
-            if not any(pc.constraint.matches(rel.version, rules) for rel in timeline.releases):
+            if not affected_releases(pc.constraint, timeline):
                 dead_constraints.append(
                     {"cve": cve, "vendor": pc.vendor, "product": pc.product, "match": pc.constraint.to_mapping()}
                 )

@@ -82,7 +82,8 @@ def parse_baseline(text: str, reactive_pick: str) -> tuple[StrategyConfig, Scena
     return cfg, scenario
 
 
-def _add_data_flags(parser: argparse.ArgumentParser) -> None:
+def _data_flags() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
     data_dir = os.environ.get(DATA_DIR_ENV)
     default = (lambda name: str(Path(data_dir) / name)) if data_dir else (lambda name: None)
     parser.add_argument("--releases", default=default("releases.csv"),
@@ -95,6 +96,29 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--horizon", default="2020-01", help="last month of the analysis window (YYYY-MM)")
     parser.add_argument("--config", default=None,
                         help="JSON file holding any of these options; explicit flags win")
+    return parser
+
+
+def _strategy_flags() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--strategies", default=DEFAULT_STRATEGIES,
+                        help="comma list of name[:delay] with names immediate, planned, reactive, informed")
+    parser.add_argument("--scenarios", default=DEFAULT_SCENARIOS,
+                        help="comma list of update-first (optimistic) and/or apt-first (pessimistic)")
+    parser.add_argument("--baseline", default="immediate@update-first",
+                        help="odds baseline as strategy[:delay][@scenario]")
+    parser.add_argument("--reactive-pick", default="first", choices=["first", "latest"],
+                        help="which escaping release a reactive update installs")
+    return parser
+
+
+def _output_flags() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--tie-rule", default="inclusive", choices=["inclusive", "exclusive"],
+                        help="same-month tie handling in lifecycle classification")
+    parser.add_argument("--format", default="both", choices=["json", "csv", "both"],
+                        help="artifact family to write under --out")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,63 +132,30 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    data, strategy, output = _data_flags(), _strategy_flags(), _output_flags()
 
-    p_validate = sub.add_parser("validate", help="check dataset integrity")
-    _add_data_flags(p_validate)
+    sub.add_parser("validate", parents=[data], help="check dataset integrity")
 
-    p_eval = sub.add_parser("evaluate", help="probability / update-count / odds table per strategy")
-    _add_data_flags(p_eval)
-    p_eval.add_argument("--strategies", default=DEFAULT_STRATEGIES,
-                        help="comma list of name[:delay] with names immediate, planned, reactive, informed")
-    p_eval.add_argument("--scenarios", default=DEFAULT_SCENARIOS,
-                        help="comma list of update-first (optimistic) and/or apt-first (pessimistic)")
-    p_eval.add_argument("--baseline", default="immediate@update-first",
-                        help="odds baseline as strategy[:delay][@scenario]")
-    p_eval.add_argument("--reactive-pick", default="first", choices=["first", "latest"],
-                        help="which escaping release a reactive update installs")
-    p_eval.add_argument("--tie-rule", default="inclusive", choices=["inclusive", "exclusive"],
-                        help="same-month tie handling in lifecycle classification")
+    p_eval = sub.add_parser("evaluate", parents=[data, strategy, output],
+                            help="probability / update-count / odds table per strategy")
     p_eval.add_argument("--out", default=None, help="directory for JSON/CSV artifacts")
-    p_eval.add_argument("--format", default="both", choices=["json", "csv", "both"],
-                        help="artifact family to write under --out")
 
-    p_classify = sub.add_parser("classify", help="lifecycle classes per campaign, knowledge-group counts")
-    _add_data_flags(p_classify)
-    p_classify.add_argument("--tie-rule", default="inclusive", choices=["inclusive", "exclusive"],
-                            help="same-month tie handling in lifecycle classification")
+    p_classify = sub.add_parser("classify", parents=[data, output],
+                                help="lifecycle classes per campaign, knowledge-group counts")
     p_classify.add_argument("--out", default=None, help="directory for classify.csv / venn.json")
-    p_classify.add_argument("--format", default="both", choices=["json", "csv", "both"],
-                            help="artifact family to write under --out")
 
-    p_survival = sub.add_parser("survival", help="exploit-age survival curve (CSV)")
-    _add_data_flags(p_survival)
+    p_survival = sub.add_parser("survival", parents=[data, output], help="exploit-age survival curve (CSV)")
     p_survival.add_argument("--products", default="all",
                             help="'all' or comma list of vendor/name to restrict the CVE sample")
     p_survival.add_argument("--kk-only", action="store_true",
                             help="keep only CVEs first exploited at or after publication")
     p_survival.add_argument("--include-unexploited", action="store_true",
                             help="add never-exploited CVEs as censored at the horizon end")
-    p_survival.add_argument("--tie-rule", default="inclusive", choices=["inclusive", "exclusive"],
-                            help="same-month tie handling for --kk-only")
     p_survival.add_argument("--out", default=None, help="directory for survival.csv")
-    p_survival.add_argument("--format", default="both", choices=["json", "csv", "both"],
-                            help="artifact family to write under --out")
 
-    p_report = sub.add_parser("report", help="full run: evaluate + classify + survival + manifest")
-    _add_data_flags(p_report)
-    p_report.add_argument("--strategies", default=DEFAULT_STRATEGIES,
-                          help="comma list of name[:delay] with names immediate, planned, reactive, informed")
-    p_report.add_argument("--scenarios", default=DEFAULT_SCENARIOS,
-                          help="comma list of update-first (optimistic) and/or apt-first (pessimistic)")
-    p_report.add_argument("--baseline", default="immediate@update-first",
-                          help="odds baseline as strategy[:delay][@scenario]")
-    p_report.add_argument("--reactive-pick", default="first", choices=["first", "latest"],
-                          help="which escaping release a reactive update installs")
-    p_report.add_argument("--tie-rule", default="inclusive", choices=["inclusive", "exclusive"],
-                          help="same-month tie handling in lifecycle classification")
+    p_report = sub.add_parser("report", parents=[data, strategy, output],
+                              help="full run: evaluate + classify + survival + manifest")
     p_report.add_argument("--out", required=True, help="output directory (required)")
-    p_report.add_argument("--format", default="both", choices=["json", "csv", "both"],
-                          help="artifact family to write under --out")
     return parser
 
 
@@ -183,8 +174,9 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise UsageError(f"config file {path}: unknown option {key!r}")
-        if not isinstance(value, (str, int, float, bool)):
-            raise UsageError(f"config file {path}: option {key!r} must be a scalar")
+        kind = bool if isinstance(getattr(args, attr), bool) else str
+        if not isinstance(value, kind):
+            raise UsageError(f"config file {path}: option {key!r} must be a {'boolean' if kind is bool else 'string'}")
         if attr in explicit or attr == "config":
             continue
         setattr(args, attr, value)
@@ -235,6 +227,8 @@ def emit_files(files: dict[str, str], out_dir, formats: str = "both") -> dict[st
         or (formats == "json" and name.endswith(".json"))
         or (formats == "csv" and name.endswith(".csv"))
     }
+    if not selected:
+        raise UsageError(f"--format {formats} selects none of {', '.join(sorted(files))}")
     manifest = {name: _digest(text.encode("utf-8")) for name, text in sorted(selected.items())}
     for name, text in sorted(selected.items()):
         try:
@@ -378,12 +372,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    catalog = _load(args)
+def _evaluate(catalog: Catalog, args: argparse.Namespace) -> list[EvaluationReport]:
     configs = parse_strategies(args.strategies, args.reactive_pick)
     scenarios = parse_scenarios(args.scenarios)
     baseline = parse_baseline(args.baseline, args.reactive_pick)
-    reports = evaluate(catalog, configs, scenarios, baseline)
+    return evaluate(catalog, configs, scenarios, baseline)
+
+
+def _cmd_evaluate(args: argparse.Namespace) -> int:
+    catalog = _load(args)
+    reports = _evaluate(catalog, args)
     _print_table(reports, sys.stdout)
     if args.out:
         emit_report(reports, catalog, args.out, args.format)
@@ -413,13 +411,9 @@ def _cmd_survival(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     catalog = _load(args)
-    configs = parse_strategies(args.strategies, args.reactive_pick)
-    scenarios = parse_scenarios(args.scenarios)
-    baseline = parse_baseline(args.baseline, args.reactive_pick)
-    tie_rule = TieRule(args.tie_rule)
-    reports = evaluate(catalog, configs, scenarios, baseline)
+    reports = _evaluate(catalog, args)
     files = _evaluation_files(reports, catalog)
-    files.update(_classify_files(catalog, tie_rule))
+    files.update(_classify_files(catalog, TieRule(args.tie_rule)))
     survival_args = argparse.Namespace(
         tie_rule=args.tie_rule, products="all", kk_only=False, include_unexploited=False
     )
@@ -453,7 +447,7 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:

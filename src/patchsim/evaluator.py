@@ -1,10 +1,10 @@
 """Compromise-probability evaluation of update strategies.
 
-For each strategy matrix and campaign exposure matrix, the element-wise
-intersection identifies months in which an installed version was being
-targeted. A campaign counts as (potentially) successful if that happens in
-at least one month; the overall probability is the fraction of targeting
-campaigns that ever succeed. Probabilities are exact rationals internally
+For each strategy matrix and campaign exposure, the installed rows that the
+campaign targets, from its start month on, identify months in which an
+installed version was being targeted. A campaign counts as (potentially)
+successful if that happens in at least one month; the overall probability is
+the fraction of targeting campaigns that ever succeed. Probabilities are exact rationals internally
 and only rendered to percentages at the reporting boundary.
 """
 
@@ -60,8 +60,9 @@ def successful_months(deployment: DeploymentMatrix, exposure: ExposureMatrix) ->
         or deployment.space.n_months != exposure.space.n_months
     ):
         raise ValueError("deployment and exposure matrices use different row/column spaces")
-    hits = (deployment.cells & exposure.cells).any(axis=0)
-    return frozenset(int(m) for m in np.flatnonzero(hits))
+    start = exposure.campaign.start_month
+    hits = deployment.cells[exposure.cells, start:].any(axis=0)
+    return frozenset(start + int(m) for m in np.flatnonzero(hits))
 
 
 def probability_at(outcomes: Sequence[CampaignOutcome], month: int) -> Optional[Fraction]:

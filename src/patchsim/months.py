@@ -99,12 +99,3 @@ class Horizon:
             raise ValueError(f"month index {index} outside [0, {self.end_index}]")
         total = (self.epoch_year * 12 + self.epoch_month - 1) + index
         return f"{total // 12:04d}-{total % 12 + 1:02d}"
-
-
-def parse_month(text: str, horizon: Horizon) -> int:
-    """Strict month parser: YYYY-MM within [epoch, horizon end]."""
-    return horizon.parse(text)
-
-
-def format_month(index: int, horizon: Horizon) -> str:
-    return horizon.format(index)

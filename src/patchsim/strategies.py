@@ -19,17 +19,17 @@ import csv
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Container, Optional
 
 import numpy as np
 
-from .catalog import Catalog, ProductKey, VersionRelease, VulnRecord
-from .versions import first_nonvulnerable, vendor_quirks
+from .catalog import Catalog, ProductKey, ReleaseTimeline, VersionRelease
+from .months import DataError
 
 log = logging.getLogger(__name__)
 
 
-class ConfigurationError(Exception):
+class ConfigurationError(DataError):
     """Catalog cannot support the requested simulation."""
 
 
@@ -129,9 +129,6 @@ class DeploymentMatrix:
     config: StrategyConfig
     transitions: tuple[Transition, ...]
 
-    def installed(self, month: int) -> list[VersionRelease]:
-        return [self.space.rows[i] for i in np.flatnonzero(self.cells[:, month])]
-
     def installed_series(self, product: ProductKey) -> list[set[VersionRelease]]:
         """Per-month installed set for one product."""
         out: list[set[VersionRelease]] = [set() for _ in range(self.space.n_months)]
@@ -172,24 +169,21 @@ class DeploymentMatrix:
         matrix_to_csv(self.space, self.cells, fh)
 
 
-def _affects(vuln: VulnRecord, release: VersionRelease, quirks: dict) -> bool:
-    return any(c.matches(release.version, quirks) for c in vuln.constraints_for(release.product.key))
-
-
 def initial_versions(catalog: Catalog) -> dict[ProductKey, VersionRelease]:
     """Starting version per product: oldest release already out at the epoch,
     preferring one vulnerable to a campaign-exploited CVE."""
-    campaign_vulns = [catalog.vulns[c] for c in sorted(catalog.campaign_cve_ids()) if c in catalog.vulns]
+    exploited: set[VersionRelease] = set()
+    for cve in catalog.campaign_cve_ids():
+        exploited |= catalog.affected.get(cve, frozenset())
     chosen: dict[ProductKey, VersionRelease] = {}
     for key in sorted(catalog.timelines):
         timeline = catalog.timelines[key]
-        quirks = vendor_quirks(key[0])
         at_epoch = [r for r in timeline.releases if r.release_month <= 0]
         if not at_epoch:
             raise ConfigurationError(
                 f"product {key[0]}/{key[1]} has no release at or before {catalog.horizon.format(0)}"
             )
-        vulnerable = [r for r in at_epoch if any(_affects(v, r, quirks) for v in campaign_vulns)]
+        vulnerable = [r for r in at_epoch if r in exploited]
         pool = vulnerable or at_epoch
         chosen[key] = min(pool, key=lambda r: (r.release_month, r.sort_key))
     return chosen
@@ -309,47 +303,44 @@ def build_reactive(
     start = initial_versions(catalog)
     end = catalog.horizon.end_index
 
-    triggers_by_month: dict[int, list[VulnRecord]] = {}
-    for cve in sorted(catalog.vulns):
-        vuln = catalog.vulns[cve]
-        month = vuln.reserved_month if informed else vuln.published_month
-        triggers_by_month.setdefault(month, []).append(vuln)
+    affected = catalog.affected
+    trigger_month = {
+        cve: vuln.reserved_month if informed else vuln.published_month for cve, vuln in catalog.vulns.items()
+    }
+    triggers_by_month: dict[int, list[str]] = {}
+    for cve, month in trigger_month.items():
+        triggers_by_month.setdefault(month, []).append(cve)
+
+    def blocked_by(outstanding: set[str]) -> set[VersionRelease]:
+        blocked: set[VersionRelease] = set()
+        for cve in outstanding:
+            blocked |= affected[cve]
+        return blocked
 
     sequences: dict[ProductKey, list[VersionRelease]] = {}
     transitions: list[Transition] = []
     for key in sorted(catalog.timelines):
         timeline = catalog.timelines[key]
-        quirks = vendor_quirks(key[0])
 
-        def escape_available_from(outstanding: dict, current: VersionRelease) -> Optional[int]:
-            months = [
-                rel.release_month
-                for rel in timeline.releases
-                if rel.sort_key > current.sort_key
-                and not any(_affects(v, rel, quirks) for v in outstanding.values())
-            ]
-            return min(months) if months else None
-
-        def schedule(outstanding: dict, current: VersionRelease, now: int) -> Optional[int]:
-            available = escape_available_from(outstanding, current)
-            if available is None:
+        def schedule(outstanding: set[str], current: VersionRelease, now: int) -> Optional[int]:
+            escape = first_nonvulnerable(timeline, blocked_by(outstanding), at=end, installed=current)
+            if escape is None:
                 return None
-            return max(now, available) + delay
+            return max(now, escape.release_month) + delay
 
         current = start[key]
-        outstanding: dict[str, VulnRecord] = {}
+        outstanding: set[str] = set()
         pending: Optional[int] = None
         seq = []
         for m in range(catalog.horizon.n_months):
-            fired = [v for v in triggers_by_month.get(m, ()) if _affects(v, current, quirks)]
+            fired = [cve for cve in triggers_by_month.get(m, ()) if current in affected[cve]]
             if fired:
                 had_pending = pending is not None
-                for v in fired:
-                    outstanding[v.cve_id] = v
+                outstanding.update(fired)
                 if not had_pending:
                     pending = schedule(outstanding, current, m)
             if pending == m:
-                rel = first_nonvulnerable(timeline, outstanding.values(), at=m, installed=current, pick=pick)
+                rel = first_nonvulnerable(timeline, blocked_by(outstanding), at=m, installed=current, pick=pick)
                 if rel is None:
                     # union grew past what the scheduled release could fix;
                     # restart the clock from the escape's availability
@@ -357,25 +348,44 @@ def build_reactive(
                 else:
                     transitions.append(Transition(key, m, current, rel))
                     current = rel
-                    outstanding = {}
                     pending = None
                     # already-triggered CVEs may hit the version just installed
-                    relapsed = [
-                        v
-                        for month, vs in triggers_by_month.items()
-                        if month <= m
-                        for v in vs
-                        if _affects(v, current, quirks)
-                    ]
-                    if relapsed:
-                        for v in relapsed:
-                            outstanding[v.cve_id] = v
+                    outstanding = {
+                        cve for cve, month in trigger_month.items() if month <= m and current in affected[cve]
+                    }
+                    if outstanding:
                         pending = schedule(outstanding, current, m)
             seq.append(current)
         sequences[key] = seq
         if pending is not None and pending > end:
             log.debug("%s/%s: pending deployment at %d falls outside the window", key[0], key[1], pending)
     return _materialize(catalog, config, sequences, transitions)
+
+
+def first_nonvulnerable(
+    timeline: ReleaseTimeline,
+    blocked: Container[VersionRelease],
+    at: int,
+    installed: VersionRelease,
+    pick: str = "first",
+) -> Optional[VersionRelease]:
+    """Release available at `at`, newer than `installed` and not in `blocked`.
+
+    pick="first" takes the earliest-released qualifying version (minimal
+    churn); pick="latest" takes the newest qualifying version instead.
+    """
+    if pick not in ("first", "latest"):
+        raise ValueError(f"pick must be 'first' or 'latest', got {pick!r}")
+    candidates = [
+        rel
+        for rel in timeline.releases
+        if rel.release_month <= at and rel.sort_key > installed.sort_key and rel not in blocked
+    ]
+    if not candidates:
+        return None
+    if pick == "first":
+        return min(candidates, key=lambda rel: (rel.release_month, rel.sort_key))
+    return max(candidates, key=lambda rel: (rel.sort_key, rel.release_month))
 
 
 def build_matrix(catalog: Catalog, config: StrategyConfig) -> DeploymentMatrix:

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from typing import Iterable, Optional
+from typing import Callable, Optional
 
 # Segment encoding: numeric runs become (0, int), alphabetic runs (1, str).
 # Plain tuple comparison then yields a total order with numbers sorting
@@ -174,69 +174,41 @@ class VersionConstraint:
             obj["endIncluding" if self.end.inclusive else "endExcluding"] = self.end.version
         return obj
 
-    def matches(self, version: str, quirks: Optional[dict] = None) -> bool:
-        key = version_key(version, quirks)
-        if self.kind == "exact":
-            return key == version_key(self.start.version, quirks)
-        if self.start is not None:
-            sk = version_key(self.start.version, quirks)
-            if key < sk or (key == sk and not self.start.inclusive):
-                return False
-        if self.end is not None:
-            ek = version_key(self.end.version, quirks)
-            if key > ek or (key == ek and not self.end.inclusive):
-                return False
-        return True
+    def contains(self, quirks: Optional[dict] = None) -> Callable[[tuple], bool]:
+        """Predicate over version keys, with both bounds tokenized once under `quirks`.
 
-    def upper_frontier(self) -> Optional[Bound]:
-        """Bound a release must exceed to count as a fix; None if unbounded."""
-        return self.end
+        An exact constraint is a range whose two inclusive bounds are equal.
+        """
+        lo = None if self.start is None else (version_key(self.start.version, quirks), self.start.inclusive)
+        hi = None if self.end is None else (version_key(self.end.version, quirks), self.end.inclusive)
+
+        def inside(key: tuple) -> bool:
+            if lo is not None and (key < lo[0] or (key == lo[0] and not lo[1])):
+                return False
+            if hi is not None and (key > hi[0] or (key == hi[0] and not hi[1])):
+                return False
+            return True
+
+        return inside
+
+    def matches(self, version: str, quirks: Optional[dict] = None) -> bool:
+        return self.contains(quirks)(version_key(version, quirks))
 
     def fixes(self, version: str, quirks: Optional[dict] = None) -> bool:
         """True when the version is strictly above the affected range."""
-        top = self.upper_frontier()
-        if top is None:
+        if self.end is None:
             return False
         key = version_key(version, quirks)
-        tk = version_key(top.version, quirks)
-        return key > tk if top.inclusive else key >= tk
+        tk = version_key(self.end.version, quirks)
+        return key > tk if self.end.inclusive else key >= tk
 
 
-def affected_releases(constraint: VersionConstraint, timeline, quirks: Optional[dict] = None):
-    """All releases in the timeline whose version satisfies the constraint."""
-    rules = quirks if quirks is not None else vendor_quirks(timeline.product.vendor)
-    return {rel for rel in timeline.releases if constraint.matches(rel.version, rules)}
+def affected_releases(constraint: VersionConstraint, timeline) -> frozenset:
+    """All releases in the timeline whose version satisfies the constraint.
 
-
-def first_nonvulnerable(
-    timeline,
-    vulns: Iterable,
-    at: int,
-    installed,
-    pick: str = "first",
-):
-    """Earliest release available at `at`, newer than `installed`, escaping every vuln.
-
-    `vulns` are records whose constraints-for-this-product must all be escaped;
-    a record with no constraint on this product never blocks. pick="first"
-    takes the earliest-released qualifying version (minimal churn);
-    pick="latest" takes the newest qualifying version instead.
+    The one place a constraint is tested against releases: bounds are
+    tokenized once under the timeline vendor's quirks and compared with each
+    release's cached sort_key.
     """
-    if pick not in ("first", "latest"):
-        raise ValueError(f"pick must be 'first' or 'latest', got {pick!r}")
-    rules = vendor_quirks(timeline.product.vendor)
-    constraints = []
-    for v in vulns:
-        constraints.extend(v.constraints_for(timeline.product.key))
-    candidates = [
-        rel
-        for rel in timeline.releases
-        if rel.release_month <= at
-        and rel.sort_key > installed.sort_key
-        and not any(c.matches(rel.version, rules) for c in constraints)
-    ]
-    if not candidates:
-        return None
-    if pick == "first":
-        return min(candidates, key=lambda rel: (rel.release_month, rel.sort_key))
-    return max(candidates, key=lambda rel: (rel.sort_key, rel.release_month))
+    inside = constraint.contains(vendor_quirks(timeline.product.vendor))
+    return frozenset(rel for rel in timeline.releases if inside(rel.sort_key))

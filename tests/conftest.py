@@ -85,6 +85,9 @@ def campaign(apt, month, cves=(), vectors=()) -> CampaignRecord:
 
 
 def random_catalog(rng: random.Random, horizon_end: int = 23) -> Catalog:
+    """Seeded catalog with dotted products, sometimes an Oracle product using
+    "6u13" update notation, multi-product CVEs (some naming a product with no
+    timeline) and "*" bounds."""
     n_products = rng.randint(1, 5)
     timelines_spec = {}
     for i in range(n_products):
@@ -108,23 +111,42 @@ def random_catalog(rng: random.Random, horizon_end: int = 23) -> Catalog:
             used.add(v)
             versions.append((v, month))
         timelines_spec[key] = versions
+    if rng.random() < 0.4:
+        major, update = rng.randint(5, 7), rng.randint(0, 20)
+        month = 0
+        versions = [(f"{major}u{update}", 0)]
+        for _ in range(rng.randint(0, 8)):
+            month = min(horizon_end, month + rng.randint(0, 5))
+            if rng.random() < 0.25:
+                major, update = major + 1, 0
+            else:
+                update += rng.randint(1, 12)
+            versions.append((f"{major}u{update}", month))
+        timelines_spec[("oracle", "jre")] = versions
 
-    catalog_no_vulns = make_catalog(timelines_spec, horizon_end=horizon_end)
     keys = sorted(timelines_spec)
     vulns = []
     for i in range(rng.randint(1, 8)):
-        key = rng.choice(keys)
-        names = [v for v, _ in timelines_spec[key]]
         reserved = rng.randint(0, horizon_end)
         published = rng.randint(reserved, horizon_end)
-        roll = rng.random()
-        if roll < 0.3:
-            match = {"exact": rng.choice(names)}
-        elif roll < 0.85:
-            match = {rng.choice(["endIncluding", "endExcluding"]): rng.choice(names)}
-        else:
-            match = {rng.choice(["startIncluding", "startExcluding"]): rng.choice(names)}
-        vulns.append(vuln(f"CVE-2010-{1000 + i}", reserved, published, (key[0], key[1], match)))
+        affected = []
+        for key in rng.sample(keys, rng.randint(1, min(2, len(keys)))):
+            names = [v for v, _ in timelines_spec[key]]
+            roll = rng.random()
+            if roll < 0.25:
+                match = {"exact": rng.choice(names)}
+            elif roll < 0.75:
+                match = {rng.choice(["endIncluding", "endExcluding"]): rng.choice(names)}
+                if rng.random() < 0.3:
+                    match[rng.choice(["startIncluding", "startExcluding"])] = "*"
+            elif roll < 0.95:
+                match = {rng.choice(["startIncluding", "startExcluding"]): rng.choice(names)}
+            else:
+                match = {"endIncluding": "*"}
+            affected.append((key[0], key[1], match))
+        if rng.random() < 0.1:
+            affected.append(("acme", "ghost", {"endIncluding": "9.9"}))
+        vulns.append(vuln(f"CVE-2010-{1000 + i}", reserved, published, *affected))
 
     campaigns = {}
     for i in range(rng.randint(1, 20)):

@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from conftest import campaign, make_catalog, vuln
+from conftest import campaign, make_catalog, random_catalog, ref_matches, vuln
 from patchsim.catalog import (
     AttackVector,
     CampaignRecord,
@@ -221,6 +222,33 @@ def test_diagnostics_count_dead_constraints():
     assert [d["cve"] for d in diag["constraints_matching_no_release"]] == ["CVE-2010-0002"]
     assert [d["cve"] for d in diag["constraints_for_products_without_timeline"]] == ["CVE-2010-0003"]
     assert diag["vector_only_campaigns"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Affects-index
+
+
+def test_affects_index_matches_reference_on_random_catalogs():
+    rng = random.Random(4324)
+    shapes = {"multi-product": 0, "wildcard": 0, "update-notation": 0, "off-catalog": 0}
+    for _ in range(200):
+        cat = random_catalog(rng)
+        assert set(cat.affected) == set(cat.vulns)
+        for cve, record in cat.vulns.items():
+            expected = set()
+            for pc in record.affected:
+                timeline = cat.timelines.get(pc.key)
+                if timeline is None:
+                    shapes["off-catalog"] += 1
+                    continue
+                mapping = pc.constraint.to_mapping()
+                expected |= {rel for rel in timeline.releases if ref_matches(mapping, rel.version)}
+                shapes["wildcard"] += '"*"' in pc.constraint.raw
+                shapes["update-notation"] += pc.vendor == "oracle"
+            shapes["multi-product"] += len({pc.key for pc in record.affected}) > 1
+            assert cat.affected[cve] == expected, (cve, record.affected)
+    # every widened shape of random_catalog was exercised
+    assert all(shapes.values()), shapes
 
 
 def test_custom_horizon_threading(tmp_path, fixture_paths):

@@ -1,7 +1,15 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import patchsim
+from conftest import random_catalog
+from patchsim.catalog import save_catalog
 from patchsim.cli import build_parser, emit_report, parse_baseline, parse_strategies, run
 from patchsim.evaluator import evaluate
 from patchsim.strategies import Scenario, StrategyConfig, StrategyKind
@@ -210,6 +218,87 @@ def test_emit_report_same_inputs_same_digests(tmp_path, fixture_catalog):
     first = emit_report(reports, fixture_catalog, tmp_path / "x")
     second = emit_report(reports, fixture_catalog, tmp_path / "y")
     assert first == second
+
+
+def _no_epoch_release(tmp_path, fixture_paths):
+    releases = tmp_path / "releases.csv"
+    releases.write_text(fixture_paths["releases"].read_text() + "acme,late,1.0,2009-01\n")
+    return ["evaluate", *_data_args(fixture_paths), "--releases", str(releases)]
+
+
+def _directory_input(tmp_path, fixture_paths):
+    return ["validate", *_data_args(fixture_paths), "--vulns", str(tmp_path)]
+
+
+def _non_string_config(tmp_path, fixture_paths):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"strategies": 3}))
+    return ["evaluate", *_data_args(fixture_paths), "--config", str(config)]
+
+
+def _format_selects_nothing(tmp_path, fixture_paths):
+    return ["survival", *_data_args(fixture_paths), "--format", "json", "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize(
+    "make_argv,code,fragment",
+    [
+        (_no_epoch_release, 1, "acme/late"),
+        (_directory_input, 2, "Is a directory"),
+        (_non_string_config, 2, "'strategies'"),
+        (_format_selects_nothing, 2, "--format json"),
+    ],
+    ids=["no-epoch-release", "directory-input", "non-string-config", "format-selects-nothing"],
+)
+def test_boundary_errors_exit_with_code_and_message(make_argv, code, fragment, tmp_path, fixture_paths, capsys):
+    assert run(make_argv(tmp_path, fixture_paths)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err, err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def _shuffle_rows(src: dict, dst: Path, rng: random.Random) -> dict:
+    """Copy the three input files with their data rows in random order."""
+    dst.mkdir()
+    out = {name: dst / path.name for name, path in src.items()}
+    for name in ("releases", "campaigns"):
+        header, *rows = src[name].read_text().splitlines(keepends=True)
+        rng.shuffle(rows)
+        out[name].write_text(header + "".join(rows))
+    entries = json.loads(src["vulns"].read_text())
+    rng.shuffle(entries)
+    out["vulns"].write_text(json.dumps(entries))
+    return out
+
+
+def _report_manifest(paths: dict, horizon: str, hash_seed: str, out: Path) -> str:
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(Path(patchsim.__file__).parents[1])}
+    argv = [
+        sys.executable, "-m", "patchsim.cli", "report",
+        "--releases", str(paths["releases"]), "--vulns", str(paths["vulns"]),
+        "--campaigns", str(paths["campaigns"]), "--horizon", horizon, "--out", str(out),
+    ]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return (out / "manifest.json").read_text()
+
+
+@pytest.mark.parametrize("dataset", ["fixture", "random"])
+def test_report_independent_of_hash_seed_and_row_order(dataset, fixture_paths, tmp_path):
+    if dataset == "fixture":
+        paths, horizon = fixture_paths, "2020-01"
+    else:
+        # four products including an Oracle "6u13" timeline, multi-product CVEs
+        catalog = random_catalog(random.Random(13))
+        assert ("oracle", "jre") in catalog.timelines
+        paths, horizon = save_catalog(catalog, tmp_path / "data"), "2009-12"
+    shuffled = _shuffle_rows(paths, tmp_path / "shuffled", random.Random(7))
+    manifests = [
+        _report_manifest(paths, horizon, "0", tmp_path / "seed0"),
+        _report_manifest(paths, horizon, "1", tmp_path / "seed1"),
+        _report_manifest(shuffled, horizon, "1", tmp_path / "shuffled-out"),
+    ]
+    assert manifests[0] == manifests[1] == manifests[2]
 
 
 def test_parse_helpers():

@@ -5,8 +5,6 @@ from patchsim.months import (
     BeforeEpochError,
     Horizon,
     MonthFormatError,
-    format_month,
-    parse_month,
 )
 
 
@@ -29,31 +27,31 @@ def test_default_window_spans_144_months(horizon):
     ],
 )
 def test_parse_month_examples(horizon, text, expected):
-    assert parse_month(text, horizon) == expected
+    assert horizon.parse(text) == expected
 
 
 def test_parse_format_round_trip_over_full_window(horizon):
     for index in range(horizon.end_index + 1):
-        assert parse_month(format_month(index, horizon), horizon) == index
+        assert horizon.parse(horizon.format(index)) == index
 
 
 @pytest.mark.parametrize("bad", ["2008", "01-2008", "2008-13", "2008-00", "garbage", "2008/01"])
 def test_malformed_dates_rejected(horizon, bad):
     with pytest.raises(MonthFormatError):
-        parse_month(bad, horizon)
+        horizon.parse(bad)
 
 
 def test_error_classes_are_distinct(horizon):
     with pytest.raises(BeforeEpochError):
-        parse_month("2007-12", horizon)
+        horizon.parse("2007-12")
     with pytest.raises(AfterHorizonError):
-        parse_month("2020-02", horizon)
+        horizon.parse("2020-02")
     assert not issubclass(BeforeEpochError, AfterHorizonError)
     assert not issubclass(AfterHorizonError, BeforeEpochError)
 
 
 def test_day_suffix_is_truncated(horizon):
-    assert parse_month("2009-12-27", horizon) == 23
+    assert horizon.parse("2009-12-27") == 23
 
 
 def test_clamped_parse_flags_pre_epoch_dates(horizon):
@@ -65,9 +63,9 @@ def test_clamped_parse_flags_pre_epoch_dates(horizon):
 
 def test_format_rejects_out_of_window_index(horizon):
     with pytest.raises(ValueError):
-        format_month(145, horizon)
+        horizon.format(145)
     with pytest.raises(ValueError):
-        format_month(-1, horizon)
+        horizon.format(-1)
 
 
 def test_custom_epoch():

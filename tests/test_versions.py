@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from conftest import ref_matches
 from patchsim.catalog import SoftwareProduct, make_timeline
+from patchsim.strategies import first_nonvulnerable
 from patchsim.versions import (
     Ordering,
     VersionConstraint,
     affected_releases,
     compare_versions,
-    first_nonvulnerable,
     version_key,
 )
 
@@ -180,31 +180,31 @@ def _fnv_setup():
     return timeline, releases
 
 
-class _FakeVuln:
-    def __init__(self, mapping):
-        self.constraint = VersionConstraint.from_mapping(mapping)
-
-    def constraints_for(self, key):
-        return [self.constraint]
+def _blocked(timeline, *mappings):
+    """Releases of the timeline that any of the constraint mappings affects."""
+    out = set()
+    for mapping in mappings:
+        out |= affected_releases(VersionConstraint.from_mapping(mapping), timeline)
+    return out
 
 
 def test_first_nonvulnerable_picks_escape_when_released():
     timeline, releases = _fnv_setup()
-    vulns = [_FakeVuln({"endIncluding": "9.2"})]
-    got = first_nonvulnerable(timeline, vulns, at=2, installed=releases["9.1"])
+    blocked = _blocked(timeline, {"endIncluding": "9.2"})
+    got = first_nonvulnerable(timeline, blocked, at=2, installed=releases["9.1"])
     assert got is releases["9.3"]
 
 
 def test_first_nonvulnerable_absent_before_fix_release():
     timeline, releases = _fnv_setup()
-    vulns = [_FakeVuln({"endIncluding": "9.2"})]
-    assert first_nonvulnerable(timeline, vulns, at=1, installed=releases["9.1"]) is None
+    blocked = _blocked(timeline, {"endIncluding": "9.2"})
+    assert first_nonvulnerable(timeline, blocked, at=1, installed=releases["9.1"]) is None
 
 
 def test_first_nonvulnerable_vacuous_constraint_takes_next_newer():
     timeline, releases = _fnv_setup()
-    vulns = [_FakeVuln({"exact": "0.0"})]
-    got = first_nonvulnerable(timeline, vulns, at=2, installed=releases["9.2"])
+    blocked = _blocked(timeline, {"exact": "0.0"})
+    got = first_nonvulnerable(timeline, blocked, at=2, installed=releases["9.2"])
     assert got is releases["9.3"]
 
 
@@ -212,9 +212,9 @@ def test_first_nonvulnerable_latest_pick():
     product = SoftwareProduct("adobe", "reader")
     timeline = make_timeline(product, [("9.1", 0), ("9.3", 1), ("9.4", 2)])
     releases = {r.version: r for r in timeline.releases}
-    vulns = [_FakeVuln({"endIncluding": "9.2"})]
-    first = first_nonvulnerable(timeline, vulns, at=2, installed=releases["9.1"], pick="first")
-    latest = first_nonvulnerable(timeline, vulns, at=2, installed=releases["9.1"], pick="latest")
+    blocked = _blocked(timeline, {"endIncluding": "9.2"})
+    first = first_nonvulnerable(timeline, blocked, at=2, installed=releases["9.1"], pick="first")
+    latest = first_nonvulnerable(timeline, blocked, at=2, installed=releases["9.1"], pick="latest")
     assert first is releases["9.3"]
     assert latest is releases["9.4"]
 
@@ -224,8 +224,8 @@ def test_latest_pick_prefers_newest_version_over_newest_release():
     product = SoftwareProduct("adobe", "reader")
     timeline = make_timeline(product, [("9.1", 0), ("10.0", 1), ("9.3", 2)])
     releases = {r.version: r for r in timeline.releases}
-    vulns = [_FakeVuln({"endIncluding": "9.2"})]
-    latest = first_nonvulnerable(timeline, vulns, at=3, installed=releases["9.1"], pick="latest")
+    blocked = _blocked(timeline, {"endIncluding": "9.2"})
+    latest = first_nonvulnerable(timeline, blocked, at=3, installed=releases["9.1"], pick="latest")
     assert latest is releases["10.0"]
 
 
@@ -240,16 +240,13 @@ def test_first_nonvulnerable_properties_on_random_inputs():
                 used.add(v)
                 versions.append((v, rng.randint(0, 23)))
         timeline = _timeline(versions)
-        vulns = [
-            _FakeVuln({"endIncluding": rng.choice([v for v, _ in versions])})
-            for _ in range(rng.randint(0, 2))
-        ]
+        mappings = [{"endIncluding": rng.choice([v for v, _ in versions])} for _ in range(rng.randint(0, 2))]
         installed = rng.choice(timeline.releases)
         at = rng.randint(0, 23)
-        got = first_nonvulnerable(timeline, vulns, at=at, installed=installed)
+        got = first_nonvulnerable(timeline, _blocked(timeline, *mappings), at=at, installed=installed)
         if got is None:
             continue
         assert got.release_month <= at
         assert got.sort_key > installed.sort_key
-        for v in vulns:
-            assert not v.constraint.matches(got.version)
+        for mapping in mappings:
+            assert not ref_matches(mapping, got.version)
