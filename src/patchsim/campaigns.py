@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .catalog import CampaignRecord, Catalog, ProductKey, VulnRecord
+from .months import DataError
 from .strategies import MatrixSpace, matrix_to_csv
 from .versions import vendor_quirks
 
@@ -90,9 +91,9 @@ def fix_months_by_product(vuln: VulnRecord, catalog: Catalog) -> dict[ProductKey
         timeline = catalog.timelines.get(pc.key)
         if timeline is None:
             continue
-        quirks = vendor_quirks(pc.vendor)
-        months = [rel.release_month for rel in timeline.releases if pc.constraint.fixes(rel.version, quirks)]
-        best = min(months) if months else None
+        fixed = pc.constraint.fixed_in(vendor_quirks(pc.vendor))
+        # releases are sorted by month, so the first fixed one is the earliest
+        best = next((rel.release_month for rel in timeline.releases if fixed(rel.sort_key)), None)
         if pc.key in out:
             prev = out[pc.key]
             out[pc.key] = best if prev is None else (prev if best is None else min(prev, best))
@@ -115,7 +116,7 @@ def classify_attack(
 ) -> AttackScenario:
     """Place one exploitation event into the six-way lifecycle classification."""
     if vuln.reserved_month > vuln.published_month:
-        raise ValueError(f"{vuln.cve_id}: reserved after published")
+        raise DataError(f"{vuln.cve_id}: reserved after published")
     t = exploited_month
     if tie_rule is TieRule.INCLUSIVE:
         if t >= vuln.published_month:

@@ -69,6 +69,13 @@ class VersionRelease:
     sort_key: tuple
     release_month: int
 
+    def __post_init__(self):
+        # indexes hash releases constantly: hash once, from what identifies a release
+        object.__setattr__(self, "_hash", hash((self.product.vendor, self.product.name, self.version)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def row_label(self) -> str:
         return f"{self.product.vendor}:{self.product.name}:{self.version}"
@@ -145,6 +152,18 @@ class Catalog:
                     hit |= affected_releases(pc.constraint, timeline)
             index[cve] = frozenset(hit)
         return index
+
+    @cached_property
+    def hitting(self) -> dict[VersionRelease, tuple[str, ...]]:
+        """The affects-index read the other way: release -> the ids of every
+        CVE affecting it, in id order; an empty tuple for an unaffected release."""
+        index: dict[VersionRelease, list[str]] = {
+            rel: [] for timeline in self.timelines.values() for rel in timeline.releases
+        }
+        for cve in sorted(self.affected):
+            for rel in self.affected[cve]:
+                index[rel].append(cve)
+        return {rel: tuple(cves) for rel, cves in index.items()}
 
 
 @dataclass(frozen=True)

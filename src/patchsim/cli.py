@@ -124,6 +124,7 @@ def _output_flags() -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="patchsim",
+        allow_abbrev=False,
         description="Quantify update-strategy effectiveness against APT campaign timelines.",
         epilog=(
             f"Set ${DATA_DIR_ENV} to a directory holding releases.csv, vulns.json and "
@@ -134,17 +135,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     data, strategy, output = _data_flags(), _strategy_flags(), _output_flags()
 
-    sub.add_parser("validate", parents=[data], help="check dataset integrity")
+    def add(name: str, parents: list, help: str) -> argparse.ArgumentParser:
+        # no abbreviations: each flag has one spelling, so explicit flags can beat --config
+        return sub.add_parser(name, parents=parents, help=help, allow_abbrev=False)
 
-    p_eval = sub.add_parser("evaluate", parents=[data, strategy, output],
-                            help="probability / update-count / odds table per strategy")
+    add("validate", [data], "check dataset integrity")
+
+    p_eval = add("evaluate", [data, strategy, output], "probability / update-count / odds table per strategy")
     p_eval.add_argument("--out", default=None, help="directory for JSON/CSV artifacts")
 
-    p_classify = sub.add_parser("classify", parents=[data, output],
-                                help="lifecycle classes per campaign, knowledge-group counts")
+    p_classify = add("classify", [data, output], "lifecycle classes per campaign, knowledge-group counts")
     p_classify.add_argument("--out", default=None, help="directory for classify.csv / venn.json")
 
-    p_survival = sub.add_parser("survival", parents=[data, output], help="exploit-age survival curve (CSV)")
+    p_survival = add("survival", [data, output], "exploit-age survival curve (CSV)")
     p_survival.add_argument("--products", default="all",
                             help="'all' or comma list of vendor/name to restrict the CVE sample")
     p_survival.add_argument("--kk-only", action="store_true",
@@ -153,13 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
                             help="add never-exploited CVEs as censored at the horizon end")
     p_survival.add_argument("--out", default=None, help="directory for survival.csv")
 
-    p_report = sub.add_parser("report", parents=[data, strategy, output],
-                              help="full run: evaluate + classify + survival + manifest")
+    p_report = add("report", [data, strategy, output], "full run: evaluate + classify + survival + manifest")
     p_report.add_argument("--out", required=True, help="output directory (required)")
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
     if not getattr(args, "config", None):
         return args
     path = Path(args.config)
@@ -169,17 +171,17 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         raise UsageError(f"config file {path}: {exc}") from exc
     if not isinstance(values, dict):
         raise UsageError(f"config file {path}: top-level value must be an object")
+    options = set(vars(args)) - {"command", "config"}  # the subcommand's own options
     explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
     for key, value in values.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise UsageError(f"config file {path}: unknown option {key!r}")
+        if attr not in options:
+            raise UsageError(f"config file {path}: unknown option {key!r} for {args.command}")
         kind = bool if isinstance(getattr(args, attr), bool) else str
         if not isinstance(value, kind):
             raise UsageError(f"config file {path}: option {key!r} must be a {'boolean' if kind is bool else 'string'}")
-        if attr in explicit or attr == "config":
-            continue
-        setattr(args, attr, value)
+        if attr not in explicit:
+            setattr(args, attr, value)
     return args
 
 
@@ -271,8 +273,8 @@ def _evaluation_files(reports: list[EvaluationReport], catalog: Catalog) -> dict
     writer = csv.writer(buf)
     labels = [f"{r.config.label}@{r.scenario.value}" for r in reports]
     writer.writerow(["month", "date"] + labels)
-    for m in range(catalog.horizon.n_months):
-        row = [m, catalog.horizon.format(m)]
+    for m, date in enumerate(catalog.horizon.labels):
+        row = [m, date]
         for r in reports:
             p = r.monthly[m]
             row.append("" if p is None else percent_1dp(p))
@@ -442,7 +444,7 @@ def run(argv=None) -> int:
         # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)
     try:
-        args = _apply_config_file(args, parser, argv)
+        args = _apply_config_file(args, argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

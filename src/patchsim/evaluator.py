@@ -18,6 +18,7 @@ import numpy as np
 
 from .campaigns import ExposureMatrix, build_campaign_matrix
 from .catalog import CampaignRecord, Catalog
+from .months import DataError
 from .stats import agresti_coull
 from .strategies import (
     DeploymentMatrix,
@@ -128,7 +129,7 @@ def evaluate(
     space = MatrixSpace(catalog)
     exposures = exposure_matrices(catalog, space)
     if not exposures:
-        raise ValueError("no campaign targets any cataloged release")
+        raise DataError("no campaign targets any cataloged release")
 
     def outcomes_for(matrix: DeploymentMatrix) -> tuple[CampaignOutcome, ...]:
         return tuple(
@@ -185,7 +186,7 @@ def percent_1dp(value: Fraction) -> str:
 
 
 def report_to_dict(report: EvaluationReport, catalog: Catalog) -> dict:
-    fmt = catalog.horizon.format
+    labels = catalog.horizon.labels
     ci = agresti_coull(
         sum(1 for o in report.outcomes if o.success), len(report.outcomes), 0.95
     )
@@ -205,9 +206,9 @@ def report_to_dict(report: EvaluationReport, catalog: Catalog) -> dict:
         "outcomes": [
             {
                 "apt": o.campaign.apt_name,
-                "start": fmt(o.campaign.start_month),
+                "start": labels[o.campaign.start_month],
                 "success": o.success,
-                "months": [fmt(m) for m in sorted(o.success_months)],
+                "months": [labels[m] for m in sorted(o.success_months)],
             }
             for o in report.outcomes
         ],

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 _DATE_RE = re.compile(r"^(\d{4})-(\d{2})(?:-(\d{2}))?$")
 
@@ -93,6 +94,11 @@ class Horizon:
         if index < 0:
             return 0, True
         return index, False
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """format(m) for every month of the window, computed once."""
+        return tuple(self.format(m) for m in range(self.n_months))
 
     def format(self, index: int) -> str:
         if not 0 <= index <= self.end_index:

@@ -115,8 +115,7 @@ class MatrixSpace:
 def matrix_to_csv(space: MatrixSpace, cells: np.ndarray, fh) -> None:
     """Dump a matrix as CSV: one row per product-version, one column per month."""
     writer = csv.writer(fh)
-    fmt = space.horizon.format
-    writer.writerow(["row"] + [fmt(m) for m in range(space.n_months)])
+    writer.writerow(["row"] + list(space.horizon.labels))
     for i, rel in enumerate(space.rows):
         writer.writerow([rel.row_label] + [int(x) for x in cells[i]])
 
@@ -303,7 +302,7 @@ def build_reactive(
     start = initial_versions(catalog)
     end = catalog.horizon.end_index
 
-    affected = catalog.affected
+    affected, hitting = catalog.affected, catalog.hitting
     trigger_month = {
         cve: vuln.reserved_month if informed else vuln.published_month for cve, vuln in catalog.vulns.items()
     }
@@ -350,9 +349,7 @@ def build_reactive(
                     current = rel
                     pending = None
                     # already-triggered CVEs may hit the version just installed
-                    outstanding = {
-                        cve for cve, month in trigger_month.items() if month <= m and current in affected[cve]
-                    }
+                    outstanding = {cve for cve in hitting[current] if trigger_month[cve] <= m}
                     if outstanding:
                         pending = schedule(outstanding, current, m)
             seq.append(current)
@@ -372,20 +369,23 @@ def first_nonvulnerable(
     """Release available at `at`, newer than `installed` and not in `blocked`.
 
     pick="first" takes the earliest-released qualifying version (minimal
-    churn); pick="latest" takes the newest qualifying version instead.
+    churn); pick="latest" takes the newest qualifying version instead. The
+    timeline is sorted by (release_month, sort_key), so the scan stops at the
+    first release past `at`, and the first qualifying release is the earliest.
     """
     if pick not in ("first", "latest"):
         raise ValueError(f"pick must be 'first' or 'latest', got {pick!r}")
-    candidates = [
-        rel
-        for rel in timeline.releases
-        if rel.release_month <= at and rel.sort_key > installed.sort_key and rel not in blocked
-    ]
-    if not candidates:
-        return None
-    if pick == "first":
-        return min(candidates, key=lambda rel: (rel.release_month, rel.sort_key))
-    return max(candidates, key=lambda rel: (rel.sort_key, rel.release_month))
+    best = None
+    for rel in timeline.releases:
+        if rel.release_month > at:
+            break
+        if rel.sort_key <= installed.sort_key or rel in blocked:
+            continue
+        if pick == "first":
+            return rel
+        if best is None or (rel.sort_key, rel.release_month) > (best.sort_key, best.release_month):
+            best = rel
+    return best
 
 
 def build_matrix(catalog: Catalog, config: StrategyConfig) -> DeploymentMatrix:

@@ -194,13 +194,13 @@ class VersionConstraint:
     def matches(self, version: str, quirks: Optional[dict] = None) -> bool:
         return self.contains(quirks)(version_key(version, quirks))
 
-    def fixes(self, version: str, quirks: Optional[dict] = None) -> bool:
-        """True when the version is strictly above the affected range."""
+    def fixed_in(self, quirks: Optional[dict] = None) -> Callable[[tuple], bool]:
+        """Predicate over version keys, true strictly above the affected range;
+        the end bound is tokenized once under `quirks`. Never true without one."""
         if self.end is None:
-            return False
-        key = version_key(version, quirks)
-        tk = version_key(self.end.version, quirks)
-        return key > tk if self.end.inclusive else key >= tk
+            return lambda key: False
+        hi, inclusive = version_key(self.end.version, quirks), self.end.inclusive
+        return lambda key: key > hi if inclusive else key >= hi
 
 
 def affected_releases(constraint: VersionConstraint, timeline) -> frozenset:

@@ -247,3 +247,94 @@ def ref_overall_probability(catalog: Catalog, matrix) -> Fraction | None:
     if not included:
         return None
     return Fraction(succeeded, included)
+
+
+def ref_strategy_run(catalog: Catalog, kind: str, delay: int = 0, pick: str = "first") -> dict:
+    """Month-walking reference for the strategy builders.
+
+    kind is immediate, planned, reactive or informed. Returns, per product
+    key, the installed version string of every month and the transitions as
+    (month, outgoing version, incoming version). Affects and ordering come
+    from ref_matches/ref_compare only.
+    """
+    end = catalog.horizon.end_index
+    exploited = {cve for c in catalog.campaigns for cve in c.cve_ids if cve in catalog.vulns}
+    trigger = {
+        cve: v.reserved_month if kind == "informed" else v.published_month for cve, v in catalog.vulns.items()
+    }
+
+    def earliest(pool):  # earliest released, then lowest version
+        best = None
+        for rel in pool:
+            if best is None or rel.release_month < best.release_month or (
+                rel.release_month == best.release_month and ref_compare(rel.version, best.version) < 0
+            ):
+                best = rel
+        return best
+
+    def newest(pool):
+        best = None
+        for rel in pool:
+            if best is None or ref_compare(rel.version, best.version) > 0:
+                best = rel
+        return best
+
+    out = {}
+    for key in sorted(catalog.timelines):
+        releases = list(catalog.timelines[key].releases)
+        hit = {
+            rel: {
+                cve
+                for cve, record in catalog.vulns.items()
+                for pc in record.affected
+                if pc.key == key and ref_matches(pc.constraint.to_mapping(), rel.version)
+            }
+            for rel in releases
+        }
+        at_epoch = [rel for rel in releases if rel.release_month == 0]
+        start = earliest([rel for rel in at_epoch if hit[rel] & exploited] or at_epoch)
+        installed = []
+        if kind in ("immediate", "planned"):
+            # the newest release out in months 1 .. m - delay, or the start
+            for m in range(end + 1):
+                installed.append(newest([start] + [r for r in releases if 1 <= r.release_month <= m - delay]))
+        else:
+
+            def escape(current, outstanding, at, how):
+                pool = [
+                    rel
+                    for rel in releases
+                    if rel.release_month <= at
+                    and ref_compare(rel.version, current.version) > 0
+                    and not hit[rel] & outstanding
+                ]
+                return earliest(pool) if how == "first" else newest(pool)
+
+            def schedule(current, outstanding, now):
+                rel = escape(current, outstanding, end, "first")
+                return None if rel is None else max(now, rel.release_month) + delay
+
+            current, outstanding, pending = start, set(), None
+            for m in range(end + 1):
+                fired = {cve for cve in hit[current] if trigger[cve] == m}
+                if fired:
+                    outstanding |= fired
+                    if pending is None:
+                        pending = schedule(current, outstanding, m)
+                if pending == m:
+                    rel = escape(current, outstanding, m, pick)
+                    if rel is None:
+                        pending = schedule(current, outstanding, m)
+                    else:
+                        current = rel
+                        outstanding = {cve for cve in hit[current] if trigger[cve] <= m}
+                        pending = schedule(current, outstanding, m) if outstanding else None
+                installed.append(current)
+        transitions = []
+        previous = start
+        for m, rel in enumerate(installed):
+            if rel is not previous:
+                transitions.append((m, previous.version, rel.version))
+            previous = rel
+        out[key] = ([rel.version for rel in installed], transitions)
+    return out

@@ -188,6 +188,24 @@ def test_config_file_unknown_key_rejected(fixture_paths, tmp_path):
     assert run(["evaluate", "--config", str(config)]) == 2
 
 
+def test_config_file_cannot_change_the_subcommand(fixture_paths, tmp_path, capsys):
+    for key in ("command", "config"):
+        config = tmp_path / f"{key}.json"
+        config.write_text(json.dumps({key: "validate"}))
+        assert run(["evaluate", *_data_args(fixture_paths), "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err, err
+
+
+def test_abbreviated_flag_is_rejected_not_overridden_by_config(fixture_paths, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"strategies": "planned:3"}))
+    argv = ["evaluate", *_data_args(fixture_paths), "--strat", "immediate", "--config", str(config)]
+    assert run(argv) == 2
+    assert "unrecognized arguments: --strat" in capsys.readouterr().err
+    assert run(["--hel"]) == 2  # the top-level parser takes no abbreviations either
+
+
 def test_help_documents_every_interface_flag():
     parser = build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a.choices, dict))
@@ -240,6 +258,20 @@ def _format_selects_nothing(tmp_path, fixture_paths):
     return ["survival", *_data_args(fixture_paths), "--format", "json", "--out", str(tmp_path / "out")]
 
 
+def _reserved_after_published(tmp_path, fixture_paths):
+    vulns = tmp_path / "vulns.json"
+    entries = json.loads(fixture_paths["vulns"].read_text())
+    entries[0]["reserved"] = "2010-06"  # a campaign CVE, reserved after its published month
+    vulns.write_text(json.dumps(entries))
+    return ["classify", *_data_args(fixture_paths), "--vulns", str(vulns)]
+
+
+def _no_targeting_campaign(tmp_path, fixture_paths):
+    campaigns = tmp_path / "campaigns.csv"
+    campaigns.write_text("apt,date,cves,vectors\nBasalt,2010-05,,valid-accounts\n")
+    return ["evaluate", *_data_args(fixture_paths), "--campaigns", str(campaigns)]
+
+
 @pytest.mark.parametrize(
     "make_argv,code,fragment",
     [
@@ -247,8 +279,11 @@ def _format_selects_nothing(tmp_path, fixture_paths):
         (_directory_input, 2, "Is a directory"),
         (_non_string_config, 2, "'strategies'"),
         (_format_selects_nothing, 2, "--format json"),
+        (_reserved_after_published, 1, "CVE-2009-4324: reserved after published"),
+        (_no_targeting_campaign, 1, "no campaign targets any cataloged release"),
     ],
-    ids=["no-epoch-release", "directory-input", "non-string-config", "format-selects-nothing"],
+    ids=["no-epoch-release", "directory-input", "non-string-config", "format-selects-nothing",
+         "reserved-after-published", "no-targeting-campaign"],
 )
 def test_boundary_errors_exit_with_code_and_message(make_argv, code, fragment, tmp_path, fixture_paths, capsys):
     assert run(make_argv(tmp_path, fixture_paths)) == code

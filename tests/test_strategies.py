@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import campaign, make_catalog, random_catalog, ref_matches, vuln
+from conftest import campaign, make_catalog, random_catalog, ref_matches, ref_strategy_run, vuln
 from patchsim.strategies import (
     ConfigurationError,
     ScenarioError,
@@ -355,6 +355,26 @@ def test_reactive_never_installs_a_triggering_cve_on_random_catalogs():
                         if pc.key == t.product
                     )
                     assert not hits_incoming, (t, record.cve_id)
+
+
+@pytest.mark.parametrize("delay", [0, 1, 3])
+def test_builders_match_month_walking_reference_on_random_catalogs(delay):
+    configs = [StrategyConfig(StrategyKind.PLANNED, delay) if delay else StrategyConfig(StrategyKind.IMMEDIATE)] + [
+        StrategyConfig(kind, delay, reactive_pick=pick)
+        for kind in (StrategyKind.REACTIVE, StrategyKind.INFORMED_REACTIVE)
+        for pick in ("first", "latest")
+    ]
+    for seed in range(200):
+        catalog = random_catalog(random.Random(seed))
+        for config in configs:
+            matrix = build_matrix(catalog, config)
+            expected = ref_strategy_run(catalog, config.kind.value, delay, config.reactive_pick)
+            for key, (versions, transitions) in expected.items():
+                assert _installed_versions(matrix, key) == [[v] for v in versions], (seed, config, key)
+                got_transitions = [
+                    (t.month, t.outgoing.version, t.incoming.version) for t in matrix.transitions if t.product == key
+                ]
+                assert got_transitions == transitions, (seed, config, key)
 
 
 # ---------------------------------------------------------------------------

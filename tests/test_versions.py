@@ -103,13 +103,13 @@ def test_malformed_constraints_rejected(mapping):
 
 
 def test_fixes_is_strictly_above_the_range():
-    c = VersionConstraint.from_mapping({"endIncluding": "9.2"})
-    assert not c.fixes("9.2")
-    assert c.fixes("9.3")
-    ex = VersionConstraint.from_mapping({"endExcluding": "9.2"})
-    assert ex.fixes("9.2")
-    unbounded = VersionConstraint.from_mapping({"startIncluding": "1.0"})
-    assert not unbounded.fixes("99.0")
+    fixed = VersionConstraint.from_mapping({"endIncluding": "9.2"}).fixed_in()
+    assert not fixed(version_key("9.2"))
+    assert fixed(version_key("9.3"))
+    ex = VersionConstraint.from_mapping({"endExcluding": "9.2"}).fixed_in()
+    assert ex(version_key("9.2"))
+    unbounded = VersionConstraint.from_mapping({"startIncluding": "1.0"}).fixed_in()
+    assert not unbounded(version_key("99.0"))
 
 
 # ---------------------------------------------------------------------------
