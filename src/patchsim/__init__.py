@@ -13,7 +13,6 @@ from .campaigns import (
     build_campaign_matrix,
     classify_attack,
     classify_campaign,
-    fix_month,
     venn_counts,
 )
 from .catalog import (

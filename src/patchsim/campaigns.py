@@ -22,10 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import CampaignRecord, Catalog, ProductKey, VulnRecord
+from .catalog import CampaignRecord, Catalog, VulnRecord
 from .months import DataError
 from .strategies import MatrixSpace, matrix_to_csv
-from .versions import vendor_quirks
 
 
 class TieRule(Enum):
@@ -38,6 +37,10 @@ class TieRule(Enum):
 
     INCLUSIVE = "inclusive"
     EXCLUSIVE = "exclusive"
+
+    def happened(self, event: int, at: int) -> bool:
+        """Whether an event in month `event` counts as already happened at month `at`."""
+        return event <= at if self is TieRule.INCLUSIVE else event < at
 
 
 class AttackScenario(Enum):
@@ -83,31 +86,6 @@ def build_campaign_matrix(campaign: CampaignRecord, catalog: Catalog, space: Opt
     return ExposureMatrix(space=space, cells=cells, campaign=campaign)
 
 
-def fix_months_by_product(vuln: VulnRecord, catalog: Catalog) -> dict[ProductKey, Optional[int]]:
-    """Per affected product, the release month of the earliest release strictly
-    above the constraint's version range; None when no such release exists."""
-    out: dict[ProductKey, Optional[int]] = {}
-    for pc in vuln.affected:
-        timeline = catalog.timelines.get(pc.key)
-        if timeline is None:
-            continue
-        fixed = pc.constraint.fixed_in(vendor_quirks(pc.vendor))
-        # releases are sorted by month, so the first fixed one is the earliest
-        best = next((rel.release_month for rel in timeline.releases if fixed(rel.sort_key)), None)
-        if pc.key in out:
-            prev = out[pc.key]
-            out[pc.key] = best if prev is None else (prev if best is None else min(prev, best))
-        else:
-            out[pc.key] = best
-    return out
-
-
-def fix_month(vuln: VulnRecord, catalog: Catalog) -> Optional[int]:
-    """Earliest fix across all affected products with a known timeline."""
-    months = [m for m in fix_months_by_product(vuln, catalog).values() if m is not None]
-    return min(months) if months else None
-
-
 def classify_attack(
     vuln: VulnRecord,
     exploited_month: int,
@@ -117,23 +95,13 @@ def classify_attack(
     """Place one exploitation event into the six-way lifecycle classification."""
     if vuln.reserved_month > vuln.published_month:
         raise DataError(f"{vuln.cve_id}: reserved after published")
-    t = exploited_month
-    if tie_rule is TieRule.INCLUSIVE:
-        if t >= vuln.published_month:
-            knowledge = "KK"
-        elif t >= vuln.reserved_month:
-            knowledge = "KU"
-        else:
-            knowledge = "UU"
-        preventable = fix is not None and fix <= t
+    if tie_rule.happened(vuln.published_month, exploited_month):
+        knowledge = "KK"
+    elif tie_rule.happened(vuln.reserved_month, exploited_month):
+        knowledge = "KU"
     else:
-        if t > vuln.published_month:
-            knowledge = "KK"
-        elif t > vuln.reserved_month:
-            knowledge = "KU"
-        else:
-            knowledge = "UU"
-        preventable = fix is not None and fix < t
+        knowledge = "UU"
+    preventable = fix is not None and tie_rule.happened(fix, exploited_month)
     return AttackScenario[f"{knowledge}_{'P' if preventable else 'U'}"]
 
 
@@ -143,14 +111,7 @@ def classify_campaign(
     tie_rule: TieRule = TieRule.INCLUSIVE,
 ) -> frozenset[str]:
     """Knowledge-axis groups ({"KK"}, {"KK","UU"}, ...) the campaign belongs to."""
-    groups: set[str] = set()
-    for cve in sorted(campaign.cve_ids):
-        vuln = catalog.vulns.get(cve)
-        if vuln is None:
-            continue
-        scenario = classify_attack(vuln, campaign.start_month, fix_month(vuln, catalog), tie_rule)
-        groups.add(scenario.knowledge)
-    return frozenset(groups)
+    return frozenset(s.knowledge for s in campaign_scenarios(campaign, catalog, tie_rule).values())
 
 
 def campaign_scenarios(
@@ -164,7 +125,7 @@ def campaign_scenarios(
         vuln = catalog.vulns.get(cve)
         if vuln is None:
             continue
-        out[cve] = classify_attack(vuln, campaign.start_month, fix_month(vuln, catalog), tie_rule)
+        out[cve] = classify_attack(vuln, campaign.start_month, catalog.fix_month[cve], tie_rule)
     return out
 
 

@@ -105,9 +105,6 @@ class VulnRecord:
     published_month: int
     affected: tuple[ProductConstraint, ...]
 
-    def constraints_for(self, key: ProductKey) -> list[VersionConstraint]:
-        return [pc.constraint for pc in self.affected if pc.key == key]
-
 
 @dataclass(frozen=True)
 class CampaignRecord:
@@ -164,6 +161,23 @@ class Catalog:
             for rel in self.affected[cve]:
                 index[rel].append(cve)
         return {rel: tuple(cves) for rel, cves in index.items()}
+
+    @cached_property
+    def fix_month(self) -> dict[str, Optional[int]]:
+        """CVE id -> release month of the earliest cataloged release strictly
+        above one of its constraints' ranges; None when no release escapes.
+        Products without a timeline contribute nothing."""
+        index: dict[str, Optional[int]] = {}
+        for cve, vuln in self.vulns.items():
+            escapes = []
+            for pc in vuln.affected:
+                timeline = self.timelines.get(pc.key)
+                if timeline is not None:
+                    fixed = pc.constraint.fixed_in(vendor_quirks(pc.vendor))
+                    # releases are sorted by month, so the first fixed one is the earliest
+                    escapes.append(next((rel.release_month for rel in timeline.releases if fixed(rel.sort_key)), None))
+            index[cve] = min((m for m in escapes if m is not None), default=None)
+        return index
 
 
 @dataclass(frozen=True)
@@ -269,13 +283,15 @@ def _load_vulns(path: Path, horizon: Horizon) -> dict[str, VulnRecord]:
         for j, item in enumerate(affected_raw):
             if not isinstance(item, dict) or not {"vendor", "product", "match"} <= set(item):
                 raise LoadError(f"{where} ({cve}): affected[{j}] needs vendor, product and match")
+            if not isinstance(item["vendor"], str) or not isinstance(item["product"], str):
+                raise LoadError(f"{where} ({cve}): affected[{j}] vendor and product must be strings")
             if not isinstance(item["match"], dict):
                 raise LoadError(f"{where} ({cve}): affected[{j}].match must be an object")
             try:
                 constraint = VersionConstraint.from_mapping(item["match"])
             except ValueError as exc:
                 raise LoadError(f"{where} ({cve}): affected[{j}].match: {exc}") from exc
-            affected.append(ProductConstraint(str(item["vendor"]).strip(), str(item["product"]).strip(), constraint))
+            affected.append(ProductConstraint(item["vendor"].strip(), item["product"].strip(), constraint))
         vulns[cve] = VulnRecord(cve, reserved, published, tuple(affected))
     return vulns
 

@@ -112,10 +112,15 @@ def _strategy_flags() -> argparse.ArgumentParser:
     return parser
 
 
-def _output_flags() -> argparse.ArgumentParser:
+def _tie_rule_flags() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--tie-rule", default="inclusive", choices=["inclusive", "exclusive"],
                         help="same-month tie handling in lifecycle classification")
+    return parser
+
+
+def _output_flags() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--format", default="both", choices=["json", "csv", "both"],
                         help="artifact family to write under --out")
     return parser
@@ -133,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    data, strategy, output = _data_flags(), _strategy_flags(), _output_flags()
+    data, strategy, tie_rule, output = _data_flags(), _strategy_flags(), _tie_rule_flags(), _output_flags()
 
     def add(name: str, parents: list, help: str) -> argparse.ArgumentParser:
         # no abbreviations: each flag has one spelling, so explicit flags can beat --config
@@ -144,10 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = add("evaluate", [data, strategy, output], "probability / update-count / odds table per strategy")
     p_eval.add_argument("--out", default=None, help="directory for JSON/CSV artifacts")
 
-    p_classify = add("classify", [data, output], "lifecycle classes per campaign, knowledge-group counts")
+    p_classify = add("classify", [data, tie_rule, output], "lifecycle classes per campaign, knowledge-group counts")
     p_classify.add_argument("--out", default=None, help="directory for classify.csv / venn.json")
 
-    p_survival = add("survival", [data, output], "exploit-age survival curve (CSV)")
+    p_survival = add("survival", [data, tie_rule, output], "exploit-age survival curve (CSV)")
     p_survival.add_argument("--products", default="all",
                             help="'all' or comma list of vendor/name to restrict the CVE sample")
     p_survival.add_argument("--kk-only", action="store_true",
@@ -156,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="add never-exploited CVEs as censored at the horizon end")
     p_survival.add_argument("--out", default=None, help="directory for survival.csv")
 
-    p_report = add("report", [data, strategy, output], "full run: evaluate + classify + survival + manifest")
-    p_report.add_argument("--out", required=True, help="output directory (required)")
+    p_report = add("report", [data, strategy, tie_rule, output], "full run: evaluate + classify + survival + manifest")
+    p_report.add_argument("--out", default=None, help="output directory (required, as a flag or in --config)")
     return parser
 
 
@@ -412,6 +417,8 @@ def _cmd_survival(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    if not args.out:
+        raise UsageError("report needs an output directory: --out, or \"out\" in --config")
     catalog = _load(args)
     reports = _evaluate(catalog, args)
     files = _evaluation_files(reports, catalog)

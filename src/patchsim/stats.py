@@ -195,12 +195,9 @@ def exploit_ages(
     for cve in sorted(catalog.vulns):
         vuln = catalog.vulns[cve]
         if cve in first_seen:
-            age = first_seen[cve] - vuln.published_month
-            if kk_only:
-                published_already = age >= 0 if tie_rule is TieRule.INCLUSIVE else age > 0
-                if not published_already:
-                    continue
-            samples.append(ExploitAgeSample(cve, age))
+            if kk_only and not tie_rule.happened(vuln.published_month, first_seen[cve]):
+                continue
+            samples.append(ExploitAgeSample(cve, first_seen[cve] - vuln.published_month))
         elif include_unexploited and not kk_only:
             samples.append(ExploitAgeSample(cve, catalog.horizon.end_index - vuln.published_month, censored=True))
     return samples

@@ -131,6 +131,9 @@ class VersionConstraint:
     def from_mapping(cls, obj: dict) -> "VersionConstraint":
         """Parse a constraint object such as {"endIncluding": "9.2"}."""
         raw = json.dumps(obj, sort_keys=True)
+        not_text = sorted(key for key, value in obj.items() if not isinstance(value, str))
+        if not_text:
+            raise ValueError(f"constraint fields {not_text} must be version strings in {raw}")
         if "exact" in obj:
             extras = set(obj) - {"exact"}
             if extras:

@@ -10,8 +10,6 @@ from patchsim.campaigns import (
     build_campaign_matrix,
     classify_attack,
     classify_campaign,
-    fix_month,
-    fix_months_by_product,
     venn_counts,
 )
 from patchsim.strategies import MatrixSpace
@@ -148,22 +146,21 @@ def test_fix_month_is_earliest_escape_across_products():
         ("acme", "app", {"endIncluding": "1.1"}),
         ("acme", "other", {"endIncluding": "3.0"}),
     )
-    cat = make_catalog(
-        {
-            ("acme", "app"): [("1.0", 0), ("1.1", 2), ("2.0", 6)],
-            ("acme", "other"): [("3.0", 0), ("3.1", 4)],
-        },
-        [record],
-        horizon_end=11,
-    )
-    assert fix_months_by_product(record, cat) == {("acme", "app"): 6, ("acme", "other"): 4}
-    assert fix_month(record, cat) == 4
+    timelines = {
+        ("acme", "app"): [("1.0", 0), ("1.1", 2), ("2.0", 6)],
+        ("acme", "other"): [("3.0", 0), ("3.1", 4)],
+    }
+    assert make_catalog(timelines, [record], horizon_end=11).fix_month == {"CVE-2010-0001": 4}
+    # per product: a catalog holding only that product's timeline
+    for key, month in [(("acme", "app"), 6), (("acme", "other"), 4)]:
+        single = make_catalog({key: timelines[key]}, [record], horizon_end=11)
+        assert single.fix_month == {"CVE-2010-0001": month}, key
 
 
 def test_fix_month_absent_when_no_release_escapes():
     record = vuln("CVE-2010-0001", 0, 1, ("acme", "app", {"startIncluding": "1.0"}))
     cat = make_catalog({("acme", "app"): [("1.0", 0), ("2.0", 3)]}, [record], horizon_end=11)
-    assert fix_month(record, cat) is None
+    assert cat.fix_month == {"CVE-2010-0001": None}
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,13 @@ def test_config_file_supplies_values_and_flags_override(fixture_paths, tmp_path,
     assert "planned" in table and "immediate" not in table
 
 
+def test_report_out_may_come_from_config_file(fixture_paths, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"out": str(tmp_path / "from-config"), "strategies": "immediate"}))
+    assert run(["report", *_data_args(fixture_paths), "--config", str(config)]) == 0
+    assert (tmp_path / "from-config" / "manifest.json").exists()
+
+
 def test_config_file_unknown_key_rejected(fixture_paths, tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"bogus": 1}))
@@ -214,12 +221,16 @@ def test_help_documents_every_interface_flag():
     for name, text in helps.items():
         for flag in common:
             assert flag in text, (name, flag)
-    for flag in ["--strategies", "--scenarios", "--baseline", "--reactive-pick",
-                 "--tie-rule", "--out", "--format"]:
+    for flag in ["--strategies", "--scenarios", "--baseline", "--reactive-pick", "--out", "--format"]:
         assert flag in helps["evaluate"], flag
         assert flag in helps["report"], flag
     for flag in ["--products", "--kk-only", "--include-unexploited", "--tie-rule", "--out"]:
         assert flag in helps["survival"], flag
+    # only the subcommands that classify take a tie rule
+    for name in ["classify", "survival", "report"]:
+        assert "--tie-rule" in helps[name], name
+    for name in ["validate", "evaluate"]:
+        assert "--tie-rule" not in helps[name], name
 
 
 def test_strategy_grammar_error_exits_2(fixture_paths):
@@ -272,6 +283,27 @@ def _no_targeting_campaign(tmp_path, fixture_paths):
     return ["evaluate", *_data_args(fixture_paths), "--campaigns", str(campaigns)]
 
 
+def _malformed_affected(**fields):
+    """Overwrite fields of the first CVE's first affected item, then validate."""
+    def make_argv(tmp_path, fixture_paths):
+        vulns = tmp_path / "vulns.json"
+        entries = json.loads(fixture_paths["vulns"].read_text())
+        entries[0]["affected"][0].update(fields)
+        vulns.write_text(json.dumps(entries))
+        return ["validate", *_data_args(fixture_paths), "--vulns", str(vulns)]
+    return make_argv
+
+
+def _report_without_out(tmp_path, fixture_paths):
+    return ["report", *_data_args(fixture_paths)]
+
+
+def _tie_rule_config_for_evaluate(tmp_path, fixture_paths):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"tie_rule": "exclusive"}))
+    return ["evaluate", *_data_args(fixture_paths), "--config", str(config)]
+
+
 @pytest.mark.parametrize(
     "make_argv,code,fragment",
     [
@@ -281,9 +313,17 @@ def _no_targeting_campaign(tmp_path, fixture_paths):
         (_format_selects_nothing, 2, "--format json"),
         (_reserved_after_published, 1, "CVE-2009-4324: reserved after published"),
         (_no_targeting_campaign, 1, "no campaign targets any cataloged release"),
+        (_malformed_affected(match={"endIncluding": 5}), 1,
+         "entry #0 (CVE-2009-4324): affected[0].match: constraint fields ['endIncluding'] must be version strings"),
+        (_malformed_affected(match={"exact": None}), 1, "affected[0].match: constraint fields ['exact']"),
+        (_malformed_affected(match={"endIncluding": ["9.2"]}), 1, "affected[0].match: constraint fields"),
+        (_malformed_affected(vendor=None), 1, "affected[0] vendor and product must be strings"),
+        (_report_without_out, 2, "--out"),
+        (_tie_rule_config_for_evaluate, 2, "unknown option 'tie_rule' for evaluate"),
     ],
     ids=["no-epoch-release", "directory-input", "non-string-config", "format-selects-nothing",
-         "reserved-after-published", "no-targeting-campaign"],
+         "reserved-after-published", "no-targeting-campaign", "integer-bound", "null-exact",
+         "list-bound", "null-vendor", "report-without-out", "tie-rule-config-for-evaluate"],
 )
 def test_boundary_errors_exit_with_code_and_message(make_argv, code, fragment, tmp_path, fixture_paths, capsys):
     assert run(make_argv(tmp_path, fixture_paths)) == code
