@@ -27,7 +27,6 @@ from .catalog import (
     VulnRecord,
     catalog_diagnostics,
     load_catalog,
-    save_catalog,
     validate_catalog,
 )
 from .evaluator import (

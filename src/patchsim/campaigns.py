@@ -22,9 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import CampaignRecord, Catalog, VulnRecord
+from .catalog import CampaignRecord, Catalog, MatrixSpace, VulnRecord
 from .months import DataError
-from .strategies import MatrixSpace, matrix_to_csv
+from .strategies import matrix_to_csv
 
 
 class TieRule(Enum):
@@ -75,9 +75,9 @@ class ExposureMatrix:
         matrix_to_csv(self.space, np.outer(self.cells, months), fh)
 
 
-def build_campaign_matrix(campaign: CampaignRecord, catalog: Catalog, space: Optional[MatrixSpace] = None) -> ExposureMatrix:
+def build_campaign_matrix(campaign: CampaignRecord, catalog: Catalog) -> ExposureMatrix:
     """Mark every release affected by one of the campaign's CVEs."""
-    space = space or MatrixSpace(catalog)
+    space = catalog.space
     cells = np.zeros(len(space.rows), dtype=bool)
     for cve in campaign.cve_ids:
         for rel in catalog.affected.get(cve, ()):

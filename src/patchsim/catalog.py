@@ -18,6 +18,7 @@ there" when the window opens); dates past the horizon end are errors.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 from dataclasses import dataclass
@@ -122,6 +123,24 @@ class CampaignRecord:
         return not self.cve_ids
 
 
+class MatrixSpace:
+    """Shared row/column space for deployment and exposure matrices."""
+
+    def __init__(self, catalog: Catalog):
+        rows: list[VersionRelease] = []
+        for key in sorted(catalog.timelines):
+            rows.extend(catalog.timelines[key].releases)
+        self.rows: tuple[VersionRelease, ...] = tuple(rows)
+        self.row_index: dict[VersionRelease, int] = {rel: i for i, rel in enumerate(rows)}
+        self.n_months: int = catalog.horizon.n_months
+        self.product_keys: tuple[ProductKey, ...] = tuple(sorted(catalog.timelines))
+        self.horizon = catalog.horizon
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.rows), self.n_months)
+
+
 @dataclass
 class Catalog:
     horizon: Horizon
@@ -135,6 +154,11 @@ class Catalog:
         for c in self.campaigns:
             out |= c.cve_ids
         return frozenset(out)
+
+    @cached_property
+    def space(self) -> MatrixSpace:
+        """The one row space every deployment and exposure of this catalog shares."""
+        return MatrixSpace(self)
 
     @cached_property
     def affected(self) -> dict[str, frozenset[VersionRelease]]:
@@ -164,13 +188,13 @@ class Catalog:
 
     @cached_property
     def fix_month(self) -> dict[str, Optional[int]]:
-        """CVE id -> release month of the earliest cataloged release strictly
-        above one of its constraints' ranges; None when no release escapes.
-        Products without a timeline contribute nothing."""
+        """Campaign CVE id -> release month of the earliest cataloged release
+        strictly above one of its constraints' ranges; None when no release
+        escapes. Products without a timeline contribute nothing."""
         index: dict[str, Optional[int]] = {}
-        for cve, vuln in self.vulns.items():
+        for cve in sorted(self.campaign_cve_ids() & self.vulns.keys()):
             escapes = []
-            for pc in vuln.affected:
+            for pc in self.vulns[cve].affected:
                 timeline = self.timelines.get(pc.key)
                 if timeline is not None:
                     fixed = pc.constraint.fixed_in(vendor_quirks(pc.vendor))
@@ -218,32 +242,41 @@ def _parse_clamped(horizon: Horizon, text: str, where: str) -> int:
     return index
 
 
+def _read_text(path: Path) -> str:
+    """The whole file as UTF-8 text; a byte that is not UTF-8 is a data error."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise LoadError(f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from exc
+
+
 def _load_releases(path: Path, horizon: Horizon) -> tuple[dict, dict]:
     products: dict[ProductKey, SoftwareProduct] = {}
     rows: dict[ProductKey, list[VersionRelease]] = {}
     seen: set[tuple[str, str, str]] = set()
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["vendor", "product", "version", "release_date"]
-        if reader.fieldnames != expected:
-            raise LoadError(f"{path}: header must be {','.join(expected)}, got {reader.fieldnames}")
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path}:{lineno}"
-            vendor = (row["vendor"] or "").strip()
-            name = (row["product"] or "").strip()
-            version = (row["version"] or "").strip()
-            if not vendor or not name or not version or row["release_date"] is None:
-                raise LoadError(f"{where}: vendor, product, version and release_date must be non-empty")
-            if (vendor, name, version) in seen:
-                raise LoadError(f"{where}: duplicate release {vendor}/{name} {version}")
-            seen.add((vendor, name, version))
-            try:
-                month = _parse_clamped(horizon, row["release_date"], where)
-            except DataError as exc:
-                raise LoadError(f"{where}: field release_date: {exc}") from exc
-            key = (vendor, name)
-            product = products.setdefault(key, SoftwareProduct(vendor, name))
-            rows.setdefault(key, []).append(make_release(product, version, month))
+    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
+    expected = ["vendor", "product", "version", "release_date"]
+    if reader.fieldnames != expected:
+        raise LoadError(f"{path}: header must be {','.join(expected)}, got {reader.fieldnames}")
+    for lineno, row in enumerate(reader, start=2):
+        where = f"{path}:{lineno}"
+        vendor = (row["vendor"] or "").strip()
+        name = (row["product"] or "").strip()
+        version = (row["version"] or "").strip()
+        if not vendor or not name or not version or row["release_date"] is None:
+            raise LoadError(f"{where}: vendor, product, version and release_date must be non-empty")
+        if (vendor, name, version) in seen:
+            raise LoadError(f"{where}: duplicate release {vendor}/{name} {version}")
+        seen.add((vendor, name, version))
+        try:
+            month = _parse_clamped(horizon, row["release_date"], where)
+        except DataError as exc:
+            raise LoadError(f"{where}: field release_date: {exc}") from exc
+        key = (vendor, name)
+        product = products.setdefault(key, SoftwareProduct(vendor, name))
+        rows.setdefault(key, []).append(make_release(product, version, month))
     timelines = {}
     for key, rels in rows.items():
         rels.sort(key=lambda r: (r.release_month, r.sort_key))
@@ -253,7 +286,7 @@ def _load_releases(path: Path, horizon: Horizon) -> tuple[dict, dict]:
 
 def _load_vulns(path: Path, horizon: Horizon) -> dict[str, VulnRecord]:
     try:
-        entries = json.loads(path.read_text(encoding="utf-8"))
+        entries = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise LoadError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(entries, list):
@@ -298,42 +331,41 @@ def _load_vulns(path: Path, horizon: Horizon) -> dict[str, VulnRecord]:
 
 def _load_campaigns(path: Path, horizon: Horizon, vulns: dict[str, VulnRecord]) -> tuple[CampaignRecord, ...]:
     merged: dict[tuple[str, int], tuple[set[str], set[AttackVector]]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["apt", "date", "cves", "vectors"]
-        if reader.fieldnames != expected:
-            raise LoadError(f"{path}: header must be {','.join(expected)}, got {reader.fieldnames}")
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path}:{lineno}"
-            apt = (row["apt"] or "").strip()
-            if not apt or row["date"] is None:
-                raise LoadError(f"{where}: apt and date must be non-empty")
-            try:
-                month = _parse_clamped(horizon, row["date"], where)
-            except DataError as exc:
-                raise LoadError(f"{where}: field date: {exc}") from exc
-            cves = {c.strip() for c in (row["cves"] or "").split("|") if c.strip()}
-            for cve in sorted(cves):
-                if cve not in vulns:
-                    raise LoadError(f"{where}: campaign {apt} references unknown CVE {cve}")
-            tags = [t.strip() for t in (row["vectors"] or "").split("|") if t.strip()]
-            vectors = set()
-            for tag in tags:
-                if tag not in _VECTOR_BY_TAG:
-                    raise LoadError(
-                        f"{where}: unknown attack vector {tag!r}; allowed: {', '.join(sorted(_VECTOR_BY_TAG))}"
-                    )
-                vectors.add(_VECTOR_BY_TAG[tag])
-            if not cves and not vectors:
-                raise LoadError(f"{where}: campaign {apt} has neither CVEs nor attack vectors")
-            key = (apt, month)
-            if key in merged:
-                log.info("%s: merging duplicate campaign key %s/%s", where, apt, horizon.format(month))
-                old_cves, old_vectors = merged[key]
-                old_cves |= cves
-                old_vectors |= vectors
-            else:
-                merged[key] = (cves, vectors)
+    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
+    expected = ["apt", "date", "cves", "vectors"]
+    if reader.fieldnames != expected:
+        raise LoadError(f"{path}: header must be {','.join(expected)}, got {reader.fieldnames}")
+    for lineno, row in enumerate(reader, start=2):
+        where = f"{path}:{lineno}"
+        apt = (row["apt"] or "").strip()
+        if not apt or row["date"] is None:
+            raise LoadError(f"{where}: apt and date must be non-empty")
+        try:
+            month = _parse_clamped(horizon, row["date"], where)
+        except DataError as exc:
+            raise LoadError(f"{where}: field date: {exc}") from exc
+        cves = {c.strip() for c in (row["cves"] or "").split("|") if c.strip()}
+        for cve in sorted(cves):
+            if cve not in vulns:
+                raise LoadError(f"{where}: campaign {apt} references unknown CVE {cve}")
+        tags = [t.strip() for t in (row["vectors"] or "").split("|") if t.strip()]
+        vectors = set()
+        for tag in tags:
+            if tag not in _VECTOR_BY_TAG:
+                raise LoadError(
+                    f"{where}: unknown attack vector {tag!r}; allowed: {', '.join(sorted(_VECTOR_BY_TAG))}"
+                )
+            vectors.add(_VECTOR_BY_TAG[tag])
+        if not cves and not vectors:
+            raise LoadError(f"{where}: campaign {apt} has neither CVEs nor attack vectors")
+        key = (apt, month)
+        if key in merged:
+            log.info("%s: merging duplicate campaign key %s/%s", where, apt, horizon.format(month))
+            old_cves, old_vectors = merged[key]
+            old_cves |= cves
+            old_vectors |= vectors
+        else:
+            merged[key] = (cves, vectors)
     campaigns = [
         CampaignRecord(apt, month, frozenset(cves), frozenset(vectors))
         for (apt, month), (cves, vectors) in merged.items()
@@ -441,54 +473,3 @@ def catalog_diagnostics(catalog: Catalog) -> dict:
         "products": len(catalog.products),
         "vulns": len(catalog.vulns),
     }
-
-
-# ---------------------------------------------------------------------------
-# Serialization (round-trips through the input formats)
-
-
-def save_catalog(catalog: Catalog, directory) -> dict[str, Path]:
-    """Write the catalog back out as releases.csv / vulns.json / campaigns.csv."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    fmt = catalog.horizon.format
-
-    release_path = directory / "releases.csv"
-    with release_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vendor", "product", "version", "release_date"])
-        for key in sorted(catalog.timelines):
-            for rel in catalog.timelines[key].releases:
-                writer.writerow([rel.product.vendor, rel.product.name, rel.version, fmt(rel.release_month)])
-
-    vuln_path = directory / "vulns.json"
-    entries = []
-    for cve in sorted(catalog.vulns):
-        vuln = catalog.vulns[cve]
-        entries.append(
-            {
-                "cve": cve,
-                "reserved": fmt(vuln.reserved_month),
-                "published": fmt(vuln.published_month),
-                "affected": [
-                    {"vendor": pc.vendor, "product": pc.product, "match": pc.constraint.to_mapping()}
-                    for pc in vuln.affected
-                ],
-            }
-        )
-    vuln_path.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-    campaign_path = directory / "campaigns.csv"
-    with campaign_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["apt", "date", "cves", "vectors"])
-        for c in catalog.campaigns:
-            writer.writerow(
-                [
-                    c.apt_name,
-                    fmt(c.start_month),
-                    "|".join(sorted(c.cve_ids)),
-                    "|".join(sorted(v.value for v in c.vectors)),
-                ]
-            )
-    return {"releases": release_path, "vulns": vuln_path, "campaigns": campaign_path}

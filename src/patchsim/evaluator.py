@@ -22,7 +22,6 @@ from .months import DataError
 from .stats import agresti_coull
 from .strategies import (
     DeploymentMatrix,
-    MatrixSpace,
     Scenario,
     StrategyConfig,
     StrategyKind,
@@ -56,10 +55,7 @@ class EvaluationReport:
 
 def successful_months(deployment: DeploymentMatrix, exposure: ExposureMatrix) -> frozenset[int]:
     """Months in which some installed version is targeted by the campaign."""
-    if (
-        deployment.space.rows != exposure.space.rows
-        or deployment.space.n_months != exposure.space.n_months
-    ):
+    if deployment.space is not exposure.space:
         raise ValueError("deployment and exposure matrices use different row/column spaces")
     start = exposure.campaign.start_month
     hits = deployment.cells[exposure.cells, start:].any(axis=0)
@@ -93,18 +89,17 @@ def odds_ratio(p, baseline) -> Optional[float]:
     return float((p / (1 - p)) / (baseline / (1 - baseline)))
 
 
-def exposure_matrices(catalog: Catalog, space: Optional[MatrixSpace] = None) -> list[ExposureMatrix]:
+def exposure_matrices(catalog: Catalog) -> list[ExposureMatrix]:
     """Exposure matrices for campaigns that target at least one cataloged release.
 
     Vector-only campaigns and campaigns whose CVEs touch no product with a
     timeline are excluded here and therefore appear in no denominator.
     """
-    space = space or MatrixSpace(catalog)
     out = []
     for campaign in catalog.campaigns:
         if campaign.vector_only:
             continue
-        matrix = build_campaign_matrix(campaign, catalog, space)
+        matrix = build_campaign_matrix(campaign, catalog)
         if not matrix.empty:
             out.append(matrix)
     return out
@@ -126,8 +121,7 @@ def evaluate(
         raise ValueError("at least one strategy config is required")
     if not scenarios:
         raise ValueError("at least one scenario is required")
-    space = MatrixSpace(catalog)
-    exposures = exposure_matrices(catalog, space)
+    exposures = exposure_matrices(catalog)
     if not exposures:
         raise DataError("no campaign targets any cataloged release")
 
@@ -158,7 +152,7 @@ def evaluate(
             matrix = matrix_for(config, scenario)
             outcomes = outcomes_for(matrix)
             overall = overall_probability(outcomes)
-            monthly = tuple(probability_at(outcomes, m) for m in range(space.n_months))
+            monthly = tuple(probability_at(outcomes, m) for m in range(catalog.horizon.n_months))
             raw, net = count_updates(matrix)
             reports.append(
                 EvaluationReport(

@@ -135,20 +135,6 @@ class SurvivalCurve:
             value = s
         return value
 
-    def validate(self) -> list[str]:
-        problems = []
-        last = Fraction(1)
-        last_t = None
-        for t, s in self.points:
-            if last_t is not None and t <= last_t:
-                problems.append(f"breakpoints not strictly increasing at {t}")
-            if s > last:
-                problems.append(f"survival increases at {t}")
-            if not 0 <= s <= 1:
-                problems.append(f"survival out of range at {t}")
-            last, last_t = s, t
-        return problems
-
 
 def kaplan_meier(samples: Sequence[ExploitAgeSample]) -> SurvivalCurve:
     """Product-limit survival estimate over exploit ages.

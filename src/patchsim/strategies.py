@@ -19,11 +19,12 @@ import csv
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 from typing import Container, Optional
 
 import numpy as np
 
-from .catalog import Catalog, ProductKey, ReleaseTimeline, VersionRelease
+from .catalog import Catalog, MatrixSpace, ProductKey, ReleaseTimeline, VersionRelease
 from .months import DataError
 
 log = logging.getLogger(__name__)
@@ -94,24 +95,6 @@ class Transition:
     incoming: VersionRelease
 
 
-class MatrixSpace:
-    """Shared row/column space for deployment and exposure matrices."""
-
-    def __init__(self, catalog: Catalog):
-        rows: list[VersionRelease] = []
-        for key in sorted(catalog.timelines):
-            rows.extend(catalog.timelines[key].releases)
-        self.rows: tuple[VersionRelease, ...] = tuple(rows)
-        self.row_index: dict[VersionRelease, int] = {rel: i for i, rel in enumerate(rows)}
-        self.n_months: int = catalog.horizon.n_months
-        self.product_keys: tuple[ProductKey, ...] = tuple(sorted(catalog.timelines))
-        self.horizon = catalog.horizon
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), self.n_months)
-
-
 def matrix_to_csv(space: MatrixSpace, cells: np.ndarray, fh) -> None:
     """Dump a matrix as CSV: one row per product-version, one column per month."""
     writer = csv.writer(fh)
@@ -127,42 +110,6 @@ class DeploymentMatrix:
     scenario: Scenario
     config: StrategyConfig
     transitions: tuple[Transition, ...]
-
-    def installed_series(self, product: ProductKey) -> list[set[VersionRelease]]:
-        """Per-month installed set for one product."""
-        out: list[set[VersionRelease]] = [set() for _ in range(self.space.n_months)]
-        for i, rel in enumerate(self.space.rows):
-            if rel.product.key != product:
-                continue
-            for m in np.flatnonzero(self.cells[i]):
-                out[m].add(rel)
-        return out
-
-    def validate(self) -> list[str]:
-        """Structural self-checks; empty list when the matrix is well-formed."""
-        problems: list[str] = []
-        transition_months = {(t.product, t.month): t for t in self.transitions}
-        for key in self.space.product_keys:
-            series = self.installed_series(key)
-            prev_max = None
-            for m, installed in enumerate(series):
-                if self.scenario is Scenario.UPDATE_FIRST and len(installed) != 1:
-                    problems.append(f"{key}: month {m} has {len(installed)} versions installed")
-                if self.scenario is Scenario.APT_FIRST:
-                    if len(installed) > 2 or not installed:
-                        problems.append(f"{key}: month {m} has {len(installed)} versions installed")
-                    if len(installed) == 2:
-                        t = transition_months.get((key, m))
-                        if t is None or {t.outgoing, t.incoming} != installed:
-                            problems.append(f"{key}: month {m} pairs versions without a transition")
-                for rel in installed:
-                    if rel.release_month > m:
-                        problems.append(f"{key}: {rel.version} installed at {m} before release")
-                cur_max = max((r.sort_key for r in installed), default=None)
-                if prev_max is not None and cur_max is not None and cur_max < prev_max:
-                    problems.append(f"{key}: version downgrade entering month {m}")
-                prev_max = cur_max if cur_max is not None else prev_max
-        return problems
 
     def to_csv(self, fh) -> None:
         matrix_to_csv(self.space, self.cells, fh)
@@ -191,54 +138,28 @@ def initial_versions(catalog: Catalog) -> dict[ProductKey, VersionRelease]:
 def _materialize(
     catalog: Catalog,
     config: StrategyConfig,
-    sequences: dict[ProductKey, list[VersionRelease]],
+    start: dict[ProductKey, VersionRelease],
     transitions: list[Transition],
 ) -> DeploymentMatrix:
-    space = MatrixSpace(catalog)
+    """Fill each product's rows from its start release and its transitions:
+    a release is installed from the month it came in until the next change."""
+    space = catalog.space
     cells = np.zeros(space.shape, dtype=bool)
-    for key, seq in sequences.items():
-        for m, rel in enumerate(seq):
-            cells[space.row_index[rel], m] = True
+    transitions = sorted(transitions, key=lambda t: (t.product, t.month))
+    installed, since = dict(start), dict.fromkeys(start, 0)
+    for t in transitions:
+        cells[space.row_index[t.outgoing], since[t.product]:t.month] = True
+        installed[t.product], since[t.product] = t.incoming, t.month
+    for key, rel in installed.items():
+        cells[space.row_index[rel], since[key]:] = True
     cells.setflags(write=False)
     return DeploymentMatrix(
         space=space,
         cells=cells,
         scenario=Scenario.UPDATE_FIRST,
         config=config,
-        transitions=tuple(sorted(transitions, key=lambda t: (t.product, t.month))),
+        transitions=tuple(transitions),
     )
-
-
-def _immediate_transitions(catalog: Catalog) -> tuple[dict, dict]:
-    """Per-product transition list for the immediate strategy.
-
-    Month 0 is the mandated common starting state; a release only triggers
-    from month 1 on. Within a month the newest version wins, and anything
-    that is not a strict upgrade over the installed version is skipped.
-    """
-    start = initial_versions(catalog)
-    triggers: dict[ProductKey, list[tuple[int, VersionRelease]]] = {}
-    for key in sorted(catalog.timelines):
-        timeline = catalog.timelines[key]
-        by_month: dict[int, list[VersionRelease]] = {}
-        for rel in timeline.releases:
-            by_month.setdefault(rel.release_month, []).append(rel)
-        current = start[key]
-        out: list[tuple[int, VersionRelease]] = []
-        for m in range(1, catalog.horizon.n_months):
-            if m not in by_month:
-                continue
-            candidate = max(by_month[m], key=lambda r: r.sort_key)
-            if candidate.sort_key <= current.sort_key:
-                log.debug(
-                    "%s/%s: release %s at %s skipped (downgrade from %s)",
-                    key[0], key[1], candidate.version, catalog.horizon.format(m), current.version,
-                )
-                continue
-            out.append((m, candidate))
-            current = candidate
-        triggers[key] = out
-    return start, triggers
 
 
 def build_immediate(catalog: Catalog) -> DeploymentMatrix:
@@ -246,10 +167,14 @@ def build_immediate(catalog: Catalog) -> DeploymentMatrix:
 
 
 def build_planned(catalog: Catalog, delay: int) -> DeploymentMatrix:
-    """Deploy each immediate-strategy trigger `delay` months later.
+    """Deploy each month's newest release `delay` months after it appears.
 
-    Deployments shifted past the horizon end are dropped; several landing in
-    the same month collapse to the newest version.
+    Month 0 is the mandated common starting state; a release only triggers
+    from month 1 on, and only if its deployment lands inside the window.
+    Within a month the newest version wins, and anything that is not a
+    strict upgrade over the installed version is skipped. Triggers come at
+    most once a month and all shift by the same delay, so no two deployments
+    share a month.
     """
     if delay < 0:
         raise ValueError("delay must be >= 0")
@@ -258,28 +183,24 @@ def build_planned(catalog: Catalog, delay: int) -> DeploymentMatrix:
         if delay == 0
         else StrategyConfig(StrategyKind.PLANNED, delay)
     )
-    start, triggers = _immediate_transitions(catalog)
-    end = catalog.horizon.end_index
-    sequences: dict[ProductKey, list[VersionRelease]] = {}
+    start = initial_versions(catalog)
+    last_trigger = catalog.horizon.end_index - delay
     transitions: list[Transition] = []
-    for key, trigger_list in triggers.items():
-        landings: dict[int, VersionRelease] = {}
-        for trigger_month, rel in trigger_list:
-            land = trigger_month + delay
-            if land > end:
-                continue
-            if land not in landings or rel.sort_key > landings[land].sort_key:
-                landings[land] = rel
+    for key in sorted(catalog.timelines):
         current = start[key]
-        seq = []
-        for m in range(catalog.horizon.n_months):
-            rel = landings.get(m)
-            if rel is not None and rel.sort_key > current.sort_key:
-                transitions.append(Transition(key, m, current, rel))
-                current = rel
-            seq.append(current)
-        sequences[key] = seq
-    return _materialize(catalog, config, sequences, transitions)
+        for month, releases in groupby(catalog.timelines[key].releases, key=lambda r: r.release_month):
+            if not 1 <= month <= last_trigger:
+                continue
+            candidate = max(releases, key=lambda r: r.sort_key)
+            if candidate.sort_key <= current.sort_key:
+                log.debug(
+                    "%s/%s: release %s at %s skipped (downgrade from %s)",
+                    key[0], key[1], candidate.version, catalog.horizon.format(month), current.version,
+                )
+                continue
+            transitions.append(Transition(key, month + delay, current, candidate))
+            current = candidate
+    return _materialize(catalog, config, start, transitions)
 
 
 def build_reactive(
@@ -293,7 +214,9 @@ def build_reactive(
     The decision clock starts at the CVE trigger (publication, or reservation
     when informed) or, if later, at the month the first escaping release
     becomes available; the deployment lands `delay` months after the decision
-    and installs a release clear of every outstanding CVE.
+    and installs a release clear of every outstanding CVE. A product changes
+    version at most once a month: when already-triggered CVEs hit the release
+    just installed, the next update lands the following month at the earliest.
     """
     if delay < 0:
         raise ValueError("delay must be >= 0")
@@ -316,7 +239,6 @@ def build_reactive(
             blocked |= affected[cve]
         return blocked
 
-    sequences: dict[ProductKey, list[VersionRelease]] = {}
     transitions: list[Transition] = []
     for key in sorted(catalog.timelines):
         timeline = catalog.timelines[key]
@@ -330,7 +252,6 @@ def build_reactive(
         current = start[key]
         outstanding: set[str] = set()
         pending: Optional[int] = None
-        seq = []
         for m in range(catalog.horizon.n_months):
             fired = [cve for cve in triggers_by_month.get(m, ()) if current in affected[cve]]
             if fired:
@@ -352,11 +273,11 @@ def build_reactive(
                     outstanding = {cve for cve in hitting[current] if trigger_month[cve] <= m}
                     if outstanding:
                         pending = schedule(outstanding, current, m)
-            seq.append(current)
-        sequences[key] = seq
+                        if pending == m:  # at most one change a month: the relapse lands next month
+                            pending = m + 1
         if pending is not None and pending > end:
             log.debug("%s/%s: pending deployment at %d falls outside the window", key[0], key[1], pending)
-    return _materialize(catalog, config, sequences, transitions)
+    return _materialize(catalog, config, start, transitions)
 
 
 def first_nonvulnerable(

@@ -55,7 +55,7 @@ def _tokenize(raw: str) -> list[Segment]:
                 segments.append((_NUM, int(run)) if run_digit else (_ALPHA, run))
                 run = ""
             continue
-        is_digit = ch.isdigit()
+        is_digit = ch.isdecimal()  # int() reads decimal digits only: "²" is a letter
         if run and is_digit != run_digit:
             segments.append((_NUM, int(run)) if run_digit else (_ALPHA, run))
             run = ""

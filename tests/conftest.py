@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import csv
+import json
 import random
 import re
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from patchsim.catalog import (
@@ -16,6 +19,7 @@ from patchsim.catalog import (
     make_timeline,
 )
 from patchsim.months import Horizon
+from patchsim.strategies import Scenario
 from patchsim.versions import VersionConstraint
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -78,6 +82,110 @@ def campaign(apt, month, cves=(), vectors=()) -> CampaignRecord:
 
     tags = frozenset(AttackVector(t) for t in vectors) if vectors else frozenset()
     return CampaignRecord(apt, month, frozenset(cves), tags)
+
+
+def save_catalog(catalog: Catalog, directory) -> dict[str, Path]:
+    """Write the catalog back out as releases.csv / vulns.json / campaigns.csv."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    fmt = catalog.horizon.format
+
+    release_path = directory / "releases.csv"
+    with release_path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["vendor", "product", "version", "release_date"])
+        for key in sorted(catalog.timelines):
+            for rel in catalog.timelines[key].releases:
+                writer.writerow([rel.product.vendor, rel.product.name, rel.version, fmt(rel.release_month)])
+
+    vuln_path = directory / "vulns.json"
+    entries = []
+    for cve in sorted(catalog.vulns):
+        record = catalog.vulns[cve]
+        entries.append(
+            {
+                "cve": cve,
+                "reserved": fmt(record.reserved_month),
+                "published": fmt(record.published_month),
+                "affected": [
+                    {"vendor": pc.vendor, "product": pc.product, "match": pc.constraint.to_mapping()}
+                    for pc in record.affected
+                ],
+            }
+        )
+    vuln_path.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+    campaign_path = directory / "campaigns.csv"
+    with campaign_path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["apt", "date", "cves", "vectors"])
+        for c in catalog.campaigns:
+            writer.writerow(
+                [
+                    c.apt_name,
+                    fmt(c.start_month),
+                    "|".join(sorted(c.cve_ids)),
+                    "|".join(sorted(v.value for v in c.vectors)),
+                ]
+            )
+    return {"releases": release_path, "vulns": vuln_path, "campaigns": campaign_path}
+
+
+# ---------------------------------------------------------------------------
+# Structural checks of built matrices and curves
+
+
+def installed_series(matrix, product) -> list[set]:
+    """Per-month installed set of releases for one product."""
+    out: list[set] = [set() for _ in range(matrix.space.n_months)]
+    for i, rel in enumerate(matrix.space.rows):
+        if rel.product.key != product:
+            continue
+        for m in np.flatnonzero(matrix.cells[i]):
+            out[m].add(rel)
+    return out
+
+
+def matrix_problems(matrix) -> list[str]:
+    """Structural self-checks of a deployment matrix; empty when well-formed."""
+    problems: list[str] = []
+    transition_months = {(t.product, t.month): t for t in matrix.transitions}
+    for key in matrix.space.product_keys:
+        prev_max = None
+        for m, installed in enumerate(installed_series(matrix, key)):
+            if matrix.scenario is Scenario.UPDATE_FIRST and len(installed) != 1:
+                problems.append(f"{key}: month {m} has {len(installed)} versions installed")
+            if matrix.scenario is Scenario.APT_FIRST:
+                if len(installed) > 2 or not installed:
+                    problems.append(f"{key}: month {m} has {len(installed)} versions installed")
+                if len(installed) == 2:
+                    t = transition_months.get((key, m))
+                    if t is None or {t.outgoing, t.incoming} != installed:
+                        problems.append(f"{key}: month {m} pairs versions without a transition")
+            for rel in installed:
+                if rel.release_month > m:
+                    problems.append(f"{key}: {rel.version} installed at {m} before release")
+            cur_max = max((r.sort_key for r in installed), default=None)
+            if prev_max is not None and cur_max is not None and cur_max < prev_max:
+                problems.append(f"{key}: version downgrade entering month {m}")
+            prev_max = cur_max if cur_max is not None else prev_max
+    return problems
+
+
+def curve_problems(curve) -> list[str]:
+    """Structural self-checks of a survival curve; empty when well-formed."""
+    problems = []
+    last = Fraction(1)
+    last_t = None
+    for t, s in curve.points:
+        if last_t is not None and t <= last_t:
+            problems.append(f"breakpoints not strictly increasing at {t}")
+        if s > last:
+            problems.append(f"survival increases at {t}")
+        if not 0 <= s <= 1:
+            problems.append(f"survival out of range at {t}")
+        last, last_t = s, t
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +437,8 @@ def ref_strategy_run(catalog: Catalog, kind: str, delay: int = 0, pick: str = "f
                         current = rel
                         outstanding = {cve for cve in hit[current] if trigger[cve] <= m}
                         pending = schedule(current, outstanding, m) if outstanding else None
+                        if pending == m:  # one version change a month at most
+                            pending = m + 1
                 installed.append(current)
         transitions = []
         previous = start

@@ -12,7 +12,6 @@ from patchsim.campaigns import (
     classify_campaign,
     venn_counts,
 )
-from patchsim.strategies import MatrixSpace
 
 
 # ---------------------------------------------------------------------------
@@ -59,11 +58,11 @@ def test_exposure_empty_for_products_without_timeline():
 
 
 def test_exposure_uses_shared_space(fixture_catalog):
-    space = MatrixSpace(fixture_catalog)
+    space = fixture_catalog.space
     for c in fixture_catalog.campaigns:
         if c.vector_only:
             continue
-        matrix = build_campaign_matrix(c, fixture_catalog, space)
+        matrix = build_campaign_matrix(c, fixture_catalog)
         assert matrix.space is space
         assert matrix.cells.shape == (len(space.rows),)
 
@@ -150,16 +149,19 @@ def test_fix_month_is_earliest_escape_across_products():
         ("acme", "app"): [("1.0", 0), ("1.1", 2), ("2.0", 6)],
         ("acme", "other"): [("3.0", 0), ("3.1", 4)],
     }
-    assert make_catalog(timelines, [record], horizon_end=11).fix_month == {"CVE-2010-0001": 4}
+    c = campaign("Alpha", 5, ["CVE-2010-0001"])
+    assert make_catalog(timelines, [record], [c], horizon_end=11).fix_month == {"CVE-2010-0001": 4}
+    assert make_catalog(timelines, [record], horizon_end=11).fix_month == {}  # only campaign CVEs are asked for
     # per product: a catalog holding only that product's timeline
     for key, month in [(("acme", "app"), 6), (("acme", "other"), 4)]:
-        single = make_catalog({key: timelines[key]}, [record], horizon_end=11)
+        single = make_catalog({key: timelines[key]}, [record], [c], horizon_end=11)
         assert single.fix_month == {"CVE-2010-0001": month}, key
 
 
 def test_fix_month_absent_when_no_release_escapes():
     record = vuln("CVE-2010-0001", 0, 1, ("acme", "app", {"startIncluding": "1.0"}))
-    cat = make_catalog({("acme", "app"): [("1.0", 0), ("2.0", 3)]}, [record], horizon_end=11)
+    c = campaign("Alpha", 5, ["CVE-2010-0001"])
+    cat = make_catalog({("acme", "app"): [("1.0", 0), ("2.0", 3)]}, [record], [c], horizon_end=11)
     assert cat.fix_month == {"CVE-2010-0001": None}
 
 

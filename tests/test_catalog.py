@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import campaign, make_catalog, random_catalog, ref_matches, vuln
+from conftest import campaign, make_catalog, random_catalog, ref_matches, save_catalog, vuln
 from patchsim.catalog import (
     AttackVector,
     CampaignRecord,
@@ -11,7 +11,6 @@ from patchsim.catalog import (
     ReleaseTimeline,
     catalog_diagnostics,
     load_catalog,
-    save_catalog,
     validate_catalog,
 )
 from patchsim.months import Horizon

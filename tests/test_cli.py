@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 
 import patchsim
-from conftest import random_catalog
-from patchsim.catalog import save_catalog
+from conftest import random_catalog, save_catalog
 from patchsim.cli import build_parser, emit_report, parse_baseline, parse_strategies, run
 from patchsim.evaluator import evaluate
 from patchsim.strategies import Scenario, StrategyConfig, StrategyKind
@@ -304,6 +303,18 @@ def _tie_rule_config_for_evaluate(tmp_path, fixture_paths):
     return ["evaluate", *_data_args(fixture_paths), "--config", str(config)]
 
 
+def _non_utf8_releases(tmp_path, fixture_paths):
+    releases = tmp_path / "releases.csv"
+    releases.write_bytes(b"vendor,product,version,release_date\nadobe,reader,9.1\xff,2008-01\n")
+    return ["validate", *_data_args(fixture_paths), "--releases", str(releases)]
+
+
+def _superscript_version(tmp_path, fixture_paths):
+    releases = tmp_path / "releases.csv"
+    releases.write_text(fixture_paths["releases"].read_text() + "adobe,reader,1\u00b2,2009-01\n", encoding="utf-8")
+    return ["validate", *_data_args(fixture_paths), "--releases", str(releases)]
+
+
 @pytest.mark.parametrize(
     "make_argv,code,fragment",
     [
@@ -320,15 +331,21 @@ def _tie_rule_config_for_evaluate(tmp_path, fixture_paths):
         (_malformed_affected(vendor=None), 1, "affected[0] vendor and product must be strings"),
         (_report_without_out, 2, "--out"),
         (_tie_rule_config_for_evaluate, 2, "unknown option 'tie_rule' for evaluate"),
+        (_non_utf8_releases, 1, "releases.csv:2: not UTF-8 text (byte 0xff)"),
+        (_superscript_version, 0, "ok: "),
     ],
     ids=["no-epoch-release", "directory-input", "non-string-config", "format-selects-nothing",
          "reserved-after-published", "no-targeting-campaign", "integer-bound", "null-exact",
-         "list-bound", "null-vendor", "report-without-out", "tie-rule-config-for-evaluate"],
+         "list-bound", "null-vendor", "report-without-out", "tie-rule-config-for-evaluate",
+         "non-utf8-input", "superscript-digit-version"],
 )
 def test_boundary_errors_exit_with_code_and_message(make_argv, code, fragment, tmp_path, fixture_paths, capsys):
     assert run(make_argv(tmp_path, fixture_paths)) == code
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and fragment in err, err
+    out, err = capsys.readouterr()
+    if code == 0:  # data that only looks malformed loads cleanly
+        assert not err and fragment in out, (out, err)
+    else:
+        assert err.startswith("error: ") and fragment in err, err
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 

@@ -35,7 +35,7 @@ def _one_row_catalog():
 def test_successful_months_single_row_product():
     cat = _one_row_catalog()
     deployment = build_immediate(cat)  # 1.0 installed on [0, 3]
-    exposure = build_campaign_matrix(cat.campaigns[0], cat, deployment.space)
+    exposure = build_campaign_matrix(cat.campaigns[0], cat)
     assert successful_months(deployment, exposure) == {2, 3}
 
 
@@ -44,7 +44,7 @@ def test_successful_months_disjoint_sets_are_empty():
     c = campaign("Alpha", 2, ["CVE-2010-0001"])
     cat = make_catalog({("acme", "app"): [("1.0", 0), ("2.0", 4)]}, [v], [c], horizon_end=11)
     deployment = build_immediate(cat)
-    exposure = build_campaign_matrix(c, cat, deployment.space)
+    exposure = build_campaign_matrix(c, cat)
     assert successful_months(deployment, exposure) == frozenset()
 
 
@@ -54,7 +54,7 @@ def test_successful_months_includes_apt_first_transition_hit():
     c = campaign("Alpha", 4, ["CVE-2010-0001"])
     cat = make_catalog({("acme", "app"): [("1.0", 0), ("2.0", 4)]}, [v], [c], horizon_end=11)
     optimistic = build_immediate(cat)
-    exposure = build_campaign_matrix(c, cat, optimistic.space)
+    exposure = build_campaign_matrix(c, cat)
     assert successful_months(optimistic, exposure) == frozenset()
     pessimistic = apply_apt_first(optimistic)
     assert successful_months(pessimistic, exposure) == {4}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import campaign, make_catalog, vuln
+from conftest import campaign, curve_problems, make_catalog, vuln
 from patchsim.evaluator import CampaignOutcome
 from patchsim.stats import (
     BinomialCI,
@@ -132,7 +132,7 @@ def test_km_uncensored_example():
     assert curve.survival_at(0) == Fraction(1, 2)
     assert curve.survival_at(1) == Fraction(1, 4)
     assert curve.survival_at(5) == 0
-    assert curve.validate() == []
+    assert curve_problems(curve) == []
 
 
 def test_km_single_sample_steps_to_zero():
@@ -173,7 +173,7 @@ def test_km_uncensored_equals_empirical_survival(ages):
     for t in sorted(set(ages)) + [min(ages) - 1, max(ages) + 1]:
         empirical = Fraction(sum(1 for a in ages if a > t), n)
         assert curve.survival_at(t) == empirical
-    assert curve.validate() == []
+    assert curve_problems(curve) == []
     assert curve.survival_at(min(ages) - 1) == 1
 
 

@@ -3,8 +3,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import campaign, make_catalog, random_catalog, ref_matches, ref_strategy_run, vuln
+from conftest import (
+    campaign,
+    installed_series,
+    make_catalog,
+    matrix_problems,
+    random_catalog,
+    ref_matches,
+    ref_strategy_run,
+    vuln,
+)
 from patchsim.strategies import (
     ConfigurationError,
     ScenarioError,
@@ -22,7 +33,7 @@ from patchsim.strategies import (
 
 def _installed_versions(matrix, key):
     """Per-month sorted version names for one product."""
-    return [sorted(r.version for r in cells) for cells in matrix.installed_series(key)]
+    return [sorted(r.version for r in cells) for cells in installed_series(matrix, key)]
 
 
 def _constant_segments(matrix, key):
@@ -134,7 +145,7 @@ def test_fixture_immediate_trace(fixture_catalog):
         ("21.0.0.242", 20, 144),
     ]
     assert count_updates(matrix) == (8, 6)
-    assert matrix.validate() == []
+    assert matrix_problems(matrix) == []
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +263,19 @@ def test_fixture_informed_trace(fixture_catalog):
     ]
 
 
+@pytest.mark.parametrize("delay", [0, 1])
+def test_reactive_relapse_updates_again_the_next_month(delay):
+    # leaving 1.0 (hit by B at 4) lands on 2.0, already hit by A since 2: the
+    # relapse update follows a month later, even without a delay
+    a = vuln("CVE-2010-0001", 0, 2, ("acme", "app", {"exact": "2.0"}))
+    b = vuln("CVE-2010-0002", 0, 4, ("acme", "app", {"exact": "1.0"}))
+    cat = make_catalog({("acme", "app"): [("1.0", 0), ("2.0", 3), ("3.0", 3)]}, [a, b], horizon_end=11)
+    expected = [(4 + delay, "1.0", "2.0"), (5 + delay, "2.0", "3.0")]
+    matrix = build_reactive(cat, delay)
+    assert [(t.month, t.outgoing.version, t.incoming.version) for t in matrix.transitions] == expected
+    assert ref_strategy_run(cat, "reactive", delay)[("acme", "app")][1] == expected
+
+
 # ---------------------------------------------------------------------------
 # Pessimistic transform
 
@@ -263,7 +287,7 @@ def test_apt_first_keeps_outgoing_version_for_transition_month(fixture_catalog):
     assert series[14] == ["9.2", "9.3"]
     assert series[4] == ["9.1"]
     assert series[6] == ["9.2"]
-    assert matrix.validate() == []
+    assert matrix_problems(matrix) == []
 
 
 def test_apt_first_adds_exactly_one_cell_per_transition(fixture_catalog):
@@ -314,9 +338,9 @@ def test_matrix_invariants_on_random_catalogs():
         cat = random_catalog(rng, horizon_end=47)
         for config in _CONFIGS:
             matrix = build_matrix(cat, config)
-            assert matrix.validate() == [], (config, matrix.validate())
+            assert matrix_problems(matrix) == [], (config, matrix_problems(matrix))
             pessimistic = apply_apt_first(matrix)
-            assert pessimistic.validate() == []
+            assert matrix_problems(pessimistic) == []
             assert np.all(matrix.cells <= pessimistic.cells)
             assert pessimistic.cells.sum() == matrix.cells.sum() + len(matrix.transitions)
             assert count_updates(pessimistic) == count_updates(matrix)
@@ -357,24 +381,82 @@ def test_reactive_never_installs_a_triggering_cve_on_random_catalogs():
                     assert not hits_incoming, (t, record.cve_id)
 
 
-@pytest.mark.parametrize("delay", [0, 1, 3])
-def test_builders_match_month_walking_reference_on_random_catalogs(delay):
-    configs = [StrategyConfig(StrategyKind.PLANNED, delay) if delay else StrategyConfig(StrategyKind.IMMEDIATE)] + [
+def _configs_with_delay(delay):
+    """Every builder at one delay: immediate or planned, then reactive and informed under both picks."""
+    return [StrategyConfig(StrategyKind.PLANNED, delay) if delay else StrategyConfig(StrategyKind.IMMEDIATE)] + [
         StrategyConfig(kind, delay, reactive_pick=pick)
         for kind in (StrategyKind.REACTIVE, StrategyKind.INFORMED_REACTIVE)
         for pick in ("first", "latest")
     ]
+
+
+def _assert_matches_reference(catalog, config, context):
+    matrix = build_matrix(catalog, config)
+    expected = ref_strategy_run(catalog, config.kind.value, config.delay_months, config.reactive_pick)
+    for key, (versions, transitions) in expected.items():
+        assert _installed_versions(matrix, key) == [[v] for v in versions], (context, config, key)
+        got_transitions = [
+            (t.month, t.outgoing.version, t.incoming.version) for t in matrix.transitions if t.product == key
+        ]
+        assert got_transitions == transitions, (context, config, key)
+
+
+@pytest.mark.parametrize("delay", [0, 1, 3])
+def test_builders_match_month_walking_reference_on_random_catalogs(delay):
     for seed in range(200):
         catalog = random_catalog(random.Random(seed))
-        for config in configs:
-            matrix = build_matrix(catalog, config)
-            expected = ref_strategy_run(catalog, config.kind.value, delay, config.reactive_pick)
-            for key, (versions, transitions) in expected.items():
-                assert _installed_versions(matrix, key) == [[v] for v in versions], (seed, config, key)
-                got_transitions = [
-                    (t.month, t.outgoing.version, t.incoming.version) for t in matrix.transitions if t.product == key
-                ]
-                assert got_transitions == transitions, (seed, config, key)
+        for config in _configs_with_delay(delay):
+            _assert_matches_reference(catalog, config, seed)
+
+
+_SMALL_VERSIONS = ("1.0", "1.1", "1.2", "2.0", "2.1", "3.0")
+
+
+@st.composite
+def _small_catalogs(draw):
+    """1-3 products of 3-6 releases crowded into few months, month 0 included,
+    and 2-5 CVEs with exact and range constraints whose triggers may fall in
+    month 0. Fewer releases or CVEs rarely reach a relapse."""
+    horizon_end = draw(st.integers(2, 10))
+    timelines = {}
+    for i in range(draw(st.integers(1, 3))):
+        versions = draw(st.lists(st.sampled_from(_SMALL_VERSIONS), min_size=3, max_size=6, unique=True))
+        later = len(versions) - 1
+        months = [0] + draw(st.lists(st.integers(0, horizon_end), min_size=later, max_size=later))
+        timelines[("acme", f"app{i}")] = list(zip(versions, months))
+    keys = sorted(timelines)
+    records = []
+    for i in range(draw(st.integers(2, 5))):
+        published = draw(st.integers(0, horizon_end))
+        reserved = draw(st.integers(0, published))
+        affected = []
+        for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2, unique=True)):
+            bounds = draw(st.lists(st.sampled_from(_SMALL_VERSIONS), min_size=2, max_size=2))
+            lo, hi = sorted(bounds, key=_SMALL_VERSIONS.index)
+            matches = [
+                {"exact": lo},
+                {"startIncluding": lo},
+                {"startExcluding": lo},
+                {"endIncluding": hi},
+                {"endExcluding": hi},
+                {"startIncluding": lo, "endExcluding": hi},
+            ]
+            affected.append((key[0], key[1], draw(st.sampled_from(matches))))
+        records.append(vuln(f"CVE-2010-{1000 + i}", reserved, published, *affected))
+    campaigns = [
+        campaign(f"Apt{i}", draw(st.integers(0, horizon_end)), [record.cve_id])
+        for i, record in enumerate(records)
+        if draw(st.booleans())
+    ]
+    return make_catalog(timelines, records, campaigns, horizon_end=horizon_end)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_small_catalogs())
+def test_builders_match_month_walking_reference_on_drawn_catalogs(catalog):
+    for delay in range(4):
+        for config in _configs_with_delay(delay):
+            _assert_matches_reference(catalog, config, "drawn")
 
 
 # ---------------------------------------------------------------------------

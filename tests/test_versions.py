@@ -38,6 +38,12 @@ def test_update_notation_normalizes_to_numeric_segments():
     assert version_key("6u13") != version_key("6.u.13.x")
 
 
+def test_non_decimal_digits_are_letters():
+    # "²" is a digit to str.isdigit but not to int(): it tokenizes like the "a" of "1a"
+    assert version_key("1²") == ((0, 1), (1, "²"))
+    assert compare_versions("1²", "1a") is Ordering.GT
+
+
 _version_text = st.text(alphabet="0123456789abu.-", min_size=1, max_size=12)
 
 
