@@ -73,10 +73,8 @@ from .strategies import (
     initial_versions,
 )
 from .versions import (
-    Ordering,
     VersionConstraint,
     affected_releases,
-    compare_versions,
     version_key,
 )
 

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Optional
 
 from .months import DataError, Horizon, split_date
-from .versions import VersionConstraint, affected_releases, vendor_quirks, version_key
+from .versions import VersionConstraint, affected_releases, version_key
 
 log = logging.getLogger(__name__)
 
@@ -85,7 +85,11 @@ class VersionRelease:
 @dataclass(frozen=True)
 class ReleaseTimeline:
     product: SoftwareProduct
-    releases: tuple[VersionRelease, ...]  # sorted by (release_month, sort_key)
+    releases: tuple[VersionRelease, ...]  # sorted by (release_month, sort_key) on construction
+
+    def __post_init__(self):
+        ordered = tuple(sorted(self.releases, key=lambda r: (r.release_month, r.sort_key)))
+        object.__setattr__(self, "releases", ordered)
 
 
 @dataclass(frozen=True)
@@ -197,7 +201,7 @@ class Catalog:
             for pc in self.vulns[cve].affected:
                 timeline = self.timelines.get(pc.key)
                 if timeline is not None:
-                    fixed = pc.constraint.fixed_in(vendor_quirks(pc.vendor))
+                    fixed = pc.constraint.fixed_in()
                     # releases are sorted by month, so the first fixed one is the earliest
                     escapes.append(next((rel.release_month for rel in timeline.releases if fixed(rel.sort_key)), None))
             index[cve] = min((m for m in escapes if m is not None), default=None)
@@ -209,22 +213,6 @@ class Violation:
     entity: str
     rule: str
     detail: str = ""
-
-
-def make_release(product: SoftwareProduct, version: str, month: int) -> VersionRelease:
-    return VersionRelease(
-        product=product,
-        version=version,
-        sort_key=version_key(version, vendor_quirks(product.vendor)),
-        release_month=month,
-    )
-
-
-def make_timeline(product: SoftwareProduct, versions: list[tuple[str, int]]) -> ReleaseTimeline:
-    """Build a sorted timeline from (version, month) pairs."""
-    rels = [make_release(product, v, m) for v, m in versions]
-    rels.sort(key=lambda r: (r.release_month, r.sort_key))
-    return ReleaseTimeline(product=product, releases=tuple(rels))
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +262,14 @@ def _load_releases(path: Path, horizon: Horizon) -> tuple[dict, dict]:
             month = _parse_clamped(horizon, row["release_date"], where)
         except DataError as exc:
             raise LoadError(f"{where}: field release_date: {exc}") from exc
+        try:
+            sort_key = version_key(version)
+        except ValueError as exc:  # a digit run too long for int()
+            raise LoadError(f"{where}: field version: {exc}") from exc
         key = (vendor, name)
         product = products.setdefault(key, SoftwareProduct(vendor, name))
-        rows.setdefault(key, []).append(make_release(product, version, month))
-    timelines = {}
-    for key, rels in rows.items():
-        rels.sort(key=lambda r: (r.release_month, r.sort_key))
-        timelines[key] = ReleaseTimeline(product=products[key], releases=tuple(rels))
+        rows.setdefault(key, []).append(VersionRelease(product, version, sort_key, month))
+    timelines = {key: ReleaseTimeline(products[key], tuple(rels)) for key, rels in rows.items()}
     return products, timelines
 
 
@@ -297,12 +286,15 @@ def _load_vulns(path: Path, horizon: Horizon) -> dict[str, VulnRecord]:
         if not isinstance(entry, dict):
             raise LoadError(f"{where}: expected an object")
         try:
-            cve = str(entry["cve"]).strip()
+            cve = entry["cve"]
             reserved_raw = entry["reserved"]
             published_raw = entry["published"]
             affected_raw = entry["affected"]
         except KeyError as exc:
             raise LoadError(f"{where}: missing field {exc.args[0]!r}") from exc
+        if not isinstance(cve, str) or not cve.strip():
+            raise LoadError(f"{where}: 'cve' must be a non-empty string, got {cve!r}")
+        cve = cve.strip()
         if cve in vulns:
             raise LoadError(f"{where}: duplicate CVE id {cve}")
         try:
@@ -393,60 +385,27 @@ def load_catalog(
 
 
 def validate_catalog(catalog: Catalog) -> list[Violation]:
-    """Check every structural invariant; violations are data, not exceptions."""
+    """The integrity rules a loaded catalog can still break; violations are
+    data, not exceptions. Loading already rejects out-of-window months,
+    reversed ranges and unknown campaign CVEs, and timelines sort themselves."""
     out: list[Violation] = []
-    end = catalog.horizon.end_index
-
-    def check_month(entity: str, month: int, what: str):
-        if not 0 <= month <= end:
-            out.append(Violation(entity, "month-range", f"{what} index {month} outside [0, {end}]"))
-
     for key, timeline in catalog.timelines.items():
-        entity = f"{key[0]}/{key[1]}"
-        order = [(r.release_month, r.sort_key) for r in timeline.releases]
-        if order != sorted(order):
-            out.append(Violation(entity, "timeline-order", "releases not sorted by (month, version)"))
-        seen_keys: dict[tuple, str] = {}
+        first_version: dict[tuple, str] = {}
         for rel in timeline.releases:
-            check_month(f"{entity} {rel.version}", rel.release_month, "release_month")
-            if rel.product.key != key:
-                out.append(Violation(f"{entity} {rel.version}", "timeline-product-mismatch", ""))
-            if rel.sort_key in seen_keys and seen_keys[rel.sort_key] != rel.version:
+            first = first_version.setdefault(rel.sort_key, rel.version)
+            if first != rel.version:
                 out.append(
                     Violation(
-                        f"{entity} {rel.version}",
+                        f"{key[0]}/{key[1]} {rel.version}",
                         "duplicate-version-key",
-                        f"normalizes identically to {seen_keys[rel.sort_key]!r}",
+                        f"normalizes identically to {first!r}",
                     )
                 )
-            seen_keys.setdefault(rel.sort_key, rel.version)
-
     for cve, vuln in catalog.vulns.items():
         if vuln.reserved_month > vuln.published_month:
             out.append(
                 Violation(cve, "reserved-after-published", f"{vuln.reserved_month} > {vuln.published_month}")
             )
-        check_month(cve, vuln.reserved_month, "reserved_month")
-        check_month(cve, vuln.published_month, "published_month")
-        for pc in vuln.affected:
-            c = pc.constraint
-            if c.kind == "range" and c.start is not None and c.end is not None:
-                if version_key(c.start.version) > version_key(c.end.version):
-                    out.append(Violation(cve, "constraint-bounds", f"reversed range in {c.raw}"))
-
-    seen_campaigns: set[tuple[str, int]] = set()
-    for campaign in catalog.campaigns:
-        entity = f"{campaign.apt_name}@{campaign.start_month}"
-        check_month(entity, campaign.start_month, "start_month")
-        if campaign.key in seen_campaigns:
-            out.append(Violation(entity, "duplicate-campaign", ""))
-        seen_campaigns.add(campaign.key)
-        for cve in sorted(campaign.cve_ids):
-            if cve not in catalog.vulns:
-                out.append(Violation(entity, "unknown-cve", cve))
-        if not campaign.cve_ids and not campaign.vectors:
-            out.append(Violation(entity, "empty-campaign", ""))
-
     return out
 
 

@@ -7,7 +7,8 @@ Subcommands:
   survival   exploit-age survival curve as CSV
   report     run all of the above into an output directory with a manifest
 
-Exit codes: 0 success, 1 data/validation problems, 2 usage or I/O errors.
+Exit codes: 0 success, 1 data/validation problems, 2 usage or I/O errors
+(a bad flag or config value included).
 
 Dataset paths default to $PATCHSIM_DATA/{releases.csv,vulns.json,campaigns.csv}
 when the environment variable is set. A JSON config file (--config) may hold
@@ -33,7 +34,7 @@ from .evaluator import (
     percent_1dp,
     report_to_dict,
 )
-from .months import DataError, Horizon
+from .months import DataError, Horizon, split_date
 from .stats import exploit_ages, kaplan_meier
 from .strategies import Scenario, StrategyConfig
 
@@ -41,6 +42,13 @@ DATA_DIR_ENV = "PATCHSIM_DATA"
 
 DEFAULT_STRATEGIES = "immediate,planned:1,planned:3,planned:7,reactive:1,reactive:3,reactive:7,informed:1,informed:3,informed:7"
 DEFAULT_SCENARIOS = "update-first,apt-first"
+
+# option -> allowed values, for argparse and for --config alike
+CHOICES = {
+    "reactive_pick": ("first", "latest"),
+    "tie_rule": ("inclusive", "exclusive"),
+    "format": ("json", "csv", "both"),
+}
 
 
 def parse_scenarios(text: str) -> list[Scenario]:
@@ -107,21 +115,21 @@ def _strategy_flags() -> argparse.ArgumentParser:
                         help="comma list of update-first (optimistic) and/or apt-first (pessimistic)")
     parser.add_argument("--baseline", default="immediate@update-first",
                         help="odds baseline as strategy[:delay][@scenario]")
-    parser.add_argument("--reactive-pick", default="first", choices=["first", "latest"],
+    parser.add_argument("--reactive-pick", default="first", choices=CHOICES["reactive_pick"],
                         help="which escaping release a reactive update installs")
     return parser
 
 
 def _tie_rule_flags() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("--tie-rule", default="inclusive", choices=["inclusive", "exclusive"],
+    parser.add_argument("--tie-rule", default="inclusive", choices=CHOICES["tie_rule"],
                         help="same-month tie handling in lifecycle classification")
     return parser
 
 
 def _output_flags() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("--format", default="both", choices=["json", "csv", "both"],
+    parser.add_argument("--format", default="both", choices=CHOICES["format"],
                         help="artifact family to write under --out")
     return parser
 
@@ -134,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             f"Set ${DATA_DIR_ENV} to a directory holding releases.csv, vulns.json and "
             "campaigns.csv to omit the dataset flags. Exit codes: 0 ok, 1 data problems, "
-            "2 usage/IO errors."
+            "2 usage/IO errors, a bad flag or config value included."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -185,6 +193,8 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> argparse.Na
         kind = bool if isinstance(getattr(args, attr), bool) else str
         if not isinstance(value, kind):
             raise UsageError(f"config file {path}: option {key!r} must be a {'boolean' if kind is bool else 'string'}")
+        if attr in CHOICES and value not in CHOICES[attr]:
+            raise UsageError(f"config file {path}: option {key!r} must be one of {', '.join(CHOICES[attr])}")
         if attr not in explicit:
             setattr(args, attr, value)
     return args
@@ -194,6 +204,14 @@ class UsageError(Exception):
     pass
 
 
+def _flag_value(flag: str, parse, *values):
+    """parse(*values), with a value it rejects reported as misuse of `flag`."""
+    try:
+        return parse(*values)
+    except (ValueError, DataError) as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
+
+
 def _load(args: argparse.Namespace) -> Catalog:
     missing = [name for name in ("releases", "vulns", "campaigns") if not getattr(args, name)]
     if missing:
@@ -201,7 +219,9 @@ def _load(args: argparse.Namespace) -> Catalog:
             f"missing dataset path(s): {', '.join('--' + m for m in missing)} "
             f"(or set ${DATA_DIR_ENV})"
         )
-    horizon = Horizon.from_strings(args.epoch, args.horizon)
+    for flag, value in (("--epoch", args.epoch), ("--horizon", args.horizon)):
+        _flag_value(flag, split_date, value)
+    horizon = _flag_value("--horizon", Horizon.from_strings, args.epoch, args.horizon)
     return load_catalog(args.releases, args.vulns, args.campaigns, horizon)
 
 
@@ -380,9 +400,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _evaluate(catalog: Catalog, args: argparse.Namespace) -> list[EvaluationReport]:
-    configs = parse_strategies(args.strategies, args.reactive_pick)
-    scenarios = parse_scenarios(args.scenarios)
-    baseline = parse_baseline(args.baseline, args.reactive_pick)
+    configs = _flag_value("--strategies", parse_strategies, args.strategies, args.reactive_pick)
+    scenarios = _flag_value("--scenarios", parse_scenarios, args.scenarios)
+    baseline = _flag_value("--baseline", parse_baseline, args.baseline, args.reactive_pick)
     return evaluate(catalog, configs, scenarios, baseline)
 
 
@@ -462,9 +482,6 @@ def run(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

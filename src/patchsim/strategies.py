@@ -84,7 +84,11 @@ class StrategyConfig:
             return cls(kind)
         if not delay:
             raise ValueError(f"strategy {name!r} needs a delay, e.g. {name}:1")
-        return cls(kind, int(delay))
+        try:
+            months = int(delay)
+        except ValueError:
+            raise ValueError(f"strategy {name!r} delay must be a whole number of months, got {delay!r}") from None
+        return cls(kind, months)
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,15 @@
 
 Version strings are normalized into tuples of segments. Numeric runs compare
 numerically, alphabetic runs lexically, and a shorter key sorts before any
-extension of it ("9.2" < "9.2.1"). Normalization rules that are specific to a
-vendor's numbering habits (e.g. Oracle's "6u13" update notation) live in
-quirks.json so a new product needs data, not code.
+extension of it ("9.2" < "9.2.1"). One rule holds for every vendor: a lone
+"u" between two numbers is dropped, so Oracle's update notation "6u13" reads
+as "6.13".
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from enum import Enum
-from importlib import resources
 from typing import Callable, Optional
 
 # Segment encoding: numeric runs become (0, int), alphabetic runs (1, str).
@@ -22,27 +20,6 @@ _NUM = 0
 _ALPHA = 1
 
 Segment = tuple[int, object]
-
-
-def _load_quirks() -> dict:
-    with resources.files(__package__).joinpath("quirks.json").open("r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-_QUIRKS = _load_quirks()
-DEFAULT_QUIRKS: dict = _QUIRKS["default"]
-
-
-def vendor_quirks(vendor: str) -> dict:
-    rules = dict(DEFAULT_QUIRKS)
-    rules.update(_QUIRKS.get("vendors", {}).get(vendor.lower(), {}))
-    return rules
-
-
-class Ordering(Enum):
-    LT = -1
-    EQ = 0
-    GT = 1
 
 
 def _tokenize(raw: str) -> list[Segment]:
@@ -66,35 +43,20 @@ def _tokenize(raw: str) -> list[Segment]:
     return segments
 
 
-def version_key(raw: str, quirks: Optional[dict] = None) -> tuple[Segment, ...]:
+def version_key(raw: str) -> tuple[Segment, ...]:
     """Normalize a raw version string into a comparable key."""
-    rules = quirks if quirks is not None else DEFAULT_QUIRKS
     segments = _tokenize(raw)
-    if rules.get("update_notation"):
-        # "6u13" means major 6, update 13: drop a lone "u" wedged between numbers
-        out: list[Segment] = []
-        for i, seg in enumerate(segments):
-            if (
-                seg == (_ALPHA, "u")
-                and 0 < i < len(segments) - 1
-                and segments[i - 1][0] == _NUM
-                and segments[i + 1][0] == _NUM
-            ):
-                continue
-            out.append(seg)
-        segments = out
-    if rules.get("strip_trailing_zeros"):
-        while len(segments) > 1 and segments[-1] == (_NUM, 0):
-            segments.pop()
-    return tuple(segments)
-
-
-def compare_versions(a: str, b: str, quirks: Optional[dict] = None) -> Ordering:
-    """Total order over arbitrary version strings."""
-    ka, kb = version_key(a, quirks), version_key(b, quirks)
-    if ka == kb:
-        return Ordering.EQ
-    return Ordering.LT if ka < kb else Ordering.GT
+    # "6u13" means major 6, update 13: drop a lone "u" wedged between numbers
+    return tuple(
+        seg
+        for i, seg in enumerate(segments)
+        if not (
+            seg == (_ALPHA, "u")
+            and 0 < i < len(segments) - 1
+            and segments[i - 1][0] == _NUM
+            and segments[i + 1][0] == _NUM
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -177,13 +139,13 @@ class VersionConstraint:
             obj["endIncluding" if self.end.inclusive else "endExcluding"] = self.end.version
         return obj
 
-    def contains(self, quirks: Optional[dict] = None) -> Callable[[tuple], bool]:
-        """Predicate over version keys, with both bounds tokenized once under `quirks`.
+    def contains(self) -> Callable[[tuple], bool]:
+        """Predicate over version keys, with both bounds tokenized once.
 
         An exact constraint is a range whose two inclusive bounds are equal.
         """
-        lo = None if self.start is None else (version_key(self.start.version, quirks), self.start.inclusive)
-        hi = None if self.end is None else (version_key(self.end.version, quirks), self.end.inclusive)
+        lo = None if self.start is None else (version_key(self.start.version), self.start.inclusive)
+        hi = None if self.end is None else (version_key(self.end.version), self.end.inclusive)
 
         def inside(key: tuple) -> bool:
             if lo is not None and (key < lo[0] or (key == lo[0] and not lo[1])):
@@ -194,15 +156,12 @@ class VersionConstraint:
 
         return inside
 
-    def matches(self, version: str, quirks: Optional[dict] = None) -> bool:
-        return self.contains(quirks)(version_key(version, quirks))
-
-    def fixed_in(self, quirks: Optional[dict] = None) -> Callable[[tuple], bool]:
+    def fixed_in(self) -> Callable[[tuple], bool]:
         """Predicate over version keys, true strictly above the affected range;
-        the end bound is tokenized once under `quirks`. Never true without one."""
+        the end bound is tokenized once. Never true without one."""
         if self.end is None:
             return lambda key: False
-        hi, inclusive = version_key(self.end.version, quirks), self.end.inclusive
+        hi, inclusive = version_key(self.end.version), self.end.inclusive
         return lambda key: key > hi if inclusive else key >= hi
 
 
@@ -210,8 +169,7 @@ def affected_releases(constraint: VersionConstraint, timeline) -> frozenset:
     """All releases in the timeline whose version satisfies the constraint.
 
     The one place a constraint is tested against releases: bounds are
-    tokenized once under the timeline vendor's quirks and compared with each
-    release's cached sort_key.
+    tokenized once and compared with each release's cached sort_key.
     """
-    inside = constraint.contains(vendor_quirks(timeline.product.vendor))
+    inside = constraint.contains()
     return frozenset(rel for rel in timeline.releases if inside(rel.sort_key))

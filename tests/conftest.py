@@ -14,13 +14,14 @@ from patchsim.catalog import (
     CampaignRecord,
     Catalog,
     ProductConstraint,
+    ReleaseTimeline,
     SoftwareProduct,
+    VersionRelease,
     VulnRecord,
-    make_timeline,
 )
 from patchsim.months import Horizon
 from patchsim.strategies import Scenario
-from patchsim.versions import VersionConstraint
+from patchsim.versions import VersionConstraint, version_key
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -43,6 +44,11 @@ def fixture_catalog(fixture_paths):
 
 # ---------------------------------------------------------------------------
 # Programmatic catalog construction
+
+
+def make_timeline(product: SoftwareProduct, versions: list[tuple[str, int]]) -> ReleaseTimeline:
+    """Build a timeline from (version, month) pairs."""
+    return ReleaseTimeline(product, tuple(VersionRelease(product, v, version_key(v), m) for v, m in versions))
 
 
 def make_catalog(

@@ -1,14 +1,15 @@
 import json
 import random
+import re
 
 import pytest
 
-from conftest import campaign, make_catalog, random_catalog, ref_matches, save_catalog, vuln
+from conftest import campaign, make_catalog, make_timeline, random_catalog, ref_matches, save_catalog, vuln
 from patchsim.catalog import (
     AttackVector,
-    CampaignRecord,
     LoadError,
     ReleaseTimeline,
+    SoftwareProduct,
     catalog_diagnostics,
     load_catalog,
     validate_catalog,
@@ -45,11 +46,19 @@ def test_unknown_cve_named_in_error(tmp_path, fixture_paths):
         load_catalog(fixture_paths["releases"], fixture_paths["vulns"], bad)
 
 
-def test_release_beyond_horizon_rejected(tmp_path, fixture_paths):
-    bad = tmp_path / "releases.csv"
-    bad.write_text("vendor,product,version,release_date\nadobe,reader,99.0,2020-02\n")
-    with pytest.raises(LoadError, match="horizon"):
-        load_catalog(bad, fixture_paths["vulns"], fixture_paths["campaigns"])
+_BEYOND_HORIZON = {
+    "releases.csv": "vendor,product,version,release_date\nadobe,reader,99.0,2020-02\n",
+    "vulns.json": json.dumps([{"cve": "CVE-2020-0001", "reserved": "2019-12", "published": "2020-02", "affected": []}]),
+    "campaigns.csv": "apt,date,cves,vectors\nGhost,2020-02,,undetermined\n",
+}
+
+
+@pytest.mark.parametrize("name", list(_BEYOND_HORIZON))
+def test_release_beyond_horizon_rejected(tmp_path, fixture_paths, name):
+    paths = {**fixture_paths, name.split(".")[0]: tmp_path / name}
+    paths[name.split(".")[0]].write_text(_BEYOND_HORIZON[name])
+    with pytest.raises(LoadError, match=re.escape(name) + ".*after the horizon end"):
+        load_catalog(paths["releases"], paths["vulns"], paths["campaigns"])
 
 
 def test_duplicate_release_rejected(tmp_path, fixture_paths):
@@ -171,40 +180,16 @@ def test_reserved_after_published_flagged():
     assert _rules(cat) == ["reserved-after-published"]
 
 
-def test_unsorted_timeline_flagged():
-    cat = _clean_catalog()
-    timeline = cat.timelines[("acme", "app")]
-    cat.timelines[("acme", "app")] = ReleaseTimeline(
-        product=timeline.product, releases=tuple(reversed(timeline.releases))
-    )
-    assert _rules(cat) == ["timeline-order"]
+def test_duplicate_version_key_flagged():
+    cat = make_catalog({("acme", "app"): [("6u13", 0), ("6.13", 2)]}, horizon_end=23)
+    assert _rules(cat) == ["duplicate-version-key"]
 
 
-def test_unknown_cve_flagged():
-    cat = _clean_catalog()
-    ghost = campaign("Zeta", 7, ["CVE-1999-0001"])
-    cat.campaigns = cat.campaigns + (ghost,)
-    assert _rules(cat) == ["unknown-cve"]
-
-
-def test_duplicate_campaign_flagged():
-    cat = _clean_catalog()
-    cat.campaigns = cat.campaigns + (cat.campaigns[0],)
-    assert _rules(cat) == ["duplicate-campaign"]
-
-
-def test_month_out_of_range_flagged():
-    cat = _clean_catalog()
-    late = campaign("Zeta", 99, ["CVE-2010-0001"])
-    cat.campaigns = cat.campaigns + (late,)
-    assert _rules(cat) == ["month-range"]
-
-
-def test_empty_campaign_flagged():
-    cat = _clean_catalog()
-    empty = CampaignRecord("Zeta", 7, frozenset(), frozenset())
-    cat.campaigns = cat.campaigns + (empty,)
-    assert _rules(cat) == ["empty-campaign"]
+def test_timeline_sorts_its_releases():
+    # by month, then by version within a month, in whatever order the releases come
+    timeline = make_timeline(SoftwareProduct("acme", "app"), [("1.10", 2), ("2.0", 0), ("1.9", 2)])
+    assert [r.version for r in timeline.releases] == ["2.0", "1.9", "1.10"]
+    assert ReleaseTimeline(timeline.product, tuple(reversed(timeline.releases))) == timeline
 
 
 def test_diagnostics_count_dead_constraints():

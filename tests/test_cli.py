@@ -293,6 +293,37 @@ def _malformed_affected(**fields):
     return make_argv
 
 
+def _overlong_digit_run(tmp_path, fixture_paths):
+    releases = tmp_path / "releases.csv"
+    releases.write_text(fixture_paths["releases"].read_text() + "adobe,reader," + "1" * 5000 + ",2009-01\n")
+    return ["validate", *_data_args(fixture_paths), "--releases", str(releases)]
+
+
+def _malformed_entry(**fields):
+    """Overwrite fields of the first CVE entry, then validate."""
+    def make_argv(tmp_path, fixture_paths):
+        vulns = tmp_path / "vulns.json"
+        entries = json.loads(fixture_paths["vulns"].read_text())
+        entries[0].update(fields)
+        vulns.write_text(json.dumps(entries))
+        return ["validate", *_data_args(fixture_paths), "--vulns", str(vulns)]
+    return make_argv
+
+
+def _bad_epoch(tmp_path, fixture_paths):
+    return ["validate", *_data_args(fixture_paths), "--epoch", "2008-13"]
+
+
+def _bad_choice_config(tmp_path, fixture_paths):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"tie_rule": "bogus"}))
+    return ["classify", *_data_args(fixture_paths), "--config", str(config)]
+
+
+def _bad_strategy_delay(tmp_path, fixture_paths):
+    return ["evaluate", *_data_args(fixture_paths), "--strategies", "planned:x"]
+
+
 def _report_without_out(tmp_path, fixture_paths):
     return ["report", *_data_args(fixture_paths)]
 
@@ -333,11 +364,20 @@ def _superscript_version(tmp_path, fixture_paths):
         (_tie_rule_config_for_evaluate, 2, "unknown option 'tie_rule' for evaluate"),
         (_non_utf8_releases, 1, "releases.csv:2: not UTF-8 text (byte 0xff)"),
         (_superscript_version, 0, "ok: "),
+        (_overlong_digit_run, 1, "releases.csv:10: field version: Exceeds the limit (4300 digits)"),
+        (_malformed_entry(cve=None), 1, "vulns.json: entry #0: 'cve' must be a non-empty string, got None"),
+        (_malformed_entry(cve=12345), 1, "vulns.json: entry #0: 'cve' must be a non-empty string, got 12345"),
+        (_malformed_affected(match={"startIncluding": "9.3", "endIncluding": "9.1"}), 1,
+         "affected[0].match: range bounds reversed"),
+        (_bad_epoch, 2, "--epoch: month out of range in '2008-13'"),
+        (_bad_choice_config, 2, "run.json: option 'tie_rule' must be one of inclusive, exclusive"),
+        (_bad_strategy_delay, 2, "--strategies: strategy 'planned' delay must be a whole number of months, got 'x'"),
     ],
     ids=["no-epoch-release", "directory-input", "non-string-config", "format-selects-nothing",
          "reserved-after-published", "no-targeting-campaign", "integer-bound", "null-exact",
          "list-bound", "null-vendor", "report-without-out", "tie-rule-config-for-evaluate",
-         "non-utf8-input", "superscript-digit-version"],
+         "non-utf8-input", "superscript-digit-version", "overlong-digit-run", "null-cve", "numeric-cve",
+         "reversed-range", "bad-epoch-flag", "bad-choice-config", "bad-strategy-delay"],
 )
 def test_boundary_errors_exit_with_code_and_message(make_argv, code, fragment, tmp_path, fixture_paths, capsys):
     assert run(make_argv(tmp_path, fixture_paths)) == code

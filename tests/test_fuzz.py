@@ -5,7 +5,8 @@ and campaigns, then applies up to two faults: `match` objects with values of
 mixed types, malformed affected items or vulns.json entries, an unparsable
 vulns.json, malformed release or campaign CSV rows, or a config JSON object
 with arbitrary values. `run()` is called in-process on files in a fresh
-temporary directory.
+temporary directory. A config whose only fault is an `epoch` or `horizon`
+that is not YYYY-MM is misuse and must exit 2.
 """
 
 import contextlib
@@ -13,10 +14,11 @@ import copy
 import csv
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from patchsim.cli import run
@@ -126,6 +128,29 @@ configs = st.dictionaries(
 )
 
 
+@st.composite
+def cases(draw):
+    """(faults, vulns, releases, campaigns, vulns.json text or None, config) for one run."""
+    faults = draw(st.sets(st.sampled_from(FAULTS), max_size=2))
+    vulns, releases, campaigns = _dataset(draw)
+    vulns_text = None
+    for fault in [f for f in FAULTS if f in faults]:  # in this order, each fault finds its target intact
+        vulns_text = _apply(fault, draw, vulns, releases, campaigns) or vulns_text
+    config = draw(configs) if "config" in faults else {}
+    return faults, vulns, releases, campaigns, vulns_text, config
+
+
+_YEAR_MONTH = re.compile(r"\d{4}-(0[1-9]|1[0-2])(-\d{2})?", re.ASCII)  # a day part is read and ignored
+
+
+def _misused_window(config: dict) -> bool:
+    """True when the config sets `epoch` or `horizon` to something that is not YYYY-MM."""
+    return any(
+        key in config and not (isinstance(config[key], str) and _YEAR_MONTH.fullmatch(config[key]))
+        for key in ("epoch", "horizon")
+    )
+
+
 def _csv(header: list[str], rows: list[list[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -136,12 +161,11 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-@given(command=st.sampled_from(COMMANDS), faults=st.sets(st.sampled_from(FAULTS), max_size=2), data=st.data())
-def test_cli_exits_0_1_or_2_on_malformed_input(command, faults, data):
-    vulns, releases, campaigns = _dataset(data.draw)
-    vulns_text = None
-    for fault in [f for f in FAULTS if f in faults]:  # in this order, each fault finds its target intact
-        vulns_text = _apply(fault, data.draw, vulns, releases, campaigns) or vulns_text
+@given(command=st.sampled_from(COMMANDS), case=cases())
+@example(command=["validate"], case=({"config"}, VULNS, RELEASES, CAMPAIGNS, None, {"epoch": "2008-13"}))
+@example(command=COMMANDS[-1], case=({"config"}, VULNS, RELEASES, CAMPAIGNS, None, {"horizon": "soon"}))
+def test_cli_exits_0_1_or_2_on_malformed_input(command, case):
+    faults, vulns, releases, campaigns, vulns_text, config = case
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "releases.csv").write_text(_csv(["vendor", "product", "version", "release_date"], releases),
@@ -150,12 +174,16 @@ def test_cli_exits_0_1_or_2_on_malformed_input(command, faults, data):
                                          encoding="utf-8")
         (root / "campaigns.csv").write_text(_csv(["apt", "date", "cves", "vectors"], campaigns), encoding="utf-8")
         argv = [*command, "--releases", str(root / "releases.csv"), "--vulns", str(root / "vulns.json"),
-                "--campaigns", str(root / "campaigns.csv"), "--horizon", "2012-12"]
+                "--campaigns", str(root / "campaigns.csv")]
+        if "horizon" not in config:  # an explicit flag would override the config's horizon
+            argv += ["--horizon", "2012-12"]
         if command[0] != "validate":
             argv += ["--out", str(root / "out")]
         if "config" in faults:
-            (root / "config.json").write_text(json.dumps(data.draw(configs)), encoding="utf-8")
+            (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
             argv += ["--config", str(root / "config.json")]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = run(argv)
     assert code in (0, 1, 2), (argv, code)
+    if faults == {"config"} and _misused_window(config):
+        assert code == 2, (argv, config, code)

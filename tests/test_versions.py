@@ -1,19 +1,22 @@
 import random
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_matches
-from patchsim.catalog import SoftwareProduct, make_timeline
+from conftest import make_timeline, ref_matches
+from patchsim.catalog import SoftwareProduct
 from patchsim.strategies import first_nonvulnerable
-from patchsim.versions import (
-    Ordering,
-    VersionConstraint,
-    affected_releases,
-    compare_versions,
-    version_key,
-)
+from patchsim.versions import VersionConstraint, affected_releases, version_key
+
+
+class Ordering(Enum):
+    """The expected order of two version keys."""
+
+    LT = -1
+    EQ = 0
+    GT = 1
 
 
 @pytest.mark.parametrize(
@@ -30,7 +33,8 @@ from patchsim.versions import (
     ],
 )
 def test_compare_examples(a, b, expected):
-    assert compare_versions(a, b) is expected
+    ka, kb = version_key(a), version_key(b)
+    assert Ordering((ka > kb) - (ka < kb)) is expected
 
 
 def test_update_notation_normalizes_to_numeric_segments():
@@ -41,7 +45,17 @@ def test_update_notation_normalizes_to_numeric_segments():
 def test_non_decimal_digits_are_letters():
     # "²" is a digit to str.isdigit but not to int(): it tokenizes like the "a" of "1a"
     assert version_key("1²") == ((0, 1), (1, "²"))
-    assert compare_versions("1²", "1a") is Ordering.GT
+    assert version_key("1²") > version_key("1a")
+
+
+def test_one_version_order_for_every_vendor():
+    versions = [("6u20", 0), ("6u13", 0), ("6u6", 1), ("7u1", 2)]
+    acme = make_timeline(SoftwareProduct("acme", "runtime"), versions)
+    oracle = make_timeline(SoftwareProduct("oracle", "jre"), versions)
+    assert [(r.version, r.sort_key) for r in acme.releases] == [(r.version, r.sort_key) for r in oracle.releases]
+    c = VersionConstraint.from_mapping({"startExcluding": "6u6", "endIncluding": "6.20"})
+    assert {r.version for r in affected_releases(c, acme)} == {r.version for r in affected_releases(c, oracle)}
+    assert {r.version for r in affected_releases(c, oracle)} == {"6u13", "6u20"}
 
 
 _version_text = st.text(alphabet="0123456789abu.-", min_size=1, max_size=12)
@@ -49,20 +63,17 @@ _version_text = st.text(alphabet="0123456789abu.-", min_size=1, max_size=12)
 
 @given(_version_text, _version_text)
 def test_comparator_totality(a, b):
-    result = compare_versions(a, b)
-    assert result in (Ordering.LT, Ordering.EQ, Ordering.GT)
-    assert (result is Ordering.EQ) == (version_key(a) == version_key(b))
-    flipped = compare_versions(b, a)
-    assert {Ordering.LT: Ordering.GT, Ordering.GT: Ordering.LT, Ordering.EQ: Ordering.EQ}[result] is flipped
+    ka, kb = version_key(a), version_key(b)
+    assert [ka < kb, ka == kb, ka > kb].count(True) == 1
+    assert (ka < kb) == (kb > ka)
 
 
 @settings(max_examples=300)
 @given(_version_text, _version_text, _version_text)
 def test_comparator_transitivity(a, b, c):
-    ordered = sorted([a, b, c], key=version_key)
-    assert compare_versions(ordered[0], ordered[1]) is not Ordering.GT
-    assert compare_versions(ordered[1], ordered[2]) is not Ordering.GT
-    assert compare_versions(ordered[0], ordered[2]) is not Ordering.GT
+    k0, k1, k2 = (version_key(v) for v in sorted([a, b, c], key=version_key))
+    assert k0 <= k1 <= k2
+    assert k0 <= k2
 
 
 # ---------------------------------------------------------------------------
@@ -72,25 +83,27 @@ def test_comparator_transitivity(a, b, c):
 def test_exact_constraint_round_trip():
     c = VersionConstraint.from_mapping({"exact": "10.1.3"})
     assert c.kind == "exact"
-    assert c.matches("10.1.3")
-    assert not c.matches("10.1.4")
+    inside = c.contains()
+    assert inside(version_key("10.1.3"))
+    assert not inside(version_key("10.1.4"))
     assert c.to_mapping() == {"exact": "10.1.3"}
 
 
 def test_range_bounds_inclusive_exclusive():
-    c = VersionConstraint.from_mapping({"startExcluding": "1.0", "endIncluding": "2.0"})
-    assert not c.matches("1.0")
-    assert c.matches("1.1")
-    assert c.matches("2.0")
-    assert not c.matches("2.0.1")
+    inside = VersionConstraint.from_mapping({"startExcluding": "1.0", "endIncluding": "2.0"}).contains()
+    assert not inside(version_key("1.0"))
+    assert inside(version_key("1.1"))
+    assert inside(version_key("2.0"))
+    assert not inside(version_key("2.0.1"))
 
 
 def test_wildcard_is_unbounded():
     c = VersionConstraint.from_mapping({"startIncluding": "*", "endIncluding": "9.2"})
     assert c.start is None
-    assert c.matches("0.1")
-    assert c.matches("9.2")
-    assert not c.matches("9.3")
+    inside = c.contains()
+    assert inside(version_key("0.1"))
+    assert inside(version_key("9.2"))
+    assert not inside(version_key("9.3"))
 
 
 @pytest.mark.parametrize(
