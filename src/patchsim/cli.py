@@ -219,9 +219,11 @@ def _load(args: argparse.Namespace) -> Catalog:
             f"missing dataset path(s): {', '.join('--' + m for m in missing)} "
             f"(or set ${DATA_DIR_ENV})"
         )
+    # each date is parsed alone first only so that a malformed one names its flag;
+    # from_strings parses both again and checks that the end comes after the epoch
     for flag, value in (("--epoch", args.epoch), ("--horizon", args.horizon)):
         _flag_value(flag, split_date, value)
-    horizon = _flag_value("--horizon", Horizon.from_strings, args.epoch, args.horizon)
+    horizon = _flag_value("--epoch/--horizon", Horizon.from_strings, args.epoch, args.horizon)
     return load_catalog(args.releases, args.vulns, args.campaigns, horizon)
 
 

@@ -61,8 +61,15 @@ def version_key(raw: str) -> tuple[Segment, ...]:
 
 @dataclass(frozen=True)
 class Bound:
+    """One side of a constraint, tokenized once when made: a version that
+    cannot be tokenized (a digit run too long for int()) fails here, at load."""
+
     version: str
     inclusive: bool
+    key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "key", version_key(self.version))
 
 
 @dataclass(frozen=True)
@@ -123,11 +130,9 @@ class VersionConstraint:
             start = None
         if end is not None and end.version == "*":
             end = None
-        c = cls("range", start, end, raw=raw)
-        if start is not None and end is not None:
-            if version_key(start.version) > version_key(end.version):
-                raise ValueError(f"range bounds reversed in {raw}")
-        return c
+        if start is not None and end is not None and start.key > end.key:
+            raise ValueError(f"range bounds reversed in {raw}")
+        return cls("range", start, end, raw=raw)
 
     def to_mapping(self) -> dict:
         if self.kind == "exact":
@@ -140,12 +145,12 @@ class VersionConstraint:
         return obj
 
     def contains(self) -> Callable[[tuple], bool]:
-        """Predicate over version keys, with both bounds tokenized once.
+        """Predicate over version keys, compared with each bound's key.
 
         An exact constraint is a range whose two inclusive bounds are equal.
         """
-        lo = None if self.start is None else (version_key(self.start.version), self.start.inclusive)
-        hi = None if self.end is None else (version_key(self.end.version), self.end.inclusive)
+        lo = None if self.start is None else (self.start.key, self.start.inclusive)
+        hi = None if self.end is None else (self.end.key, self.end.inclusive)
 
         def inside(key: tuple) -> bool:
             if lo is not None and (key < lo[0] or (key == lo[0] and not lo[1])):
@@ -157,19 +162,19 @@ class VersionConstraint:
         return inside
 
     def fixed_in(self) -> Callable[[tuple], bool]:
-        """Predicate over version keys, true strictly above the affected range;
-        the end bound is tokenized once. Never true without one."""
+        """Predicate over version keys, true strictly above the affected range.
+        Never true without an end bound."""
         if self.end is None:
             return lambda key: False
-        hi, inclusive = version_key(self.end.version), self.end.inclusive
+        hi, inclusive = self.end.key, self.end.inclusive
         return lambda key: key > hi if inclusive else key >= hi
 
 
 def affected_releases(constraint: VersionConstraint, timeline) -> frozenset:
     """All releases in the timeline whose version satisfies the constraint.
 
-    The one place a constraint is tested against releases: bounds are
-    tokenized once and compared with each release's cached sort_key.
+    The one place a constraint is tested against releases: each bound's key
+    is compared with each release's cached sort_key.
     """
     inside = constraint.contains()
     return frozenset(rel for rel in timeline.releases if inside(rel.sort_key))

@@ -365,6 +365,10 @@ def _superscript_version(tmp_path, fixture_paths):
         (_non_utf8_releases, 1, "releases.csv:2: not UTF-8 text (byte 0xff)"),
         (_superscript_version, 0, "ok: "),
         (_overlong_digit_run, 1, "releases.csv:10: field version: Exceeds the limit (4300 digits)"),
+        (_malformed_affected(match={"endIncluding": "1" * 5000}), 1,
+         "entry #0 (CVE-2009-4324): affected[0].match: Exceeds the limit (4300 digits)"),
+        (_malformed_affected(match={"exact": "1" * 5000}), 1,
+         "entry #0 (CVE-2009-4324): affected[0].match: Exceeds the limit (4300 digits)"),
         (_malformed_entry(cve=None), 1, "vulns.json: entry #0: 'cve' must be a non-empty string, got None"),
         (_malformed_entry(cve=12345), 1, "vulns.json: entry #0: 'cve' must be a non-empty string, got 12345"),
         (_malformed_affected(match={"startIncluding": "9.3", "endIncluding": "9.1"}), 1,
@@ -376,7 +380,8 @@ def _superscript_version(tmp_path, fixture_paths):
     ids=["no-epoch-release", "directory-input", "non-string-config", "format-selects-nothing",
          "reserved-after-published", "no-targeting-campaign", "integer-bound", "null-exact",
          "list-bound", "null-vendor", "report-without-out", "tie-rule-config-for-evaluate",
-         "non-utf8-input", "superscript-digit-version", "overlong-digit-run", "null-cve", "numeric-cve",
+         "non-utf8-input", "superscript-digit-version", "overlong-digit-run", "overlong-digit-bound",
+         "overlong-digit-exact", "null-cve", "numeric-cve",
          "reversed-range", "bad-epoch-flag", "bad-choice-config", "bad-strategy-delay"],
 )
 def test_boundary_errors_exit_with_code_and_message(make_argv, code, fragment, tmp_path, fixture_paths, capsys):
