@@ -64,7 +64,6 @@ from .strategies import (
     StrategyConfig,
     StrategyKind,
     apply_apt_first,
-    build_immediate,
     build_matrix,
     build_planned,
     build_reactive,

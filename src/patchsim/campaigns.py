@@ -24,7 +24,6 @@ import numpy as np
 
 from .catalog import CampaignRecord, Catalog, MatrixSpace, VulnRecord
 from .months import DataError
-from .strategies import matrix_to_csv
 
 
 class TieRule(Enum):
@@ -69,10 +68,6 @@ class ExposureMatrix:
     @property
     def empty(self) -> bool:
         return not self.cells.any()
-
-    def to_csv(self, fh) -> None:
-        months = np.arange(self.space.n_months) >= self.campaign.start_month
-        matrix_to_csv(self.space, np.outer(self.cells, months), fh)
 
 
 def build_campaign_matrix(campaign: CampaignRecord, catalog: Catalog) -> ExposureMatrix:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .months import DataError, Horizon, split_date
 from .versions import VersionConstraint, affected_releases, version_key
@@ -76,10 +76,6 @@ class VersionRelease:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def row_label(self) -> str:
-        return f"{self.product.vendor}:{self.product.name}:{self.version}"
 
 
 @dataclass(frozen=True)
@@ -240,16 +236,25 @@ def _read_text(path: Path) -> str:
         raise LoadError(f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from exc
 
 
+def _csv_rows(path: Path, header: list[str]) -> Iterator[tuple[str, dict]]:
+    """Each data row of a CSV file that must start with `header`, with its
+    "file:line"; a row the csv module cannot parse is a data error."""
+    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
+    try:
+        if reader.fieldnames != header:
+            raise LoadError(f"{path}: header must be {','.join(header)}, got {reader.fieldnames}")
+        for lineno, row in enumerate(reader, start=2):
+            yield f"{path}:{lineno}", row
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        # the DictReader's own line_num only moves on a parsed row; its csv.reader's counts every line read
+        raise LoadError(f"{path}:{reader.reader.line_num}: {exc}") from exc
+
+
 def _load_releases(path: Path, horizon: Horizon) -> tuple[dict, dict]:
     products: dict[ProductKey, SoftwareProduct] = {}
     rows: dict[ProductKey, list[VersionRelease]] = {}
     seen: set[tuple[str, str, str]] = set()
-    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
-    expected = ["vendor", "product", "version", "release_date"]
-    if reader.fieldnames != expected:
-        raise LoadError(f"{path}: header must be {','.join(expected)}, got {reader.fieldnames}")
-    for lineno, row in enumerate(reader, start=2):
-        where = f"{path}:{lineno}"
+    for where, row in _csv_rows(path, ["vendor", "product", "version", "release_date"]):
         vendor = (row["vendor"] or "").strip()
         name = (row["product"] or "").strip()
         version = (row["version"] or "").strip()
@@ -276,7 +281,7 @@ def _load_releases(path: Path, horizon: Horizon) -> tuple[dict, dict]:
 def _load_vulns(path: Path, horizon: Horizon) -> dict[str, VulnRecord]:
     try:
         entries = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise LoadError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(entries, list):
         raise LoadError(f"{path}: top-level value must be an array")
@@ -323,12 +328,7 @@ def _load_vulns(path: Path, horizon: Horizon) -> dict[str, VulnRecord]:
 
 def _load_campaigns(path: Path, horizon: Horizon, vulns: dict[str, VulnRecord]) -> tuple[CampaignRecord, ...]:
     merged: dict[tuple[str, int], tuple[set[str], set[AttackVector]]] = {}
-    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
-    expected = ["apt", "date", "cves", "vectors"]
-    if reader.fieldnames != expected:
-        raise LoadError(f"{path}: header must be {','.join(expected)}, got {reader.fieldnames}")
-    for lineno, row in enumerate(reader, start=2):
-        where = f"{path}:{lineno}"
+    for where, row in _csv_rows(path, ["apt", "date", "cves", "vectors"]):
         apt = (row["apt"] or "").strip()
         if not apt or row["date"] is None:
             raise LoadError(f"{where}: apt and date must be non-empty")

@@ -180,7 +180,8 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> argparse.Na
     path = Path(args.config)
     try:
         values = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    # RecursionError: nested too deeply
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"config file {path}: {exc}") from exc
     if not isinstance(values, dict):
         raise UsageError(f"config file {path}: top-level value must be an object")

@@ -15,7 +15,6 @@ attacker who strikes before the update lands.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -99,14 +98,6 @@ class Transition:
     incoming: VersionRelease
 
 
-def matrix_to_csv(space: MatrixSpace, cells: np.ndarray, fh) -> None:
-    """Dump a matrix as CSV: one row per product-version, one column per month."""
-    writer = csv.writer(fh)
-    writer.writerow(["row"] + list(space.horizon.labels))
-    for i, rel in enumerate(space.rows):
-        writer.writerow([rel.row_label] + [int(x) for x in cells[i]])
-
-
 @dataclass(frozen=True, eq=False)
 class DeploymentMatrix:
     space: MatrixSpace
@@ -114,9 +105,6 @@ class DeploymentMatrix:
     scenario: Scenario
     config: StrategyConfig
     transitions: tuple[Transition, ...]
-
-    def to_csv(self, fh) -> None:
-        matrix_to_csv(self.space, self.cells, fh)
 
 
 def initial_versions(catalog: Catalog) -> dict[ProductKey, VersionRelease]:
@@ -164,10 +152,6 @@ def _materialize(
         config=config,
         transitions=tuple(transitions),
     )
-
-
-def build_immediate(catalog: Catalog) -> DeploymentMatrix:
-    return build_planned(catalog, 0)
 
 
 def build_planned(catalog: Catalog, delay: int) -> DeploymentMatrix:
@@ -221,6 +205,10 @@ def build_reactive(
     and installs a release clear of every outstanding CVE. A product changes
     version at most once a month: when already-triggered CVEs hit the release
     just installed, the next update lands the following month at the earliest.
+
+    The CVEs outstanding at month m are those hitting the installed release
+    and triggered by m, so each product visits only its trigger and landing
+    months.
     """
     if delay < 0:
         raise ValueError("delay must be >= 0")
@@ -233,54 +221,33 @@ def build_reactive(
     trigger_month = {
         cve: vuln.reserved_month if informed else vuln.published_month for cve, vuln in catalog.vulns.items()
     }
-    triggers_by_month: dict[int, list[str]] = {}
-    for cve, month in trigger_month.items():
-        triggers_by_month.setdefault(month, []).append(cve)
 
-    def blocked_by(outstanding: set[str]) -> set[VersionRelease]:
+    def blocked_by(current: VersionRelease, m: int) -> set[VersionRelease]:
+        """Releases affected by a CVE that hits `current` and has triggered by month `m`."""
         blocked: set[VersionRelease] = set()
-        for cve in outstanding:
-            blocked |= affected[cve]
+        for cve in hitting[current]:
+            if trigger_month[cve] <= m:
+                blocked |= affected[cve]
         return blocked
 
     transitions: list[Transition] = []
     for key in sorted(catalog.timelines):
         timeline = catalog.timelines[key]
-
-        def schedule(outstanding: set[str], current: VersionRelease, now: int) -> Optional[int]:
-            escape = first_nonvulnerable(timeline, blocked_by(outstanding), at=end, installed=current)
-            if escape is None:
-                return None
-            return max(now, escape.release_month) + delay
-
-        current = start[key]
-        outstanding: set[str] = set()
-        pending: Optional[int] = None
-        for m in range(catalog.horizon.n_months):
-            fired = [cve for cve in triggers_by_month.get(m, ()) if current in affected[cve]]
-            if fired:
-                had_pending = pending is not None
-                outstanding.update(fired)
-                if not had_pending:
-                    pending = schedule(outstanding, current, m)
-            if pending == m:
-                rel = first_nonvulnerable(timeline, blocked_by(outstanding), at=m, installed=current, pick=pick)
-                if rel is None:
-                    # union grew past what the scheduled release could fix;
-                    # restart the clock from the escape's availability
-                    pending = schedule(outstanding, current, m)
-                else:
-                    transitions.append(Transition(key, m, current, rel))
-                    current = rel
-                    pending = None
-                    # already-triggered CVEs may hit the version just installed
-                    outstanding = {cve for cve in hitting[current] if trigger_month[cve] <= m}
-                    if outstanding:
-                        pending = schedule(outstanding, current, m)
-                        if pending == m:  # at most one change a month: the relapse lands next month
-                            pending = m + 1
-        if pending is not None and pending > end:
-            log.debug("%s/%s: pending deployment at %d falls outside the window", key[0], key[1], pending)
+        current, m, last = start[key], 0, -1  # last: the month of the last transition
+        while hitting[current]:
+            m = max(m, min(trigger_month[cve] for cve in hitting[current]))
+            escape = first_nonvulnerable(timeline, blocked_by(current, m), at=end, installed=current)
+            if escape is None:  # the blocked set only grows, so no later escape exists
+                break
+            land = max(max(m, escape.release_month) + delay, last + 1)  # at most one change a month
+            if land > end:
+                log.debug("%s/%s: pending deployment at %d falls outside the window", key[0], key[1], land)
+                break
+            rel = first_nonvulnerable(timeline, blocked_by(current, land), at=land, installed=current, pick=pick)
+            if rel is not None:  # otherwise CVEs triggered since m blocked every candidate: reschedule
+                transitions.append(Transition(key, land, current, rel))
+                current, last = rel, land
+            m = land
     return _materialize(catalog, config, start, transitions)
 
 

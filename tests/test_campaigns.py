@@ -68,16 +68,11 @@ def test_exposure_uses_shared_space(fixture_catalog):
 
 
 def test_exposure_csv_export(fixture_catalog):
-    import io
-
     quartz = next(c for c in fixture_catalog.campaigns if c.apt_name == "Quartz")
     matrix = build_campaign_matrix(quartz, fixture_catalog)
-    buf = io.StringIO()
-    matrix.to_csv(buf)
-    lines = buf.getvalue().splitlines()
-    row_213 = next(line for line in lines if line.startswith("adobe:flash:21.0.0.213"))
-    cells = row_213.split(",")[1:]
-    assert cells[13] == "0" and cells[14] == "1" and cells[-1] == "1"
+    flash_213 = next(r for r in fixture_catalog.timelines[("adobe", "flash")].releases if r.version == "21.0.0.213")
+    assert matrix.cells[matrix.space.row_index[flash_213]]
+    assert matrix.campaign.start_month == 14  # targeted from month 14 to the end of the window
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,34 @@ def _superscript_version(tmp_path, fixture_paths):
     return ["validate", *_data_args(fixture_paths), "--releases", str(releases)]
 
 
+def _long_field(name):
+    """Append a row whose quoted field is over csv.field_size_limit(), then validate."""
+    row = {"releases": 'adobe,reader,"{}",2009-01\n', "campaigns": 'Basalt,2010-05,"{}",undetermined\n'}[name]
+    def make_argv(tmp_path, fixture_paths):
+        path = tmp_path / fixture_paths[name].name
+        path.write_text(fixture_paths[name].read_text() + row.format("x" * 200_000))
+        return ["validate", *_data_args(fixture_paths), f"--{name}", str(path)]
+    return make_argv
+
+
+def _deeply_nested_vulns(tmp_path, fixture_paths):
+    vulns = tmp_path / "vulns.json"
+    vulns.write_text("[" * 100_000)
+    return ["validate", *_data_args(fixture_paths), "--vulns", str(vulns)]
+
+
+def _deeply_nested_config(tmp_path, fixture_paths):
+    config = tmp_path / "run.json"
+    config.write_text("[" * 100_000)
+    return ["validate", *_data_args(fixture_paths), "--config", str(config)]
+
+
+def _non_utf8_config(tmp_path, fixture_paths):
+    config = tmp_path / "run.json"
+    config.write_bytes(b'{"strategies": "immediate\xff"}')
+    return ["validate", *_data_args(fixture_paths), "--config", str(config)]
+
+
 @pytest.mark.parametrize(
     "make_argv,code,fragment",
     [
@@ -376,13 +404,20 @@ def _superscript_version(tmp_path, fixture_paths):
         (_bad_epoch, 2, "--epoch: month out of range in '2008-13'"),
         (_bad_choice_config, 2, "run.json: option 'tie_rule' must be one of inclusive, exclusive"),
         (_bad_strategy_delay, 2, "--strategies: strategy 'planned' delay must be a whole number of months, got 'x'"),
+        (_long_field("releases"), 1, "releases.csv:10: field larger than field limit"),
+        (_long_field("campaigns"), 1, "campaigns.csv:6: field larger than field limit"),
+        (_deeply_nested_vulns, 1, "vulns.json: invalid JSON: maximum recursion depth exceeded"),
+        (_deeply_nested_config, 2, "run.json: maximum recursion depth exceeded"),
+        (_non_utf8_config, 2, "run.json: 'utf-8' codec can't decode byte 0xff"),
     ],
     ids=["no-epoch-release", "directory-input", "non-string-config", "format-selects-nothing",
          "reserved-after-published", "no-targeting-campaign", "integer-bound", "null-exact",
          "list-bound", "null-vendor", "report-without-out", "tie-rule-config-for-evaluate",
          "non-utf8-input", "superscript-digit-version", "overlong-digit-run", "overlong-digit-bound",
          "overlong-digit-exact", "null-cve", "numeric-cve",
-         "reversed-range", "bad-epoch-flag", "bad-choice-config", "bad-strategy-delay"],
+         "reversed-range", "bad-epoch-flag", "bad-choice-config", "bad-strategy-delay",
+         "long-releases-field", "long-campaigns-field", "nested-vulns", "nested-config",
+         "non-utf8-config"],
 )
 def test_boundary_errors_exit_with_code_and_message(make_argv, code, fragment, tmp_path, fixture_paths, capsys):
     assert run(make_argv(tmp_path, fixture_paths)) == code

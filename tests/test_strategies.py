@@ -1,4 +1,3 @@
-import io
 import random
 
 import numpy as np
@@ -22,7 +21,6 @@ from patchsim.strategies import (
     StrategyConfig,
     StrategyKind,
     apply_apt_first,
-    build_immediate,
     build_matrix,
     build_planned,
     build_reactive,
@@ -113,25 +111,25 @@ def test_immediate_takes_newest_of_month():
     cat = make_catalog(
         {("acme", "app"): [("1.0", 0), ("1.1", 3), ("1.2", 3)]}, horizon_end=11
     )
-    matrix = build_immediate(cat)
+    matrix = build_planned(cat, 0)
     assert _constant_segments(matrix, ("acme", "app")) == [("1.0", 0, 2), ("1.2", 3, 11)]
 
 
 def test_immediate_ignores_major_downgrade():
     cat = make_catalog({("oracle", "jre"): [("6u6", 0), ("5u13", 4)]}, horizon_end=11)
-    matrix = build_immediate(cat)
+    matrix = build_planned(cat, 0)
     assert _constant_segments(matrix, ("oracle", "jre")) == [("6u6", 0, 11)]
 
 
 def test_immediate_single_release_constant_row():
     cat = make_catalog({("acme", "app"): [("1.0", 0)]}, horizon_end=11)
-    matrix = build_immediate(cat)
+    matrix = build_planned(cat, 0)
     assert _constant_segments(matrix, ("acme", "app")) == [("1.0", 0, 11)]
     assert count_updates(matrix) == (1, 0)
 
 
 def test_fixture_immediate_trace(fixture_catalog):
-    matrix = build_immediate(fixture_catalog)
+    matrix = build_planned(fixture_catalog, 0)
     assert _constant_segments(matrix, ("adobe", "reader")) == [
         ("9.1", 0, 4),
         ("9.2", 5, 13),
@@ -153,7 +151,8 @@ def test_fixture_immediate_trace(fixture_catalog):
 
 
 def test_planned_zero_delay_equals_immediate(fixture_catalog):
-    assert np.array_equal(build_planned(fixture_catalog, 0).cells, build_immediate(fixture_catalog).cells)
+    immediate = build_matrix(fixture_catalog, StrategyConfig(StrategyKind.IMMEDIATE))
+    assert np.array_equal(build_planned(fixture_catalog, 0).cells, immediate.cells)
 
 
 def test_planned_shifts_deployments():
@@ -212,6 +211,26 @@ def test_reactive_ignores_cve_missing_installed_version():
     matrix = build_reactive(cat, 1)
     assert _constant_segments(matrix, ("acme", "app")) == [("1.0", 0, 23)]
     assert count_updates(matrix) == (1, 0)
+
+
+def test_reactive_landing_past_horizon_keeps_start_release():
+    # the escape 2.0 is out when A publishes at 22, but a delay of 3 lands at 25, past month 23
+    v = vuln("CVE-2010-0001", 20, 22, ("acme", "app", {"exact": "1.0"}))
+    cat = _single_app_catalog([("1.0", 0), ("2.0", 4)], [v])
+    matrix = build_reactive(cat, 3)
+    assert _constant_segments(matrix, ("acme", "app")) == [("1.0", 0, 23)]
+    assert matrix.transitions == ()
+
+
+def test_reactive_without_escape_keeps_release_as_more_cves_fire():
+    # nothing escapes A (up to the newest release 2.0); B, published later, hits 1.0 as well
+    a = vuln("CVE-2010-0001", 2, 5, ("acme", "app", {"endIncluding": "2.0"}))
+    b = vuln("CVE-2010-0002", 2, 9, ("acme", "app", {"exact": "1.0"}))
+    cat = _single_app_catalog([("1.0", 0), ("2.0", 3)], [a, b])
+    for delay in (0, 1):
+        matrix = build_reactive(cat, delay)
+        assert _constant_segments(matrix, ("acme", "app")) == [("1.0", 0, 23)]
+        assert matrix.transitions == ()
 
 
 def test_reactive_pending_reresolves_against_union():
@@ -281,7 +300,7 @@ def test_reactive_relapse_updates_again_the_next_month(delay):
 
 
 def test_apt_first_keeps_outgoing_version_for_transition_month(fixture_catalog):
-    matrix = apply_apt_first(build_immediate(fixture_catalog))
+    matrix = apply_apt_first(build_planned(fixture_catalog, 0))
     series = _installed_versions(matrix, ("adobe", "reader"))
     assert series[5] == ["9.1", "9.2"]
     assert series[14] == ["9.2", "9.3"]
@@ -291,7 +310,7 @@ def test_apt_first_keeps_outgoing_version_for_transition_month(fixture_catalog):
 
 
 def test_apt_first_adds_exactly_one_cell_per_transition(fixture_catalog):
-    base = build_immediate(fixture_catalog)
+    base = build_planned(fixture_catalog, 0)
     pessimistic = apply_apt_first(base)
     assert pessimistic.cells.sum() == base.cells.sum() + len(base.transitions)
     assert np.all(base.cells <= pessimistic.cells)
@@ -299,12 +318,12 @@ def test_apt_first_adds_exactly_one_cell_per_transition(fixture_catalog):
 
 def test_apt_first_without_transitions_changes_nothing():
     cat = make_catalog({("acme", "app"): [("1.0", 0)]}, horizon_end=11)
-    base = build_immediate(cat)
+    base = build_planned(cat, 0)
     assert np.array_equal(apply_apt_first(base).cells, base.cells)
 
 
 def test_apt_first_twice_is_an_error(fixture_catalog):
-    pessimistic = apply_apt_first(build_immediate(fixture_catalog))
+    pessimistic = apply_apt_first(build_planned(fixture_catalog, 0))
     with pytest.raises(ScenarioError):
         apply_apt_first(pessimistic)
 
@@ -315,7 +334,7 @@ def test_apt_first_twice_is_an_error(fixture_catalog):
 
 def test_count_updates_three_versions_one_product():
     cat = make_catalog({("acme", "app"): [("1.0", 0), ("1.1", 2), ("1.2", 5)]}, horizon_end=11)
-    assert count_updates(build_immediate(cat)) == (3, 2)
+    assert count_updates(build_planned(cat, 0)) == (3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +371,8 @@ def test_planned_counts_never_increase_with_delay_on_random_catalogs():
         cat = random_catalog(rng, horizon_end=47)
         counts = [count_updates(build_planned(cat, d))[0] for d in (0, 1, 3, 7)]
         assert counts == sorted(counts, reverse=True), counts
-        assert np.array_equal(build_planned(cat, 0).cells, build_immediate(cat).cells)
+        immediate = build_matrix(cat, StrategyConfig(StrategyKind.IMMEDIATE))
+        assert np.array_equal(build_planned(cat, 0).cells, immediate.cells)
 
 
 def test_reactive_never_installs_a_triggering_cve_on_random_catalogs():
@@ -460,17 +480,14 @@ def test_builders_match_month_walking_reference_on_drawn_catalogs(catalog):
 
 
 # ---------------------------------------------------------------------------
-# CSV export
+# Matrix layout
 
 
 def test_matrix_csv_export(fixture_catalog):
-    matrix = build_immediate(fixture_catalog)
-    buf = io.StringIO()
-    matrix.to_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0].startswith("row,2008-01,2008-02")
-    assert lines[0].endswith("2020-01")
-    assert len(lines) == 1 + len(matrix.space.rows)
-    flash_182 = next(line for line in lines if line.startswith("adobe:flash:21.0.0.182"))
-    cells = flash_182.split(",")[1:]
-    assert cells[0] == "1" and cells[11] == "1" and cells[12] == "0"
+    matrix = build_planned(fixture_catalog, 0)
+    labels = matrix.space.horizon.labels
+    assert labels[:2] == ("2008-01", "2008-02") and labels[-1] == "2020-01"
+    assert matrix.cells.shape == (len(matrix.space.rows), len(labels))
+    flash_182 = next(r for r in fixture_catalog.timelines[("adobe", "flash")].releases if r.version == "21.0.0.182")
+    cells = matrix.cells[matrix.space.row_index[flash_182]]
+    assert cells[0] and cells[11] and not cells[12]
