@@ -21,7 +21,6 @@ from .catalog import (
     Catalog,
     LoadError,
     ReleaseTimeline,
-    SoftwareProduct,
     VersionRelease,
     Violation,
     VulnRecord,
@@ -40,7 +39,6 @@ from .evaluator import (
 )
 from .months import (
     AfterHorizonError,
-    BeforeEpochError,
     DataError,
     Horizon,
     MonthFormatError,
@@ -52,7 +50,6 @@ from .stats import (
     agresti_coull,
     exploit_ages,
     kaplan_meier,
-    normal_quantile,
     pairwise_agreement,
 )
 from .strategies import (
@@ -65,8 +62,6 @@ from .strategies import (
     StrategyKind,
     apply_apt_first,
     build_matrix,
-    build_planned,
-    build_reactive,
     count_updates,
     first_nonvulnerable,
     initial_versions,

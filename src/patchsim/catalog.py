@@ -54,25 +54,15 @@ _VECTOR_BY_TAG = {v.value: v for v in AttackVector}
 
 
 @dataclass(frozen=True)
-class SoftwareProduct:
-    vendor: str
-    name: str
-
-    @property
-    def key(self) -> ProductKey:
-        return (self.vendor, self.name)
-
-
-@dataclass(frozen=True)
 class VersionRelease:
-    product: SoftwareProduct
+    product: ProductKey
     version: str
     sort_key: tuple
     release_month: int
 
     def __post_init__(self):
         # indexes hash releases constantly: hash once, from what identifies a release
-        object.__setattr__(self, "_hash", hash((self.product.vendor, self.product.name, self.version)))
+        object.__setattr__(self, "_hash", hash((self.product, self.version)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -80,7 +70,6 @@ class VersionRelease:
 
 @dataclass(frozen=True)
 class ReleaseTimeline:
-    product: SoftwareProduct
     releases: tuple[VersionRelease, ...]  # sorted by (release_month, sort_key) on construction
 
     def __post_init__(self):
@@ -134,7 +123,6 @@ class MatrixSpace:
         self.row_index: dict[VersionRelease, int] = {rel: i for i, rel in enumerate(rows)}
         self.n_months: int = catalog.horizon.n_months
         self.product_keys: tuple[ProductKey, ...] = tuple(sorted(catalog.timelines))
-        self.horizon = catalog.horizon
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -144,7 +132,6 @@ class MatrixSpace:
 @dataclass
 class Catalog:
     horizon: Horizon
-    products: dict[ProductKey, SoftwareProduct]
     timelines: dict[ProductKey, ReleaseTimeline]
     vulns: dict[str, VulnRecord]
     campaigns: tuple[CampaignRecord, ...]
@@ -250,8 +237,7 @@ def _csv_rows(path: Path, header: list[str]) -> Iterator[tuple[str, dict]]:
         raise LoadError(f"{path}:{reader.reader.line_num}: {exc}") from exc
 
 
-def _load_releases(path: Path, horizon: Horizon) -> tuple[dict, dict]:
-    products: dict[ProductKey, SoftwareProduct] = {}
+def _load_releases(path: Path, horizon: Horizon) -> dict[ProductKey, ReleaseTimeline]:
     rows: dict[ProductKey, list[VersionRelease]] = {}
     seen: set[tuple[str, str, str]] = set()
     for where, row in _csv_rows(path, ["vendor", "product", "version", "release_date"]):
@@ -272,10 +258,8 @@ def _load_releases(path: Path, horizon: Horizon) -> tuple[dict, dict]:
         except ValueError as exc:  # a digit run too long for int()
             raise LoadError(f"{where}: field version: {exc}") from exc
         key = (vendor, name)
-        product = products.setdefault(key, SoftwareProduct(vendor, name))
-        rows.setdefault(key, []).append(VersionRelease(product, version, sort_key, month))
-    timelines = {key: ReleaseTimeline(products[key], tuple(rels)) for key, rels in rows.items()}
-    return products, timelines
+        rows.setdefault(key, []).append(VersionRelease(key, version, sort_key, month))
+    return {key: ReleaseTimeline(tuple(rels)) for key, rels in rows.items()}
 
 
 def _load_vulns(path: Path, horizon: Horizon) -> dict[str, VulnRecord]:
@@ -374,10 +358,10 @@ def load_catalog(
 ) -> Catalog:
     """Load and cross-link the three dataset files into a Catalog."""
     horizon = horizon or Horizon.from_strings()
-    products, timelines = _load_releases(Path(release_path), horizon)
+    timelines = _load_releases(Path(release_path), horizon)
     vulns = _load_vulns(Path(vuln_path), horizon)
     campaigns = _load_campaigns(Path(campaign_path), horizon, vulns)
-    return Catalog(horizon=horizon, products=products, timelines=timelines, vulns=vulns, campaigns=campaigns)
+    return Catalog(horizon=horizon, timelines=timelines, vulns=vulns, campaigns=campaigns)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +413,6 @@ def catalog_diagnostics(catalog: Catalog) -> dict:
         "constraints_for_products_without_timeline": off_catalog,
         "vector_only_campaigns": vector_only,
         "campaigns": len(catalog.campaigns),
-        "products": len(catalog.products),
+        "products": len(catalog.timelines),
         "vulns": len(catalog.vulns),
     }

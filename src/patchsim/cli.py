@@ -72,10 +72,7 @@ def parse_strategies(text: str, reactive_pick: str) -> list[StrategyConfig]:
         token = token.strip()
         if not token:
             continue
-        cfg = StrategyConfig.parse(token)
-        if cfg.reactive_pick != reactive_pick:
-            cfg = StrategyConfig(cfg.kind, cfg.delay_months, reactive_pick=reactive_pick)
-        out.append(cfg)
+        out.append(StrategyConfig.parse(token, reactive_pick))
     if not out:
         raise ValueError("at least one strategy is required")
     return out
@@ -83,9 +80,7 @@ def parse_strategies(text: str, reactive_pick: str) -> list[StrategyConfig]:
 
 def parse_baseline(text: str, reactive_pick: str) -> tuple[StrategyConfig, Scenario]:
     token, _, scen = text.partition("@")
-    cfg = StrategyConfig.parse(token)
-    if cfg.reactive_pick != reactive_pick:
-        cfg = StrategyConfig(cfg.kind, cfg.delay_months, reactive_pick=reactive_pick)
+    cfg = StrategyConfig.parse(token, reactive_pick)
     scenario = Scenario(scen) if scen else Scenario.UPDATE_FIRST
     return cfg, scenario
 

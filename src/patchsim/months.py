@@ -25,10 +25,6 @@ class MonthFormatError(DataError):
     """Date string is not YYYY-MM (or YYYY-MM-DD)."""
 
 
-class BeforeEpochError(DataError):
-    """Date falls before the analysis epoch."""
-
-
 class AfterHorizonError(DataError):
     """Date falls after the end of the analysis horizon."""
 
@@ -70,18 +66,9 @@ class Horizon:
     def n_months(self) -> int:
         return self.end_index + 1
 
-    def parse(self, text: str) -> int:
-        """Parse a YYYY-MM (day suffix tolerated and ignored) into an index."""
-        year, month = _split(text)
-        index = 12 * (year - self.epoch_year) + (month - self.epoch_month)
-        if index < 0:
-            raise BeforeEpochError(f"{text!r} is before the epoch {self.format(0)}")
-        if index > self.end_index:
-            raise AfterHorizonError(f"{text!r} is after the horizon end {self.format(self.end_index)}")
-        return index
-
     def parse_clamped(self, text: str) -> tuple[int, bool]:
-        """Like parse() but pre-epoch dates clamp to index 0.
+        """Parse a YYYY-MM (day suffix tolerated and ignored) into an index;
+        pre-epoch dates clamp to index 0.
 
         Returns (index, clamped). Dates past the horizon still raise: the
         window end is a hard bound, while "before the epoch" just means

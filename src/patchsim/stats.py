@@ -12,50 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import NormalDist
 from typing import Sequence
 
 from .campaigns import TieRule
 from .catalog import Catalog
-
-# Rational-polynomial approximation of the standard normal quantile
-# (P. Acklam), |error| < 1.2e-9 before refinement; one Halley step with
-# erfc brings it near machine precision. Quantiles are computed, never
-# hard-coded, so any confidence level works.
-_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-      1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-      6.680131188771972e01, -1.328068155288572e01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-      -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-      3.754408661907416e00)
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard-normal CDF for p in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile argument must be in (0, 1), got {p}")
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
-            (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        )
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / (
-            ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
-            (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        )
-    # Halley refinement
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
 
 
 @dataclass(frozen=True)
@@ -82,7 +43,7 @@ def agresti_coull(successes: int, trials: int, confidence: float = 0.95) -> Bino
         raise ValueError(f"invalid counts: {successes}/{trials}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    z = normal_quantile((1.0 + confidence) / 2.0)
+    z = NormalDist().inv_cdf((1.0 + confidence) / 2.0)
     z2 = z * z
     n_adj = trials + z2
     p_adj = (successes + z2 / 2.0) / n_adj

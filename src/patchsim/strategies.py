@@ -7,7 +7,7 @@ Four strategies are modeled:
   reactive   update only when a published CVE hits the installed version
   informed   like reactive, but triggered at CVE reservation time
 
-Every builder produces an optimistic matrix (within a transition month only
+build_matrix produces an optimistic matrix (within a transition month only
 the incoming version is installed). The pessimistic transform additionally
 keeps the outgoing version installed during transition months, modeling an
 attacker who strikes before the update lands.
@@ -70,7 +70,7 @@ class StrategyConfig:
         return f"{self.kind.value}:{self.delay_months}"
 
     @classmethod
-    def parse(cls, token: str) -> "StrategyConfig":
+    def parse(cls, token: str, reactive_pick: str = "first") -> "StrategyConfig":
         """Parse a 'name[:delay]' token, e.g. 'planned:3'."""
         name, _, delay = token.strip().partition(":")
         kinds = {k.value: k for k in StrategyKind}
@@ -80,14 +80,14 @@ class StrategyConfig:
         if kind is StrategyKind.IMMEDIATE:
             if delay:
                 raise ValueError("immediate takes no delay")
-            return cls(kind)
+            return cls(kind, reactive_pick=reactive_pick)
         if not delay:
             raise ValueError(f"strategy {name!r} needs a delay, e.g. {name}:1")
         try:
             months = int(delay)
         except ValueError:
             raise ValueError(f"strategy {name!r} delay must be a whole number of months, got {delay!r}") from None
-        return cls(kind, months)
+        return cls(kind, months, reactive_pick)
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def _materialize(
     )
 
 
-def build_planned(catalog: Catalog, delay: int) -> DeploymentMatrix:
+def _planned(catalog: Catalog, start: dict[ProductKey, VersionRelease], delay: int) -> list[Transition]:
     """Deploy each month's newest release `delay` months after it appears.
 
     Month 0 is the mandated common starting state; a release only triggers
@@ -164,14 +164,6 @@ def build_planned(catalog: Catalog, delay: int) -> DeploymentMatrix:
     most once a month and all shift by the same delay, so no two deployments
     share a month.
     """
-    if delay < 0:
-        raise ValueError("delay must be >= 0")
-    config = (
-        StrategyConfig(StrategyKind.IMMEDIATE)
-        if delay == 0
-        else StrategyConfig(StrategyKind.PLANNED, delay)
-    )
-    start = initial_versions(catalog)
     last_trigger = catalog.horizon.end_index - delay
     transitions: list[Transition] = []
     for key in sorted(catalog.timelines):
@@ -188,15 +180,10 @@ def build_planned(catalog: Catalog, delay: int) -> DeploymentMatrix:
                 continue
             transitions.append(Transition(key, month + delay, current, candidate))
             current = candidate
-    return _materialize(catalog, config, start, transitions)
+    return transitions
 
 
-def build_reactive(
-    catalog: Catalog,
-    delay: int,
-    informed: bool = False,
-    pick: str = "first",
-) -> DeploymentMatrix:
+def _reactive(catalog: Catalog, start: dict[ProductKey, VersionRelease], config: StrategyConfig) -> list[Transition]:
     """Update only in response to CVEs hitting the installed version.
 
     The decision clock starts at the CVE trigger (publication, or reservation
@@ -210,11 +197,8 @@ def build_reactive(
     and triggered by m, so each product visits only its trigger and landing
     months.
     """
-    if delay < 0:
-        raise ValueError("delay must be >= 0")
-    kind = StrategyKind.INFORMED_REACTIVE if informed else StrategyKind.REACTIVE
-    config = StrategyConfig(kind, delay, reactive_pick=pick)
-    start = initial_versions(catalog)
+    informed = config.kind is StrategyKind.INFORMED_REACTIVE
+    delay, pick = config.delay_months, config.reactive_pick
     end = catalog.horizon.end_index
 
     affected, hitting = catalog.affected, catalog.hitting
@@ -248,7 +232,7 @@ def build_reactive(
                 transitions.append(Transition(key, land, current, rel))
                 current, last = rel, land
             m = land
-    return _materialize(catalog, config, start, transitions)
+    return transitions
 
 
 def first_nonvulnerable(
@@ -265,8 +249,6 @@ def first_nonvulnerable(
     timeline is sorted by (release_month, sort_key), so the scan stops at the
     first release past `at`, and the first qualifying release is the earliest.
     """
-    if pick not in ("first", "latest"):
-        raise ValueError(f"pick must be 'first' or 'latest', got {pick!r}")
     best = None
     for rel in timeline.releases:
         if rel.release_month > at:
@@ -281,10 +263,14 @@ def first_nonvulnerable(
 
 
 def build_matrix(catalog: Catalog, config: StrategyConfig) -> DeploymentMatrix:
+    """The update-first deployment of one strategy: each product's start
+    release and the transitions the strategy makes from it."""
+    start = initial_versions(catalog)
     if config.kind in (StrategyKind.IMMEDIATE, StrategyKind.PLANNED):
-        return build_planned(catalog, config.delay_months)
-    informed = config.kind is StrategyKind.INFORMED_REACTIVE
-    return build_reactive(catalog, config.delay_months, informed=informed, pick=config.reactive_pick)
+        transitions = _planned(catalog, start, config.delay_months)
+    else:
+        transitions = _reactive(catalog, start, config)
+    return _materialize(catalog, config, start, transitions)
 
 
 def apply_apt_first(matrix: DeploymentMatrix) -> DeploymentMatrix:
@@ -305,7 +291,9 @@ def apply_apt_first(matrix: DeploymentMatrix) -> DeploymentMatrix:
 
 
 def count_updates(matrix: DeploymentMatrix) -> tuple[int, int]:
-    """(raw, net) update counts: rows ever installed, and the same minus the
-    per-product initial installations."""
-    raw = int(matrix.cells.any(axis=1).sum())
-    return raw, raw - len(matrix.space.product_keys)
+    """(raw, net) update counts: installations including each product's start
+    release, and the transitions alone. Every transition installs a strictly
+    newer release, so no release is counted twice; a start release replaced in
+    month 0 still counts, in both scenarios."""
+    net = len(matrix.transitions)
+    return net + len(matrix.space.product_keys), net

@@ -14,8 +14,8 @@ from patchsim.catalog import (
     CampaignRecord,
     Catalog,
     ProductConstraint,
+    ProductKey,
     ReleaseTimeline,
-    SoftwareProduct,
     VersionRelease,
     VulnRecord,
 )
@@ -46,9 +46,9 @@ def fixture_catalog(fixture_paths):
 # Programmatic catalog construction
 
 
-def make_timeline(product: SoftwareProduct, versions: list[tuple[str, int]]) -> ReleaseTimeline:
+def make_timeline(product: ProductKey, versions: list[tuple[str, int]]) -> ReleaseTimeline:
     """Build a timeline from (version, month) pairs."""
-    return ReleaseTimeline(product, tuple(VersionRelease(product, v, version_key(v), m) for v, m in versions))
+    return ReleaseTimeline(tuple(VersionRelease(product, v, version_key(v), m) for v, m in versions))
 
 
 def make_catalog(
@@ -58,15 +58,9 @@ def make_catalog(
     horizon_end: int = 144,
 ) -> Catalog:
     horizon = Horizon(2008, 1, horizon_end)
-    products = {}
-    timelines = {}
-    for (vendor, name), versions in timelines_spec.items():
-        product = SoftwareProduct(vendor, name)
-        products[product.key] = product
-        timelines[product.key] = make_timeline(product, versions)
+    timelines = {key: make_timeline(key, versions) for key, versions in timelines_spec.items()}
     return Catalog(
         horizon=horizon,
-        products=products,
         timelines=timelines,
         vulns={v.cve_id: v for v in vulns},
         campaigns=tuple(sorted(campaigns, key=lambda c: (c.apt_name, c.start_month))),
@@ -102,7 +96,7 @@ def save_catalog(catalog: Catalog, directory) -> dict[str, Path]:
         writer.writerow(["vendor", "product", "version", "release_date"])
         for key in sorted(catalog.timelines):
             for rel in catalog.timelines[key].releases:
-                writer.writerow([rel.product.vendor, rel.product.name, rel.version, fmt(rel.release_month)])
+                writer.writerow([*rel.product, rel.version, fmt(rel.release_month)])
 
     vuln_path = directory / "vulns.json"
     entries = []
@@ -145,7 +139,7 @@ def installed_series(matrix, product) -> list[set]:
     """Per-month installed set of releases for one product."""
     out: list[set] = [set() for _ in range(matrix.space.n_months)]
     for i, rel in enumerate(matrix.space.rows):
-        if rel.product.key != product:
+        if rel.product != product:
             continue
         for m in np.flatnonzero(matrix.cells[i]):
             out[m].add(rel)

@@ -34,7 +34,6 @@ from patchsim.strategies import (
     StrategyKind,
     apply_apt_first,
     build_matrix,
-    build_planned,
     count_updates,
 )
 
@@ -141,10 +140,11 @@ def test_criterion_6_planned_monotonicity():
     rng = random.Random(73737)
     for _ in range(60):
         catalog = random_catalog(rng, horizon_end=47)
-        counts = [count_updates(build_planned(catalog, d))[0] for d in (0, 1, 3, 7)]
+        planned = [build_matrix(catalog, StrategyConfig(StrategyKind.PLANNED, d)) for d in (0, 1, 3, 7)]
+        counts = [count_updates(matrix)[0] for matrix in planned]
         assert all(a >= b for a, b in zip(counts, counts[1:])), counts
         immediate = build_matrix(catalog, StrategyConfig(StrategyKind.IMMEDIATE))
-        assert np.array_equal(build_planned(catalog, 0).cells, immediate.cells)
+        assert np.array_equal(planned[0].cells, immediate.cells)
     _verdict("6 planned monotonicity and zero-delay identity")
 
 

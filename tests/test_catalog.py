@@ -9,7 +9,6 @@ from patchsim.catalog import (
     AttackVector,
     LoadError,
     ReleaseTimeline,
-    SoftwareProduct,
     catalog_diagnostics,
     load_catalog,
     validate_catalog,
@@ -19,7 +18,7 @@ from patchsim.months import Horizon
 
 def test_fixture_loads_fully_linked(fixture_catalog):
     cat = fixture_catalog
-    assert set(cat.products) == {("adobe", "reader"), ("adobe", "flash")}
+    assert set(cat.timelines) == {("adobe", "reader"), ("adobe", "flash")}
     assert len(cat.timelines[("adobe", "reader")].releases) == 5
     assert set(cat.vulns) == {"CVE-2009-4324", "CVE-2009-0520", "CVE-2011-0611"}
     assert len(cat.campaigns) == 4
@@ -187,9 +186,9 @@ def test_duplicate_version_key_flagged():
 
 def test_timeline_sorts_its_releases():
     # by month, then by version within a month, in whatever order the releases come
-    timeline = make_timeline(SoftwareProduct("acme", "app"), [("1.10", 2), ("2.0", 0), ("1.9", 2)])
+    timeline = make_timeline(("acme", "app"), [("1.10", 2), ("2.0", 0), ("1.9", 2)])
     assert [r.version for r in timeline.releases] == ["2.0", "1.9", "1.10"]
-    assert ReleaseTimeline(timeline.product, tuple(reversed(timeline.releases))) == timeline
+    assert ReleaseTimeline(tuple(reversed(timeline.releases))) == timeline
 
 
 def test_diagnostics_count_dead_constraints():

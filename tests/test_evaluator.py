@@ -22,7 +22,6 @@ from patchsim.strategies import (
     StrategyKind,
     apply_apt_first,
     build_matrix,
-    build_planned,
 )
 
 
@@ -34,7 +33,7 @@ def _one_row_catalog():
 
 def test_successful_months_single_row_product():
     cat = _one_row_catalog()
-    deployment = build_planned(cat, 0)  # 1.0 installed on [0, 3]
+    deployment = build_matrix(cat, StrategyConfig(StrategyKind.IMMEDIATE))  # 1.0 installed on [0, 3]
     exposure = build_campaign_matrix(cat.campaigns[0], cat)
     assert successful_months(deployment, exposure) == {2, 3}
 
@@ -43,7 +42,7 @@ def test_successful_months_disjoint_sets_are_empty():
     v = vuln("CVE-2010-0001", 0, 1, ("acme", "app", {"exact": "9.9"}))
     c = campaign("Alpha", 2, ["CVE-2010-0001"])
     cat = make_catalog({("acme", "app"): [("1.0", 0), ("2.0", 4)]}, [v], [c], horizon_end=11)
-    deployment = build_planned(cat, 0)
+    deployment = build_matrix(cat, StrategyConfig(StrategyKind.IMMEDIATE))
     exposure = build_campaign_matrix(c, cat)
     assert successful_months(deployment, exposure) == frozenset()
 
@@ -53,7 +52,7 @@ def test_successful_months_includes_apt_first_transition_hit():
     v = vuln("CVE-2010-0001", 0, 1, ("acme", "app", {"exact": "1.0"}))
     c = campaign("Alpha", 4, ["CVE-2010-0001"])
     cat = make_catalog({("acme", "app"): [("1.0", 0), ("2.0", 4)]}, [v], [c], horizon_end=11)
-    optimistic = build_planned(cat, 0)
+    optimistic = build_matrix(cat, StrategyConfig(StrategyKind.IMMEDIATE))
     exposure = build_campaign_matrix(c, cat)
     assert successful_months(optimistic, exposure) == frozenset()
     pessimistic = apply_apt_first(optimistic)
@@ -62,7 +61,7 @@ def test_successful_months_includes_apt_first_transition_hit():
 
 def test_successful_months_rejects_mismatched_spaces(fixture_catalog):
     small = _one_row_catalog()
-    deployment = build_planned(fixture_catalog, 0)
+    deployment = build_matrix(fixture_catalog, StrategyConfig(StrategyKind.IMMEDIATE))
     exposure = build_campaign_matrix(small.campaigns[0], small)
     with pytest.raises(ValueError, match="space"):
         successful_months(deployment, exposure)

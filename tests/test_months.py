@@ -2,7 +2,6 @@ import pytest
 
 from patchsim.months import (
     AfterHorizonError,
-    BeforeEpochError,
     Horizon,
     MonthFormatError,
 )
@@ -27,31 +26,32 @@ def test_default_window_spans_144_months(horizon):
     ],
 )
 def test_parse_month_examples(horizon, text, expected):
-    assert horizon.parse(text) == expected
+    assert horizon.parse_clamped(text) == (expected, False)
 
 
 def test_parse_format_round_trip_over_full_window(horizon):
     for index in range(horizon.end_index + 1):
-        assert horizon.parse(horizon.format(index)) == index
+        assert horizon.parse_clamped(horizon.format(index)) == (index, False)
 
 
 @pytest.mark.parametrize("bad", ["2008", "01-2008", "2008-13", "2008-00", "garbage", "2008/01"])
 def test_malformed_dates_rejected(horizon, bad):
     with pytest.raises(MonthFormatError):
-        horizon.parse(bad)
+        horizon.parse_clamped(bad)
 
 
 def test_error_classes_are_distinct(horizon):
-    with pytest.raises(BeforeEpochError):
-        horizon.parse("2007-12")
+    assert horizon.parse_clamped("2007-12") == (0, True)
     with pytest.raises(AfterHorizonError):
-        horizon.parse("2020-02")
-    assert not issubclass(BeforeEpochError, AfterHorizonError)
-    assert not issubclass(AfterHorizonError, BeforeEpochError)
+        horizon.parse_clamped("2020-02")
+    with pytest.raises(MonthFormatError):
+        horizon.parse_clamped("2020-13")
+    assert not issubclass(MonthFormatError, AfterHorizonError)
+    assert not issubclass(AfterHorizonError, MonthFormatError)
 
 
 def test_day_suffix_is_truncated(horizon):
-    assert horizon.parse("2009-12-27") == 23
+    assert horizon.parse_clamped("2009-12-27") == (23, False)
 
 
 def test_clamped_parse_flags_pre_epoch_dates(horizon):
@@ -70,7 +70,7 @@ def test_format_rejects_out_of_window_index(horizon):
 
 def test_custom_epoch():
     h = Horizon.from_strings("2010-07", "2012-06")
-    assert h.parse("2010-07") == 0
-    assert h.parse("2011-07") == 12
+    assert h.parse_clamped("2010-07") == (0, False)
+    assert h.parse_clamped("2011-07") == (12, False)
     assert h.end_index == 23
     assert h.format(23) == "2012-06"

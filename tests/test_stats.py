@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from statistics import NormalDist
 
 import pytest
 from hypothesis import given, settings
@@ -14,21 +15,26 @@ from patchsim.stats import (
     agresti_coull,
     exploit_ages,
     kaplan_meier,
-    normal_quantile,
     pairwise_agreement,
 )
 
 
 def test_quantile_against_scipy_oracle():
     scipy_stats = pytest.importorskip("scipy.stats")
-    for p in [0.001, 0.023, 0.2, 0.5, 0.815, 0.975, 0.995, 0.9999]:
-        assert normal_quantile(p) == pytest.approx(scipy_stats.norm.ppf(p), abs=1e-8)
+    for confidence in [0.002, 0.4, 0.63, 0.8, 0.95, 0.99, 0.9998]:
+        z = scipy_stats.norm.ppf((1 + confidence) / 2)
+        n_adj = 200 + z * z
+        center = (100 + z * z / 2) / n_adj
+        half = z * math.sqrt(center * (1 - center) / n_adj)
+        ci = agresti_coull(100, 200, confidence)
+        assert ci.center == pytest.approx(center, abs=1e-12)
+        assert (ci.low, ci.high) == pytest.approx((center - half, center + half), abs=1e-10)
 
 
 def test_quantile_rejects_degenerate_probabilities():
     for p in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(ValueError):
-            normal_quantile(p)
+            agresti_coull(1, 10, confidence=p)
 
 
 def test_agresti_coull_reproduces_quoted_intervals():
@@ -76,7 +82,7 @@ def test_agresti_coull_invariants(successes, trials, confidence):
     assert 0.0 <= ci.low <= ci.high <= 1.0
     assert ci.low <= ci.center <= ci.high
     # symmetric around the adjusted center before clamping
-    z = normal_quantile((1 + confidence) / 2)
+    z = NormalDist().inv_cdf((1 + confidence) / 2)
     half = z * math.sqrt(ci.center * (1 - ci.center) / (trials + z * z))
     assert ci.low == pytest.approx(max(0.0, ci.center - half))
     assert ci.high == pytest.approx(min(1.0, ci.center + half))

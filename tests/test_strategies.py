@@ -22,11 +22,11 @@ from patchsim.strategies import (
     StrategyKind,
     apply_apt_first,
     build_matrix,
-    build_planned,
-    build_reactive,
     count_updates,
     initial_versions,
 )
+
+IMMEDIATE = StrategyConfig(StrategyKind.IMMEDIATE)
 
 
 def _installed_versions(matrix, key):
@@ -56,6 +56,10 @@ def test_config_grammar():
     assert StrategyConfig.parse("immediate") == StrategyConfig(StrategyKind.IMMEDIATE)
     assert StrategyConfig.parse("planned:3") == StrategyConfig(StrategyKind.PLANNED, 3)
     assert StrategyConfig.parse("informed:7") == StrategyConfig(StrategyKind.INFORMED_REACTIVE, 7)
+    assert StrategyConfig.parse("reactive:1", "latest").reactive_pick == "latest"
+    assert StrategyConfig.parse("immediate", "latest") == StrategyConfig(
+        StrategyKind.IMMEDIATE, reactive_pick="latest"
+    )
     with pytest.raises(ValueError):
         StrategyConfig.parse("immediate:1")
     with pytest.raises(ValueError):
@@ -111,25 +115,25 @@ def test_immediate_takes_newest_of_month():
     cat = make_catalog(
         {("acme", "app"): [("1.0", 0), ("1.1", 3), ("1.2", 3)]}, horizon_end=11
     )
-    matrix = build_planned(cat, 0)
+    matrix = build_matrix(cat, IMMEDIATE)
     assert _constant_segments(matrix, ("acme", "app")) == [("1.0", 0, 2), ("1.2", 3, 11)]
 
 
 def test_immediate_ignores_major_downgrade():
     cat = make_catalog({("oracle", "jre"): [("6u6", 0), ("5u13", 4)]}, horizon_end=11)
-    matrix = build_planned(cat, 0)
+    matrix = build_matrix(cat, IMMEDIATE)
     assert _constant_segments(matrix, ("oracle", "jre")) == [("6u6", 0, 11)]
 
 
 def test_immediate_single_release_constant_row():
     cat = make_catalog({("acme", "app"): [("1.0", 0)]}, horizon_end=11)
-    matrix = build_planned(cat, 0)
+    matrix = build_matrix(cat, IMMEDIATE)
     assert _constant_segments(matrix, ("acme", "app")) == [("1.0", 0, 11)]
     assert count_updates(matrix) == (1, 0)
 
 
 def test_fixture_immediate_trace(fixture_catalog):
-    matrix = build_planned(fixture_catalog, 0)
+    matrix = build_matrix(fixture_catalog, IMMEDIATE)
     assert _constant_segments(matrix, ("adobe", "reader")) == [
         ("9.1", 0, 4),
         ("9.2", 5, 13),
@@ -151,27 +155,28 @@ def test_fixture_immediate_trace(fixture_catalog):
 
 
 def test_planned_zero_delay_equals_immediate(fixture_catalog):
-    immediate = build_matrix(fixture_catalog, StrategyConfig(StrategyKind.IMMEDIATE))
-    assert np.array_equal(build_planned(fixture_catalog, 0).cells, immediate.cells)
+    planned = build_matrix(fixture_catalog, StrategyConfig(StrategyKind.PLANNED, 0))
+    assert np.array_equal(planned.cells, build_matrix(fixture_catalog, IMMEDIATE).cells)
 
 
 def test_planned_shifts_deployments():
     cat = make_catalog({("acme", "app"): [("1.0", 0), ("1.1", 3), ("1.2", 4)]}, horizon_end=11)
-    matrix = build_planned(cat, 1)
+    matrix = build_matrix(cat, StrategyConfig(StrategyKind.PLANNED, 1))
     assert _constant_segments(matrix, ("acme", "app")) == [("1.0", 0, 3), ("1.1", 4, 4), ("1.2", 5, 11)]
 
 
 def test_planned_drops_deployments_past_horizon():
     cat = make_catalog({("acme", "app"): [("1.0", 0), ("2.0", 140)]}, horizon_end=144)
-    assert count_updates(build_planned(cat, 7)) == (1, 0)
+    assert count_updates(build_matrix(cat, StrategyConfig(StrategyKind.PLANNED, 7))) == (1, 0)
     # exactly at the horizon end is kept
-    kept = build_planned(cat, 4)
+    kept = build_matrix(cat, StrategyConfig(StrategyKind.PLANNED, 4))
     assert count_updates(kept) == (2, 1)
     assert _installed_versions(kept, ("acme", "app"))[144] == ["2.0"]
 
 
 def test_fixture_planned_counts_monotone(fixture_catalog):
-    counts = [count_updates(build_planned(fixture_catalog, d))[0] for d in (0, 1, 3, 7)]
+    planned = [build_matrix(fixture_catalog, StrategyConfig(StrategyKind.PLANNED, d)) for d in (0, 1, 3, 7)]
+    counts = [count_updates(matrix)[0] for matrix in planned]
     assert counts == sorted(counts, reverse=True)
 
 
@@ -187,28 +192,28 @@ def _single_app_catalog(versions, vulns, campaigns=(), horizon_end=23):
 def test_reactive_fix_already_out_deploys_after_delay():
     v = vuln("CVE-2010-0001", 3, 5, ("acme", "app", {"exact": "1.0"}))
     cat = _single_app_catalog([("1.0", 0), ("2.0", 4)], [v])
-    matrix = build_reactive(cat, 1)
+    matrix = build_matrix(cat, StrategyConfig(StrategyKind.REACTIVE, 1))
     assert _constant_segments(matrix, ("acme", "app")) == [("1.0", 0, 5), ("2.0", 6, 23)]
 
 
 def test_reactive_decision_waits_for_fix_release():
     v = vuln("CVE-2010-0001", 3, 5, ("acme", "app", {"exact": "1.0"}))
     cat = _single_app_catalog([("1.0", 0), ("2.0", 7)], [v])
-    matrix = build_reactive(cat, 1)
+    matrix = build_matrix(cat, StrategyConfig(StrategyKind.REACTIVE, 1))
     assert _constant_segments(matrix, ("acme", "app")) == [("1.0", 0, 7), ("2.0", 8, 23)]
 
 
 def test_informed_reactive_triggers_at_reservation():
     v = vuln("CVE-2010-0001", 3, 5, ("acme", "app", {"exact": "1.0"}))
     cat = _single_app_catalog([("1.0", 0), ("2.0", 2)], [v])
-    matrix = build_reactive(cat, 1, informed=True)
+    matrix = build_matrix(cat, StrategyConfig(StrategyKind.INFORMED_REACTIVE, 1))
     assert _constant_segments(matrix, ("acme", "app")) == [("1.0", 0, 3), ("2.0", 4, 23)]
 
 
 def test_reactive_ignores_cve_missing_installed_version():
     v = vuln("CVE-2010-0001", 3, 5, ("acme", "app", {"exact": "9.9"}))
     cat = _single_app_catalog([("1.0", 0), ("2.0", 2)], [v])
-    matrix = build_reactive(cat, 1)
+    matrix = build_matrix(cat, StrategyConfig(StrategyKind.REACTIVE, 1))
     assert _constant_segments(matrix, ("acme", "app")) == [("1.0", 0, 23)]
     assert count_updates(matrix) == (1, 0)
 
@@ -217,7 +222,7 @@ def test_reactive_landing_past_horizon_keeps_start_release():
     # the escape 2.0 is out when A publishes at 22, but a delay of 3 lands at 25, past month 23
     v = vuln("CVE-2010-0001", 20, 22, ("acme", "app", {"exact": "1.0"}))
     cat = _single_app_catalog([("1.0", 0), ("2.0", 4)], [v])
-    matrix = build_reactive(cat, 3)
+    matrix = build_matrix(cat, StrategyConfig(StrategyKind.REACTIVE, 3))
     assert _constant_segments(matrix, ("acme", "app")) == [("1.0", 0, 23)]
     assert matrix.transitions == ()
 
@@ -228,7 +233,7 @@ def test_reactive_without_escape_keeps_release_as_more_cves_fire():
     b = vuln("CVE-2010-0002", 2, 9, ("acme", "app", {"exact": "1.0"}))
     cat = _single_app_catalog([("1.0", 0), ("2.0", 3)], [a, b])
     for delay in (0, 1):
-        matrix = build_reactive(cat, delay)
+        matrix = build_matrix(cat, StrategyConfig(StrategyKind.REACTIVE, delay))
         assert _constant_segments(matrix, ("acme", "app")) == [("1.0", 0, 23)]
         assert matrix.transitions == ()
 
@@ -240,7 +245,7 @@ def test_reactive_pending_reresolves_against_union():
     a = vuln("CVE-2010-0001", 2, 5, ("acme", "app", {"exact": "1.0"}))
     b = vuln("CVE-2010-0002", 2, 6, ("acme", "app", {"endIncluding": "2.0"}))
     cat = _single_app_catalog([("1.0", 0), ("2.0", 4), ("3.0", 9)], [a, b])
-    matrix = build_reactive(cat, 1)
+    matrix = build_matrix(cat, StrategyConfig(StrategyKind.REACTIVE, 1))
     assert _constant_segments(matrix, ("acme", "app")) == [("1.0", 0, 9), ("3.0", 10, 23)]
 
 
@@ -250,21 +255,21 @@ def test_reactive_rescans_after_upgrading_into_published_cve():
     a = vuln("CVE-2010-0001", 1, 2, ("acme", "app", {"exact": "2.0"}))
     b = vuln("CVE-2010-0002", 2, 4, ("acme", "app", {"exact": "1.0"}))
     cat = _single_app_catalog([("1.0", 0), ("2.0", 3), ("3.0", 8)], [a, b])
-    matrix = build_reactive(cat, 0)
+    matrix = build_matrix(cat, StrategyConfig(StrategyKind.REACTIVE, 0))
     assert _constant_segments(matrix, ("acme", "app")) == [("1.0", 0, 3), ("2.0", 4, 7), ("3.0", 8, 23)]
 
 
 def test_reactive_latest_pick_takes_newest_escape():
     v = vuln("CVE-2010-0001", 2, 5, ("acme", "app", {"exact": "1.0"}))
     cat = _single_app_catalog([("1.0", 0), ("2.0", 3), ("2.1", 4)], [v])
-    first = build_reactive(cat, 1, pick="first")
-    latest = build_reactive(cat, 1, pick="latest")
+    first = build_matrix(cat, StrategyConfig(StrategyKind.REACTIVE, 1, reactive_pick="first"))
+    latest = build_matrix(cat, StrategyConfig(StrategyKind.REACTIVE, 1, reactive_pick="latest"))
     assert _constant_segments(first, ("acme", "app"))[1][0] == "2.0"
     assert _constant_segments(latest, ("acme", "app"))[1][0] == "2.1"
 
 
 def test_fixture_reactive_trace(fixture_catalog):
-    matrix = build_reactive(fixture_catalog, 1)
+    matrix = build_matrix(fixture_catalog, StrategyConfig(StrategyKind.REACTIVE, 1))
     assert _constant_segments(matrix, ("adobe", "reader")) == [("9.1", 0, 23), ("9.3", 24, 144)]
     assert _constant_segments(matrix, ("adobe", "flash")) == [
         ("21.0.0.182", 0, 20),
@@ -274,7 +279,7 @@ def test_fixture_reactive_trace(fixture_catalog):
 
 
 def test_fixture_informed_trace(fixture_catalog):
-    matrix = build_reactive(fixture_catalog, 1, informed=True)
+    matrix = build_matrix(fixture_catalog, StrategyConfig(StrategyKind.INFORMED_REACTIVE, 1))
     assert _constant_segments(matrix, ("adobe", "reader")) == [("9.1", 0, 17), ("9.3", 18, 144)]
     assert _constant_segments(matrix, ("adobe", "flash")) == [
         ("21.0.0.182", 0, 20),
@@ -290,7 +295,7 @@ def test_reactive_relapse_updates_again_the_next_month(delay):
     b = vuln("CVE-2010-0002", 0, 4, ("acme", "app", {"exact": "1.0"}))
     cat = make_catalog({("acme", "app"): [("1.0", 0), ("2.0", 3), ("3.0", 3)]}, [a, b], horizon_end=11)
     expected = [(4 + delay, "1.0", "2.0"), (5 + delay, "2.0", "3.0")]
-    matrix = build_reactive(cat, delay)
+    matrix = build_matrix(cat, StrategyConfig(StrategyKind.REACTIVE, delay))
     assert [(t.month, t.outgoing.version, t.incoming.version) for t in matrix.transitions] == expected
     assert ref_strategy_run(cat, "reactive", delay)[("acme", "app")][1] == expected
 
@@ -300,7 +305,7 @@ def test_reactive_relapse_updates_again_the_next_month(delay):
 
 
 def test_apt_first_keeps_outgoing_version_for_transition_month(fixture_catalog):
-    matrix = apply_apt_first(build_planned(fixture_catalog, 0))
+    matrix = apply_apt_first(build_matrix(fixture_catalog, IMMEDIATE))
     series = _installed_versions(matrix, ("adobe", "reader"))
     assert series[5] == ["9.1", "9.2"]
     assert series[14] == ["9.2", "9.3"]
@@ -310,7 +315,7 @@ def test_apt_first_keeps_outgoing_version_for_transition_month(fixture_catalog):
 
 
 def test_apt_first_adds_exactly_one_cell_per_transition(fixture_catalog):
-    base = build_planned(fixture_catalog, 0)
+    base = build_matrix(fixture_catalog, IMMEDIATE)
     pessimistic = apply_apt_first(base)
     assert pessimistic.cells.sum() == base.cells.sum() + len(base.transitions)
     assert np.all(base.cells <= pessimistic.cells)
@@ -318,12 +323,12 @@ def test_apt_first_adds_exactly_one_cell_per_transition(fixture_catalog):
 
 def test_apt_first_without_transitions_changes_nothing():
     cat = make_catalog({("acme", "app"): [("1.0", 0)]}, horizon_end=11)
-    base = build_planned(cat, 0)
+    base = build_matrix(cat, IMMEDIATE)
     assert np.array_equal(apply_apt_first(base).cells, base.cells)
 
 
 def test_apt_first_twice_is_an_error(fixture_catalog):
-    pessimistic = apply_apt_first(build_planned(fixture_catalog, 0))
+    pessimistic = apply_apt_first(build_matrix(fixture_catalog, IMMEDIATE))
     with pytest.raises(ScenarioError):
         apply_apt_first(pessimistic)
 
@@ -334,7 +339,26 @@ def test_apt_first_twice_is_an_error(fixture_catalog):
 
 def test_count_updates_three_versions_one_product():
     cat = make_catalog({("acme", "app"): [("1.0", 0), ("1.1", 2), ("1.2", 5)]}, horizon_end=11)
-    assert count_updates(build_planned(cat, 0)) == (3, 2)
+    assert count_updates(build_matrix(cat, IMMEDIATE)) == (3, 2)
+
+
+def test_count_updates_keeps_a_start_release_replaced_in_month_0():
+    # without a delay, 1.0 gives way to 2.0 in month 0 and has no update-first cell
+    v = vuln("CVE-2010-0001", 0, 0, ("acme", "app", {"exact": "1.0"}))
+    cat = make_catalog({("acme", "app"): [("1.0", 0), ("2.0", 0)]}, [v], horizon_end=11)
+    for kind in (StrategyKind.REACTIVE, StrategyKind.INFORMED_REACTIVE):
+        matrix = build_matrix(cat, StrategyConfig(kind, 0))
+        assert [(t.month, t.outgoing.version, t.incoming.version) for t in matrix.transitions] == [(0, "1.0", "2.0")]
+        assert count_updates(matrix) == count_updates(apply_apt_first(matrix)) == (2, 1)
+
+
+def test_matrix_carries_the_config_it_was_built_with(fixture_catalog):
+    for config in (
+        StrategyConfig(StrategyKind.PLANNED, 0),
+        StrategyConfig(StrategyKind.IMMEDIATE, reactive_pick="latest"),
+        StrategyConfig(StrategyKind.INFORMED_REACTIVE, 2, reactive_pick="latest"),
+    ):
+        assert build_matrix(fixture_catalog, config).config == config
 
 
 # ---------------------------------------------------------------------------
@@ -369,18 +393,19 @@ def test_planned_counts_never_increase_with_delay_on_random_catalogs():
     rng = random.Random(2024)
     for _ in range(40):
         cat = random_catalog(rng, horizon_end=47)
-        counts = [count_updates(build_planned(cat, d))[0] for d in (0, 1, 3, 7)]
+        planned = [build_matrix(cat, StrategyConfig(StrategyKind.PLANNED, d)) for d in (0, 1, 3, 7)]
+        counts = [count_updates(matrix)[0] for matrix in planned]
         assert counts == sorted(counts, reverse=True), counts
-        immediate = build_matrix(cat, StrategyConfig(StrategyKind.IMMEDIATE))
-        assert np.array_equal(build_planned(cat, 0).cells, immediate.cells)
+        assert np.array_equal(planned[0].cells, build_matrix(cat, IMMEDIATE).cells)
 
 
 def test_reactive_never_installs_a_triggering_cve_on_random_catalogs():
     rng = random.Random(77)
     for _ in range(40):
         cat = random_catalog(rng, horizon_end=47)
-        for informed in (False, True):
-            matrix = build_reactive(cat, rng.choice([0, 1, 3]), informed=informed)
+        for kind in (StrategyKind.REACTIVE, StrategyKind.INFORMED_REACTIVE):
+            informed = kind is StrategyKind.INFORMED_REACTIVE
+            matrix = build_matrix(cat, StrategyConfig(kind, rng.choice([0, 1, 3])))
             for t in matrix.transitions:
                 for record in cat.vulns.values():
                     trigger = record.reserved_month if informed else record.published_month
@@ -484,8 +509,8 @@ def test_builders_match_month_walking_reference_on_drawn_catalogs(catalog):
 
 
 def test_matrix_csv_export(fixture_catalog):
-    matrix = build_planned(fixture_catalog, 0)
-    labels = matrix.space.horizon.labels
+    matrix = build_matrix(fixture_catalog, IMMEDIATE)
+    labels = fixture_catalog.horizon.labels
     assert labels[:2] == ("2008-01", "2008-02") and labels[-1] == "2020-01"
     assert matrix.cells.shape == (len(matrix.space.rows), len(labels))
     flash_182 = next(r for r in fixture_catalog.timelines[("adobe", "flash")].releases if r.version == "21.0.0.182")

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_timeline, ref_matches
-from patchsim.catalog import SoftwareProduct
 from patchsim.strategies import first_nonvulnerable
 from patchsim.versions import VersionConstraint, affected_releases, version_key
 
@@ -50,8 +49,8 @@ def test_non_decimal_digits_are_letters():
 
 def test_one_version_order_for_every_vendor():
     versions = [("6u20", 0), ("6u13", 0), ("6u6", 1), ("7u1", 2)]
-    acme = make_timeline(SoftwareProduct("acme", "runtime"), versions)
-    oracle = make_timeline(SoftwareProduct("oracle", "jre"), versions)
+    acme = make_timeline(("acme", "runtime"), versions)
+    oracle = make_timeline(("oracle", "jre"), versions)
     assert [(r.version, r.sort_key) for r in acme.releases] == [(r.version, r.sort_key) for r in oracle.releases]
     c = VersionConstraint.from_mapping({"startExcluding": "6u6", "endIncluding": "6.20"})
     assert {r.version for r in affected_releases(c, acme)} == {r.version for r in affected_releases(c, oracle)}
@@ -136,8 +135,7 @@ def test_fixes_is_strictly_above_the_range():
 
 
 def _timeline(versions):
-    product = SoftwareProduct("adobe", "reader")
-    return make_timeline(product, versions)
+    return make_timeline(("adobe", "reader"), versions)
 
 
 def test_affected_end_including_92():
@@ -228,8 +226,7 @@ def test_first_nonvulnerable_vacuous_constraint_takes_next_newer():
 
 
 def test_first_nonvulnerable_latest_pick():
-    product = SoftwareProduct("adobe", "reader")
-    timeline = make_timeline(product, [("9.1", 0), ("9.3", 1), ("9.4", 2)])
+    timeline = make_timeline(("adobe", "reader"), [("9.1", 0), ("9.3", 1), ("9.4", 2)])
     releases = {r.version: r for r in timeline.releases}
     blocked = _blocked(timeline, {"endIncluding": "9.2"})
     first = first_nonvulnerable(timeline, blocked, at=2, installed=releases["9.1"], pick="first")
@@ -240,8 +237,7 @@ def test_first_nonvulnerable_latest_pick():
 
 def test_latest_pick_prefers_newest_version_over_newest_release():
     # an old-branch maintenance release that lands later must not win
-    product = SoftwareProduct("adobe", "reader")
-    timeline = make_timeline(product, [("9.1", 0), ("10.0", 1), ("9.3", 2)])
+    timeline = make_timeline(("adobe", "reader"), [("9.1", 0), ("10.0", 1), ("9.3", 2)])
     releases = {r.version: r for r in timeline.releases}
     blocked = _blocked(timeline, {"endIncluding": "9.2"})
     latest = first_nonvulnerable(timeline, blocked, at=3, installed=releases["9.1"], pick="latest")
