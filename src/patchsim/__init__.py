@@ -32,6 +32,7 @@ from .evaluator import (
     CampaignOutcome,
     EvaluationReport,
     evaluate,
+    monthly_probabilities,
     odds_ratio,
     overall_probability,
     probability_at,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -68,6 +69,11 @@ class ExposureMatrix:
     @property
     def empty(self) -> bool:
         return not self.cells.any()
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Indices of the targeted rows, found once per matrix."""
+        return self.cells.nonzero()[0]
 
 
 def build_campaign_matrix(campaign: CampaignRecord, catalog: Catalog) -> ExposureMatrix:

@@ -21,9 +21,10 @@ import csv
 import io
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -71,10 +72,12 @@ class VersionRelease:
 @dataclass(frozen=True)
 class ReleaseTimeline:
     releases: tuple[VersionRelease, ...]  # sorted by (release_month, sort_key) on construction
+    running_max: tuple[tuple, ...] = field(init=False, repr=False, compare=False)  # newest sort_key so far
 
     def __post_init__(self):
         ordered = tuple(sorted(self.releases, key=lambda r: (r.release_month, r.sort_key)))
         object.__setattr__(self, "releases", ordered)
+        object.__setattr__(self, "running_max", tuple(accumulate((r.sort_key for r in ordered), max)))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -58,17 +59,28 @@ def successful_months(deployment: DeploymentMatrix, exposure: ExposureMatrix) ->
     if deployment.space is not exposure.space:
         raise ValueError("deployment and exposure matrices use different row/column spaces")
     start = exposure.campaign.start_month
-    hits = deployment.cells[exposure.cells, start:].any(axis=0)
-    return frozenset(start + int(m) for m in np.flatnonzero(hits))
+    hits = np.logical_or.reduce(deployment.cells[exposure.rows, start:], axis=0)
+    return frozenset((hits.nonzero()[0] + start).tolist())
+
+
+def monthly_probabilities(outcomes: Sequence[CampaignOutcome], n_months: int) -> tuple[Optional[Fraction], ...]:
+    """Successful over active campaigns for each month below n_months; None
+    where none are active. A campaign is active from its start month on and
+    counts as successful only in success months at or after its start."""
+    starts, hits = [0] * n_months, [0] * n_months
+    for o in outcomes:
+        start = o.campaign.start_month
+        if start < n_months:
+            starts[start] += 1
+            for m in o.success_months:
+                if start <= m < n_months:
+                    hits[m] += 1
+    return tuple(Fraction(h, a) if a else None for h, a in zip(hits, accumulate(starts)))
 
 
 def probability_at(outcomes: Sequence[CampaignOutcome], month: int) -> Optional[Fraction]:
     """Successful over active campaigns at one month; None when none are active."""
-    active = [o for o in outcomes if o.campaign.start_month <= month]
-    if not active:
-        return None
-    hits = sum(1 for o in active if month in o.success_months)
-    return Fraction(hits, len(active))
+    return monthly_probabilities(outcomes, month + 1)[month] if month >= 0 else None
 
 
 def overall_probability(outcomes: Sequence[CampaignOutcome]) -> Fraction:
@@ -152,7 +164,7 @@ def evaluate(
             matrix = matrix_for(config, scenario)
             outcomes = outcomes_for(matrix)
             overall = overall_probability(outcomes)
-            monthly = tuple(probability_at(outcomes, m) for m in range(catalog.horizon.n_months))
+            monthly = monthly_probabilities(outcomes, catalog.horizon.n_months)
             raw, net = count_updates(matrix)
             reports.append(
                 EvaluationReport(
@@ -172,9 +184,8 @@ def evaluate(
 def percent_1dp(value: Fraction) -> str:
     """Render an exact fraction as a percentage with one decimal,
     rounding half away from zero."""
-    n, d = (value * 1000).numerator, (value * 1000).denominator
-    q, r = divmod(n, d)
-    if 2 * r >= d:
+    q, r = divmod(value.numerator * 1000, value.denominator)
+    if 2 * r >= value.denominator:
         q += 1
     return f"{q // 10}.{q % 10}"
 

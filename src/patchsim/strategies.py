@@ -16,9 +16,10 @@ attacker who strikes before the update lands.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
+from itertools import groupby, islice
 from typing import Container, Optional
 
 import numpy as np
@@ -62,6 +63,8 @@ class StrategyConfig:
             raise ValueError("immediate strategy has no delay")
         if self.reactive_pick not in ("first", "latest"):
             raise ValueError(f"reactive_pick must be 'first' or 'latest', got {self.reactive_pick!r}")
+        if self.kind in (StrategyKind.IMMEDIATE, StrategyKind.PLANNED):
+            object.__setattr__(self, "reactive_pick", "first")  # unused here: equal configs build once
 
     @property
     def label(self) -> str:
@@ -248,9 +251,11 @@ def first_nonvulnerable(
     churn); pick="latest" takes the newest qualifying version instead. The
     timeline is sorted by (release_month, sort_key), so the scan stops at the
     first release past `at`, and the first qualifying release is the earliest.
+    It starts at the first release newer than every one before it and newer
+    than `installed`: no earlier release is newer than `installed`.
     """
     best = None
-    for rel in timeline.releases:
+    for rel in islice(timeline.releases, bisect_right(timeline.running_max, installed.sort_key), None):
         if rel.release_month > at:
             break
         if rel.sort_key <= installed.sort_key or rel in blocked:

@@ -357,6 +357,24 @@ def ref_overall_probability(catalog: Catalog, matrix) -> Fraction | None:
     return Fraction(succeeded, included)
 
 
+def ref_monthly(outcomes, month: int) -> Fraction | None:
+    """Per-month rescan: successful over active campaigns at `month`, None
+    when no campaign is active yet."""
+    active = [o for o in outcomes if o.campaign.start_month <= month]
+    if not active:
+        return None
+    return Fraction(sum(1 for o in active if month in o.success_months), len(active))
+
+
+def ref_percent_1dp(value: Fraction) -> str:
+    """Percentage with one decimal, half away from zero, by Fraction arithmetic."""
+    scaled = value * 1000
+    q, r = divmod(scaled.numerator, scaled.denominator)
+    if 2 * r >= scaled.denominator:
+        q += 1
+    return f"{q // 10}.{q % 10}"
+
+
 def ref_strategy_run(catalog: Catalog, kind: str, delay: int = 0, pick: str = "first") -> dict:
     """Month-walking reference for the strategy builders.
 

@@ -163,6 +163,35 @@ def test_report_bundles_everything(fixture_paths, tmp_path, capsys):
     }
 
 
+_FIXTURE_REPORT_DIGESTS = {
+    "diagnostics.json": "95d0abd1d073ac9febe9d0c8bd0c4e9ea386a1883e4475bc075005ba7e443fc5",
+    "evaluate.csv": "fa8ccba3dd3928525e9cdb6dd633c6ff35bdbd0c647943c94f20999f851dffee",
+    "evaluate.json": "ac49b1f2ceec60fbde71c575765423888ff91100db6a2dc468b98d4322d6373f",
+    "series.csv": "77a8e3db3a66720b6d7c6252d53b04826da53cac11724518c58b3b3dc1c45971",
+    "survival.csv": "8a5780c0c40cfadbca3e6e00baf6ca55933e46b2dd11d11f1b961888dda4d03a",
+}
+
+
+@pytest.mark.parametrize(
+    "flags, classify_digests",
+    [
+        ([], {
+            "classify.csv": "2c0454eaa4a2e0844739f66dc8db720602a9cbc35350c59b04969fcfbd14a540",
+            "venn.json": "75076672441778ef181ecdfdd26ab83773870c2b8f4e7104c471254393d5b0e0",
+        }),
+        (["--reactive-pick", "latest", "--tie-rule", "exclusive"], {
+            "classify.csv": "50271b028d3674fa5a611ab5163954154128da248c1e1347be7e4b46149d0fa6",
+            "venn.json": "b86e1450c6e547e97356ce07af82c06ef52e8f108b7f97b861f5d373d7952a96",
+        }),
+    ],
+)
+def test_report_artifacts_match_pinned_digests(fixture_paths, tmp_path, capsys, flags, classify_digests):
+    # every artifact byte is pinned: a change to any output must update these digests on purpose
+    assert run(["report", *_data_args(fixture_paths), *flags, "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest == {"tool": "patchsim", "files": {**_FIXTURE_REPORT_DIGESTS, **classify_digests}}
+
+
 def test_config_file_supplies_values_and_flags_override(fixture_paths, tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({

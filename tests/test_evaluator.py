@@ -2,13 +2,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from conftest import campaign, make_catalog, random_catalog, ref_overall_probability, vuln
+import patchsim.evaluator
+from conftest import (
+    campaign,
+    make_catalog,
+    random_catalog,
+    ref_monthly,
+    ref_overall_probability,
+    ref_percent_1dp,
+    vuln,
+)
 from patchsim.campaigns import build_campaign_matrix
 from patchsim.evaluator import (
     CampaignOutcome,
     evaluate,
     exposure_matrices,
+    monthly_probabilities,
     odds_ratio,
     overall_probability,
     percent_1dp,
@@ -91,6 +103,22 @@ def test_probability_at_all_succeeding():
     assert probability_at(outcomes, 1) == 1
 
 
+def test_monthly_probabilities_read_each_month():
+    outcomes = [_outcome("A", 0, {3}), _outcome("B", 2, {2, 3}), _outcome("C", 5, {6})]
+    assert monthly_probabilities(outcomes, 7) == (
+        0, 0, Fraction(1, 2), 1, 0, 0, Fraction(1, 3)
+    )
+    assert monthly_probabilities(outcomes, 2) == (0, 0)
+    assert monthly_probabilities([_outcome("A", 3, {3})], 4) == (None, None, None, 1)
+
+
+def test_monthly_probabilities_ignore_months_before_start():
+    # a success month before the campaign starts is not a success of an active campaign
+    outcomes = [_outcome("A", 2, {1, 2}), _outcome("B", 0, set())]
+    assert monthly_probabilities(outcomes, 3) == (0, 0, Fraction(1, 2))
+    assert [probability_at(outcomes, m) for m in range(3)] == [ref_monthly(outcomes, m) for m in range(3)]
+
+
 def test_overall_counts_each_campaign_once():
     lucky = _outcome("A", 0, set(range(10)))
     assert overall_probability([lucky]) == 1
@@ -124,10 +152,25 @@ def test_odds_ratio_undefined_cases():
 
 def test_percent_rendering_one_decimal():
     assert percent_1dp(Fraction(16, 72)) == "22.2"
+    assert percent_1dp(Fraction(1, 2000)) == "0.1"
+    assert percent_1dp(Fraction(3, 2000)) == "0.2"
     assert percent_1dp(Fraction(42, 72)) == "58.3"
     assert percent_1dp(Fraction(63, 72)) == "87.5"
     assert percent_1dp(Fraction(1, 1)) == "100.0"
     assert percent_1dp(Fraction(0, 1)) == "0.0"
+
+
+@given(
+    st.one_of(
+        st.fractions(min_value=0, max_value=1),
+        st.builds(Fraction, st.integers(0, 2000), st.just(2000)),  # half-way cases
+    )
+)
+@example(Fraction(1, 2000))
+@example(Fraction(3, 2000))
+@example(Fraction(1999, 2000))
+def test_percent_rendering_matches_fraction_arithmetic(value):
+    assert percent_1dp(value) == ref_percent_1dp(value)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +226,20 @@ def test_fixture_monthly_series(fixture_catalog):
     assert report.monthly[20] == 0  # Quartz active, update already landed
     assert report.monthly[23] == 0  # two active, none succeeding
     assert len(report.monthly) == fixture_catalog.horizon.n_months
+
+
+def test_equal_configs_build_one_matrix(fixture_catalog, monkeypatch):
+    # the reactive pick means nothing to immediate and planned: the configs
+    # equal the default baseline and planned:1, so two builds, not three
+    built = []
+
+    def counting(catalog, config):
+        built.append(config)
+        return build_matrix(catalog, config)
+
+    monkeypatch.setattr(patchsim.evaluator, "build_matrix", counting)
+    evaluate(fixture_catalog, [StrategyConfig.parse("immediate", "latest"), StrategyConfig.parse("planned:1", "latest")])
+    assert built == [StrategyConfig(StrategyKind.IMMEDIATE), StrategyConfig(StrategyKind.PLANNED, 1)]
 
 
 def test_evaluate_is_deterministic(fixture_catalog):
@@ -256,3 +313,19 @@ def test_overall_matches_reference_walker_on_random_catalogs():
                 if scenario is Scenario.APT_FIRST:
                     matrix = apply_apt_first(matrix)
                 assert reports[0].overall == ref_overall_probability(cat, matrix)
+
+
+def test_monthly_series_matches_per_month_rescan_on_random_catalogs():
+    rng = random.Random(23)
+    configs = [StrategyConfig(StrategyKind.PLANNED, 1), StrategyConfig(StrategyKind.REACTIVE, 1)]
+    checked = 0
+    while checked < 25:
+        cat = random_catalog(rng)
+        if not exposure_matrices(cat):
+            continue
+        checked += 1
+        for report in evaluate(cat, configs, [Scenario.UPDATE_FIRST, Scenario.APT_FIRST]):
+            assert len(report.monthly) == cat.horizon.n_months
+            for m, p in enumerate(report.monthly):
+                assert p == ref_monthly(report.outcomes, m)
+                assert probability_at(report.outcomes, m) == p

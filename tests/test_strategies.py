@@ -9,6 +9,7 @@ from conftest import (
     campaign,
     installed_series,
     make_catalog,
+    make_timeline,
     matrix_problems,
     random_catalog,
     ref_matches,
@@ -23,6 +24,7 @@ from patchsim.strategies import (
     apply_apt_first,
     build_matrix,
     count_updates,
+    first_nonvulnerable,
     initial_versions,
 )
 
@@ -60,6 +62,12 @@ def test_config_grammar():
     assert StrategyConfig.parse("immediate", "latest") == StrategyConfig(
         StrategyKind.IMMEDIATE, reactive_pick="latest"
     )
+    # the pick only matters to reactive kinds: elsewhere it is not part of the config
+    assert StrategyConfig.parse("planned:1", "latest") == StrategyConfig(StrategyKind.PLANNED, 1)
+    assert StrategyConfig(StrategyKind.IMMEDIATE, reactive_pick="latest").reactive_pick == "first"
+    assert StrategyConfig.parse("informed:1", "latest") != StrategyConfig(StrategyKind.INFORMED_REACTIVE, 1)
+    with pytest.raises(ValueError):
+        StrategyConfig(StrategyKind.IMMEDIATE, reactive_pick="newest")
     with pytest.raises(ValueError):
         StrategyConfig.parse("immediate:1")
     with pytest.raises(ValueError):
@@ -285,6 +293,21 @@ def test_fixture_informed_trace(fixture_catalog):
         ("21.0.0.182", 0, 20),
         ("21.0.0.242", 21, 144),
     ]
+
+
+def test_first_nonvulnerable_sees_newer_release_out_before_installed_backport():
+    # 2.0 came out before the installed 1.1 backport and is still newer than it
+    timeline = make_timeline(("acme", "app"), [("1.0", 0), ("2.0", 1), ("1.1", 2), ("2.1", 3)])
+    v10, v20, v11, v21 = timeline.releases
+    assert v11.version == "1.1"
+    assert first_nonvulnerable(timeline, set(), at=5, installed=v11) is v20
+    assert first_nonvulnerable(timeline, {v20}, at=5, installed=v11) is v21
+    assert first_nonvulnerable(timeline, {v20}, at=2, installed=v11) is None
+    assert first_nonvulnerable(timeline, set(), at=2, installed=v11, pick="latest") is v20
+    assert first_nonvulnerable(timeline, set(), at=5, installed=v11, pick="latest") is v21
+    assert first_nonvulnerable(timeline, set(), at=5, installed=v20) is v21
+    assert first_nonvulnerable(timeline, set(), at=5, installed=v21) is None
+    assert first_nonvulnerable(timeline, set(), at=5, installed=v10) is v20
 
 
 @pytest.mark.parametrize("delay", [0, 1])
