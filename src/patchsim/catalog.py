@@ -116,7 +116,7 @@ class CampaignRecord:
 
 
 class MatrixSpace:
-    """Shared row/column space for deployment and exposure matrices."""
+    """Release rows and month count shared by deployments and exposure matrices."""
 
     def __init__(self, catalog: Catalog):
         rows: list[VersionRelease] = []
@@ -125,11 +125,6 @@ class MatrixSpace:
         self.rows: tuple[VersionRelease, ...] = tuple(rows)
         self.row_index: dict[VersionRelease, int] = {rel: i for i, rel in enumerate(rows)}
         self.n_months: int = catalog.horizon.n_months
-        self.product_keys: tuple[ProductKey, ...] = tuple(sorted(catalog.timelines))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), self.n_months)
 
 
 @dataclass

@@ -1,11 +1,12 @@
 """Compromise-probability evaluation of update strategies.
 
-For each strategy matrix and campaign exposure, the installed rows that the
-campaign targets, from its start month on, identify months in which an
-installed version was being targeted. A campaign counts as (potentially)
-successful if that happens in at least one month; the overall probability is
-the fraction of targeting campaigns that ever succeed. Probabilities are exact rationals internally
-and only rendered to percentages at the reporting boundary.
+For each strategy deployment and campaign exposure, the installed intervals
+of the rows that the campaign targets, clipped to its start month, are the
+months in which an installed version was being targeted. A campaign counts as
+(potentially) successful if that happens in at least one month; the overall
+probability is the fraction of targeting campaigns that ever succeed.
+Probabilities are exact rationals internally and only rendered to percentages
+at the reporting boundary.
 """
 
 from __future__ import annotations
@@ -58,9 +59,13 @@ def successful_months(deployment: DeploymentMatrix, exposure: ExposureMatrix) ->
     """Months in which some installed version is targeted by the campaign."""
     if deployment.space is not exposure.space:
         raise ValueError("deployment and exposure matrices use different row/column spaces")
-    start = exposure.campaign.start_month
-    hits = np.logical_or.reduce(deployment.cells[exposure.rows, start:], axis=0)
-    return frozenset((hits.nonzero()[0] + start).tolist())
+    lo, hi = deployment.intervals
+    lo, hi = np.maximum(lo[exposure.rows], exposure.campaign.start_month), hi[exposure.rows]
+    installed = lo < hi
+    months: set[int] = set()
+    for a, b in zip(lo[installed].tolist(), hi[installed].tolist()):
+        months.update(range(a, b))
+    return frozenset(months)
 
 
 def monthly_probabilities(outcomes: Sequence[CampaignOutcome], n_months: int) -> tuple[Optional[Fraction], ...]:
@@ -137,32 +142,27 @@ def evaluate(
     if not exposures:
         raise DataError("no campaign targets any cataloged release")
 
-    def outcomes_for(matrix: DeploymentMatrix) -> tuple[CampaignOutcome, ...]:
-        return tuple(
-            CampaignOutcome(e.campaign, successful_months(matrix, e)) for e in exposures
-        )
+    matrices: dict[StrategyConfig, DeploymentMatrix] = {}
+    scored: dict[tuple[StrategyConfig, Scenario], tuple[DeploymentMatrix, tuple[CampaignOutcome, ...]]] = {}
 
-    matrices: dict[tuple[StrategyConfig, Scenario], DeploymentMatrix] = {}
-
-    def matrix_for(config: StrategyConfig, scenario: Scenario) -> DeploymentMatrix:
-        key = (config, scenario)
-        if key not in matrices:
-            base = matrices.get((config, Scenario.UPDATE_FIRST))
-            if base is None:
-                base = build_matrix(catalog, config)
-                matrices[(config, Scenario.UPDATE_FIRST)] = base
+    def score(config: StrategyConfig, scenario: Scenario):
+        """The deployment and its outcomes; each (config, scenario) is scored once."""
+        if (config, scenario) not in scored:
+            if config not in matrices:
+                matrices[config] = build_matrix(catalog, config)
+            matrix = matrices[config]
             if scenario is Scenario.APT_FIRST:
-                matrices[key] = apply_apt_first(base)
-        return matrices[key]
+                matrix = apply_apt_first(matrix)
+            outcomes = tuple(CampaignOutcome(e.campaign, successful_months(matrix, e)) for e in exposures)
+            scored[(config, scenario)] = matrix, outcomes
+        return scored[(config, scenario)]
 
-    base_config, base_scenario = baseline
-    baseline_overall = overall_probability(outcomes_for(matrix_for(base_config, base_scenario)))
+    baseline_overall = overall_probability(score(*baseline)[1])
 
     reports = []
     for config in configs:
         for scenario in scenarios:
-            matrix = matrix_for(config, scenario)
-            outcomes = outcomes_for(matrix)
+            matrix, outcomes = score(config, scenario)
             overall = overall_probability(outcomes)
             monthly = monthly_probabilities(outcomes, catalog.horizon.n_months)
             raw, net = count_updates(matrix)

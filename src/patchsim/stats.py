@@ -28,14 +28,6 @@ class BinomialCI:
     low: float
     high: float
 
-    def percent_bounds(self) -> tuple[int, int]:
-        """Whole-percent bounds, rounded half away from zero."""
-        return _round_half_away(self.low * 100), _round_half_away(self.high * 100)
-
-
-def _round_half_away(x: float) -> int:
-    return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
-
 
 def agresti_coull(successes: int, trials: int, confidence: float = 0.95) -> BinomialCI:
     """Adjusted-count binomial confidence interval, clamped to [0, 1]."""
@@ -87,14 +79,6 @@ class SurvivalCurve:
     """Right-continuous step function; points hold the value from each event time on."""
 
     points: tuple[tuple[int, Fraction], ...]
-
-    def survival_at(self, age) -> Fraction:
-        value = Fraction(1)
-        for t, s in self.points:
-            if t > age:
-                break
-            value = s
-        return value
 
 
 def kaplan_meier(samples: Sequence[ExploitAgeSample]) -> SurvivalCurve:

@@ -1,4 +1,4 @@
-"""Update-strategy simulation as boolean (product-version x month) matrices.
+"""Update-strategy simulation: each product's start release and its transitions.
 
 Four strategies are modeled:
 
@@ -7,18 +7,21 @@ Four strategies are modeled:
   reactive   update only when a published CVE hits the installed version
   informed   like reactive, but triggered at CVE reservation time
 
-build_matrix produces an optimistic matrix (within a transition month only
-the incoming version is installed). The pessimistic transform additionally
-keeps the outgoing version installed during transition months, modeling an
-attacker who strikes before the update lands.
+Every transition installs a strictly newer release, so each release is
+installed over one run of months, and a deployment is one [lo, hi) interval
+per release row. build_matrix produces an optimistic deployment (within a
+transition month only the incoming version is installed). The pessimistic
+scenario additionally keeps the outgoing version installed during its
+transition month, modeling an attacker who strikes before the update lands.
 """
 
 from __future__ import annotations
 
 import logging
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from itertools import groupby, islice
 from typing import Container, Optional
 
@@ -104,10 +107,24 @@ class Transition:
 @dataclass(frozen=True, eq=False)
 class DeploymentMatrix:
     space: MatrixSpace
-    cells: np.ndarray  # bool, rows x months
     scenario: Scenario
     config: StrategyConfig
-    transitions: tuple[Transition, ...]
+    start: dict[ProductKey, VersionRelease]
+    transitions: tuple[Transition, ...]  # sorted by (product, month)
+
+    @cached_property
+    def intervals(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) per row: the row's release is installed over months
+        [lo, hi), and lo == hi means never. Under apt-first the outgoing
+        release stays installed through its transition month."""
+        lo, hi = [0] * len(self.space.rows), [0] * len(self.space.rows)
+        row, end, extra = self.space.row_index, self.space.n_months, int(self.scenario is Scenario.APT_FIRST)
+        for rel in self.start.values():
+            hi[row[rel]] = end
+        for t in self.transitions:  # in month order per product, so each release's end is set last
+            hi[row[t.outgoing]] = t.month + extra
+            lo[row[t.incoming]], hi[row[t.incoming]] = t.month, end
+        return np.array(lo), np.array(hi)
 
 
 def initial_versions(catalog: Catalog) -> dict[ProductKey, VersionRelease]:
@@ -128,33 +145,6 @@ def initial_versions(catalog: Catalog) -> dict[ProductKey, VersionRelease]:
         pool = vulnerable or at_epoch
         chosen[key] = min(pool, key=lambda r: (r.release_month, r.sort_key))
     return chosen
-
-
-def _materialize(
-    catalog: Catalog,
-    config: StrategyConfig,
-    start: dict[ProductKey, VersionRelease],
-    transitions: list[Transition],
-) -> DeploymentMatrix:
-    """Fill each product's rows from its start release and its transitions:
-    a release is installed from the month it came in until the next change."""
-    space = catalog.space
-    cells = np.zeros(space.shape, dtype=bool)
-    transitions = sorted(transitions, key=lambda t: (t.product, t.month))
-    installed, since = dict(start), dict.fromkeys(start, 0)
-    for t in transitions:
-        cells[space.row_index[t.outgoing], since[t.product]:t.month] = True
-        installed[t.product], since[t.product] = t.incoming, t.month
-    for key, rel in installed.items():
-        cells[space.row_index[rel], since[key]:] = True
-    cells.setflags(write=False)
-    return DeploymentMatrix(
-        space=space,
-        cells=cells,
-        scenario=Scenario.UPDATE_FIRST,
-        config=config,
-        transitions=tuple(transitions),
-    )
 
 
 def _planned(catalog: Catalog, start: dict[ProductKey, VersionRelease], delay: int) -> list[Transition]:
@@ -275,24 +265,15 @@ def build_matrix(catalog: Catalog, config: StrategyConfig) -> DeploymentMatrix:
         transitions = _planned(catalog, start, config.delay_months)
     else:
         transitions = _reactive(catalog, start, config)
-    return _materialize(catalog, config, start, transitions)
+    transitions.sort(key=lambda t: (t.product, t.month))
+    return DeploymentMatrix(catalog.space, Scenario.UPDATE_FIRST, config, start, tuple(transitions))
 
 
 def apply_apt_first(matrix: DeploymentMatrix) -> DeploymentMatrix:
     """Keep the outgoing version installed during each transition month."""
     if matrix.scenario is not Scenario.UPDATE_FIRST:
         raise ScenarioError("pessimistic transform expects an update-first matrix")
-    cells = matrix.cells.copy()
-    for t in matrix.transitions:
-        cells[matrix.space.row_index[t.outgoing], t.month] = True
-    cells.setflags(write=False)
-    return DeploymentMatrix(
-        space=matrix.space,
-        cells=cells,
-        scenario=Scenario.APT_FIRST,
-        config=matrix.config,
-        transitions=matrix.transitions,
-    )
+    return replace(matrix, scenario=Scenario.APT_FIRST)
 
 
 def count_updates(matrix: DeploymentMatrix) -> tuple[int, int]:
@@ -301,4 +282,4 @@ def count_updates(matrix: DeploymentMatrix) -> tuple[int, int]:
     newer release, so no release is counted twice; a start release replaced in
     month 0 still counts, in both scenarios."""
     net = len(matrix.transitions)
-    return net + len(matrix.space.product_keys), net
+    return net + len(matrix.start), net

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -20,7 +21,7 @@ from patchsim.catalog import (
     VulnRecord,
 )
 from patchsim.months import Horizon
-from patchsim.strategies import Scenario
+from patchsim.strategies import Scenario, StrategyConfig, StrategyKind
 from patchsim.versions import VersionConstraint, version_key
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -135,13 +136,27 @@ def save_catalog(catalog: Catalog, directory) -> dict[str, Path]:
 # Structural checks of built matrices and curves
 
 
+def dense(matrix) -> np.ndarray:
+    """A deployment as a rows x months bool array: set where the row's release
+    is installed in that month."""
+    lo, hi = matrix.intervals
+    months = np.arange(matrix.space.n_months)
+    return (lo[:, None] <= months) & (months < hi[:, None])
+
+
+def product_keys(space) -> list:
+    """The products of a row space, in row order."""
+    return sorted({rel.product for rel in space.rows})
+
+
 def installed_series(matrix, product) -> list[set]:
     """Per-month installed set of releases for one product."""
     out: list[set] = [set() for _ in range(matrix.space.n_months)]
+    cells = dense(matrix)
     for i, rel in enumerate(matrix.space.rows):
         if rel.product != product:
             continue
-        for m in np.flatnonzero(matrix.cells[i]):
+        for m in np.flatnonzero(cells[i]):
             out[m].add(rel)
     return out
 
@@ -150,7 +165,7 @@ def matrix_problems(matrix) -> list[str]:
     """Structural self-checks of a deployment matrix; empty when well-formed."""
     problems: list[str] = []
     transition_months = {(t.product, t.month): t for t in matrix.transitions}
-    for key in matrix.space.product_keys:
+    for key in product_keys(matrix.space):
         prev_max = None
         for m, installed in enumerate(installed_series(matrix, key)):
             if matrix.scenario is Scenario.UPDATE_FIRST and len(installed) != 1:
@@ -172,6 +187,25 @@ def matrix_problems(matrix) -> list[str]:
     return problems
 
 
+def percent_bounds(ci) -> tuple[int, int]:
+    """Whole-percent bounds of a BinomialCI, rounded half away from zero."""
+
+    def round_half_away(x: float) -> int:
+        return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
+
+    return round_half_away(ci.low * 100), round_half_away(ci.high * 100)
+
+
+def survival_at(curve, age) -> Fraction:
+    """Value of a right-continuous survival curve at `age`."""
+    value = Fraction(1)
+    for t, s in curve.points:
+        if t > age:
+            break
+        value = s
+    return value
+
+
 def curve_problems(curve) -> list[str]:
     """Structural self-checks of a survival curve; empty when well-formed."""
     problems = []
@@ -190,6 +224,15 @@ def curve_problems(curve) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # Randomized catalogs for property and oracle tests
+
+
+def configs_with_delay(delay: int) -> list[StrategyConfig]:
+    """Every builder at one delay: immediate or planned, then reactive and informed under both picks."""
+    return [StrategyConfig(StrategyKind.PLANNED, delay) if delay else StrategyConfig(StrategyKind.IMMEDIATE)] + [
+        StrategyConfig(kind, delay, reactive_pick=pick)
+        for kind in (StrategyKind.REACTIVE, StrategyKind.INFORMED_REACTIVE)
+        for pick in ("first", "latest")
+    ]
 
 
 def random_catalog(rng: random.Random, horizon_end: int = 23) -> Catalog:
@@ -336,9 +379,10 @@ def ref_overall_probability(catalog: Catalog, matrix) -> Fraction | None:
     """Month-walking recount of the overall compromise probability."""
     n_months = matrix.space.n_months
     installed_by_month: list[set] = [set() for _ in range(n_months)]
+    cells = dense(matrix)
     for i, rel in enumerate(matrix.space.rows):
         for m in range(n_months):
-            if matrix.cells[i, m]:
+            if cells[i, m]:
                 installed_by_month[m].add(rel)
     included = succeeded = 0
     for record in catalog.campaigns:
@@ -355,6 +399,29 @@ def ref_overall_probability(catalog: Catalog, matrix) -> Fraction | None:
     if not included:
         return None
     return Fraction(succeeded, included)
+
+
+def ref_success_months(
+    catalog: Catalog, kind: str, delay: int = 0, pick: str = "first", scenario: Scenario = Scenario.UPDATE_FIRST
+) -> dict:
+    """Per evaluated campaign key, the months from its start on in which an
+    installed version is targeted, from ref_strategy_run's per-month installed
+    versions (plus, under apt-first, each outgoing version in its transition
+    month) and ref_targeted_releases. Campaigns that target no cataloged
+    release are left out, as from the denominator."""
+    installed: list[set] = [set() for _ in range(catalog.horizon.n_months)]  # (product, version)
+    for key, (versions, transitions) in ref_strategy_run(catalog, kind, delay, pick).items():
+        for m, version in enumerate(versions):
+            installed[m].add((key, version))
+        if scenario is Scenario.APT_FIRST:
+            for m, outgoing, _ in transitions:
+                installed[m].add((key, outgoing))
+    out = {}
+    for record in catalog.campaigns:
+        targeted = {(rel.product, rel.version) for rel in ref_targeted_releases(catalog, record)}
+        if targeted:
+            out[record.key] = {m for m in range(record.start_month, len(installed)) if installed[m] & targeted}
+    return out
 
 
 def ref_monthly(outcomes, month: int) -> Fraction | None:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,14 +9,17 @@ from hypothesis import strategies as st
 import patchsim.evaluator
 from conftest import (
     campaign,
+    configs_with_delay,
     make_catalog,
     random_catalog,
     ref_monthly,
     ref_overall_probability,
     ref_percent_1dp,
+    ref_success_months,
     vuln,
 )
 from patchsim.campaigns import build_campaign_matrix
+from patchsim.cli import DEFAULT_STRATEGIES
 from patchsim.evaluator import (
     CampaignOutcome,
     evaluate,
@@ -242,6 +246,22 @@ def test_equal_configs_build_one_matrix(fixture_catalog, monkeypatch):
     assert built == [StrategyConfig(StrategyKind.IMMEDIATE), StrategyConfig(StrategyKind.PLANNED, 1)]
 
 
+def test_baseline_reuses_its_report_outcomes(fixture_catalog, monkeypatch):
+    # the default baseline (immediate, update-first) is also a report: each of
+    # the 20 default reports scores every exposure once, and the baseline none
+    scored = Counter()
+
+    def counting(deployment, exposure):
+        scored[(deployment.config, deployment.scenario)] += 1
+        return successful_months(deployment, exposure)
+
+    monkeypatch.setattr(patchsim.evaluator, "successful_months", counting)
+    configs = [StrategyConfig.parse(token) for token in DEFAULT_STRATEGIES.split(",")]
+    reports = evaluate(fixture_catalog, configs)
+    assert len(reports) == len(scored) == 20
+    assert set(scored.values()) == {len(exposure_matrices(fixture_catalog))}
+
+
 def test_evaluate_is_deterministic(fixture_catalog):
     configs = [StrategyConfig(StrategyKind.PLANNED, 3), StrategyConfig(StrategyKind.REACTIVE, 3)]
     first = evaluate(fixture_catalog, configs)
@@ -329,3 +349,35 @@ def test_monthly_series_matches_per_month_rescan_on_random_catalogs():
             for m, p in enumerate(report.monthly):
                 assert p == ref_monthly(report.outcomes, m)
                 assert probability_at(report.outcomes, m) == p
+
+
+@pytest.mark.parametrize("delay", [0, 1, 3])
+def test_success_months_match_per_month_oracle_on_random_catalogs(delay):
+    configs = configs_with_delay(delay)
+    for seed in range(100):
+        cat = random_catalog(random.Random(seed))
+        if not exposure_matrices(cat):
+            continue
+        for report in evaluate(cat, configs):
+            config = report.config
+            expected = ref_success_months(
+                cat, config.kind.value, config.delay_months, config.reactive_pick, report.scenario
+            )
+            got = {o.campaign.key: o.success_months for o in report.outcomes}
+            assert got == expected, (seed, config, report.scenario)
+
+
+def test_start_release_replaced_in_month_0_is_installed_only_under_apt_first():
+    # reactive:0 leaves 1.0 for 2.0 in month 0: apt-first keeps 1.0 for that
+    # month alone, update-first never installs it
+    v = vuln("CVE-2010-0001", 0, 0, ("acme", "app", {"exact": "1.0"}))
+    cat = make_catalog(
+        {("acme", "app"): [("1.0", 0), ("2.0", 0)]}, [v], [campaign("Alpha", 0, [v.cve_id])], horizon_end=11
+    )
+    expected = {Scenario.UPDATE_FIRST: set(), Scenario.APT_FIRST: {0}}
+    for kind in (StrategyKind.REACTIVE, StrategyKind.INFORMED_REACTIVE):
+        for report in evaluate(cat, [StrategyConfig(kind, 0)]):
+            assert report.outcomes[0].success_months == expected[report.scenario]
+            assert ref_success_months(cat, kind.value, 0, "first", report.scenario) == {
+                ("Alpha", 0): expected[report.scenario]
+            }

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import campaign, curve_problems, make_catalog, vuln
+from conftest import campaign, curve_problems, make_catalog, percent_bounds, survival_at, vuln
 from patchsim.evaluator import CampaignOutcome
 from patchsim.stats import (
     BinomialCI,
@@ -41,11 +41,11 @@ def test_agresti_coull_reproduces_quoted_intervals():
     # quoted whole-percent intervals are matched within one percentage
     # point pre-rounding (the 48/72 upper bound is 76.50, quoted as 77)
     ci = agresti_coull(46, 72, 0.95)
-    assert ci.percent_bounds() == (52, 74)
+    assert percent_bounds(ci) == (52, 74)
     assert ci.low * 100 == pytest.approx(52, abs=1.0)
     assert ci.high * 100 == pytest.approx(74, abs=1.0)
     ci = agresti_coull(48, 72, 0.95)
-    assert ci.percent_bounds()[0] == 55
+    assert percent_bounds(ci)[0] == 55
     assert ci.low * 100 == pytest.approx(55, abs=1.0)
     assert ci.high * 100 == pytest.approx(77, abs=1.0)
 
@@ -133,18 +133,18 @@ def test_agreement_rejects_mismatched_campaign_sets():
 
 def test_km_uncensored_example():
     curve = kaplan_meier([ExploitAgeSample(f"c{i}", age) for i, age in enumerate([-2, 0, 1, 5])])
-    assert curve.survival_at(-3) == 1
-    assert curve.survival_at(-2) == Fraction(3, 4)
-    assert curve.survival_at(0) == Fraction(1, 2)
-    assert curve.survival_at(1) == Fraction(1, 4)
-    assert curve.survival_at(5) == 0
+    assert survival_at(curve, -3) == 1
+    assert survival_at(curve, -2) == Fraction(3, 4)
+    assert survival_at(curve, 0) == Fraction(1, 2)
+    assert survival_at(curve, 1) == Fraction(1, 4)
+    assert survival_at(curve, 5) == 0
     assert curve_problems(curve) == []
 
 
 def test_km_single_sample_steps_to_zero():
     curve = kaplan_meier([ExploitAgeSample("c", 0)])
     assert curve.points == ((0, Fraction(0)),)
-    assert curve.survival_at(-1) == 1
+    assert survival_at(curve, -1) == 1
 
 
 def test_km_tied_ages_single_step():
@@ -161,8 +161,8 @@ def test_km_censoring_reduces_risk_set_without_event():
             ExploitAgeSample("c", 2),
         ]
     )
-    assert curve.survival_at(0) == Fraction(2, 3)
-    assert curve.survival_at(2) == 0
+    assert survival_at(curve, 0) == Fraction(2, 3)
+    assert survival_at(curve, 2) == 0
 
 
 def test_km_empty_input_rejected():
@@ -178,9 +178,9 @@ def test_km_uncensored_equals_empirical_survival(ages):
     n = len(ages)
     for t in sorted(set(ages)) + [min(ages) - 1, max(ages) + 1]:
         empirical = Fraction(sum(1 for a in ages if a > t), n)
-        assert curve.survival_at(t) == empirical
+        assert survival_at(curve, t) == empirical
     assert curve_problems(curve) == []
-    assert curve.survival_at(min(ages) - 1) == 1
+    assert survival_at(curve, min(ages) - 1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +223,6 @@ def test_fixture_exploit_ages_and_survival(fixture_catalog):
     ages = {s.cve_id: s.age for s in samples}
     assert ages == {"CVE-2009-4324": 0, "CVE-2009-0520": -2, "CVE-2011-0611": 3}
     curve = kaplan_meier(samples)
-    assert curve.survival_at(-2) == Fraction(2, 3)
-    assert curve.survival_at(0) == Fraction(1, 3)
-    assert curve.survival_at(3) == 0
+    assert survival_at(curve, -2) == Fraction(2, 3)
+    assert survival_at(curve, 0) == Fraction(1, 3)
+    assert survival_at(curve, 3) == 0

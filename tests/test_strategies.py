@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     campaign,
+    configs_with_delay,
+    dense,
     installed_series,
     make_catalog,
     make_timeline,
@@ -164,7 +166,7 @@ def test_fixture_immediate_trace(fixture_catalog):
 
 def test_planned_zero_delay_equals_immediate(fixture_catalog):
     planned = build_matrix(fixture_catalog, StrategyConfig(StrategyKind.PLANNED, 0))
-    assert np.array_equal(planned.cells, build_matrix(fixture_catalog, IMMEDIATE).cells)
+    assert np.array_equal(dense(planned), dense(build_matrix(fixture_catalog, IMMEDIATE)))
 
 
 def test_planned_shifts_deployments():
@@ -340,14 +342,14 @@ def test_apt_first_keeps_outgoing_version_for_transition_month(fixture_catalog):
 def test_apt_first_adds_exactly_one_cell_per_transition(fixture_catalog):
     base = build_matrix(fixture_catalog, IMMEDIATE)
     pessimistic = apply_apt_first(base)
-    assert pessimistic.cells.sum() == base.cells.sum() + len(base.transitions)
-    assert np.all(base.cells <= pessimistic.cells)
+    assert dense(pessimistic).sum() == dense(base).sum() + len(base.transitions)
+    assert np.all(dense(base) <= dense(pessimistic))
 
 
 def test_apt_first_without_transitions_changes_nothing():
     cat = make_catalog({("acme", "app"): [("1.0", 0)]}, horizon_end=11)
     base = build_matrix(cat, IMMEDIATE)
-    assert np.array_equal(apply_apt_first(base).cells, base.cells)
+    assert np.array_equal(dense(apply_apt_first(base)), dense(base))
 
 
 def test_apt_first_twice_is_an_error(fixture_catalog):
@@ -407,8 +409,8 @@ def test_matrix_invariants_on_random_catalogs():
             assert matrix_problems(matrix) == [], (config, matrix_problems(matrix))
             pessimistic = apply_apt_first(matrix)
             assert matrix_problems(pessimistic) == []
-            assert np.all(matrix.cells <= pessimistic.cells)
-            assert pessimistic.cells.sum() == matrix.cells.sum() + len(matrix.transitions)
+            assert np.all(dense(matrix) <= dense(pessimistic))
+            assert dense(pessimistic).sum() == dense(matrix).sum() + len(matrix.transitions)
             assert count_updates(pessimistic) == count_updates(matrix)
 
 
@@ -419,7 +421,7 @@ def test_planned_counts_never_increase_with_delay_on_random_catalogs():
         planned = [build_matrix(cat, StrategyConfig(StrategyKind.PLANNED, d)) for d in (0, 1, 3, 7)]
         counts = [count_updates(matrix)[0] for matrix in planned]
         assert counts == sorted(counts, reverse=True), counts
-        assert np.array_equal(planned[0].cells, build_matrix(cat, IMMEDIATE).cells)
+        assert np.array_equal(dense(planned[0]), dense(build_matrix(cat, IMMEDIATE)))
 
 
 def test_reactive_never_installs_a_triggering_cve_on_random_catalogs():
@@ -449,15 +451,6 @@ def test_reactive_never_installs_a_triggering_cve_on_random_catalogs():
                     assert not hits_incoming, (t, record.cve_id)
 
 
-def _configs_with_delay(delay):
-    """Every builder at one delay: immediate or planned, then reactive and informed under both picks."""
-    return [StrategyConfig(StrategyKind.PLANNED, delay) if delay else StrategyConfig(StrategyKind.IMMEDIATE)] + [
-        StrategyConfig(kind, delay, reactive_pick=pick)
-        for kind in (StrategyKind.REACTIVE, StrategyKind.INFORMED_REACTIVE)
-        for pick in ("first", "latest")
-    ]
-
-
 def _assert_matches_reference(catalog, config, context):
     matrix = build_matrix(catalog, config)
     expected = ref_strategy_run(catalog, config.kind.value, config.delay_months, config.reactive_pick)
@@ -473,7 +466,7 @@ def _assert_matches_reference(catalog, config, context):
 def test_builders_match_month_walking_reference_on_random_catalogs(delay):
     for seed in range(200):
         catalog = random_catalog(random.Random(seed))
-        for config in _configs_with_delay(delay):
+        for config in configs_with_delay(delay):
             _assert_matches_reference(catalog, config, seed)
 
 
@@ -523,7 +516,7 @@ def _small_catalogs(draw):
 @given(_small_catalogs())
 def test_builders_match_month_walking_reference_on_drawn_catalogs(catalog):
     for delay in range(4):
-        for config in _configs_with_delay(delay):
+        for config in configs_with_delay(delay):
             _assert_matches_reference(catalog, config, "drawn")
 
 
@@ -535,7 +528,7 @@ def test_matrix_csv_export(fixture_catalog):
     matrix = build_matrix(fixture_catalog, IMMEDIATE)
     labels = fixture_catalog.horizon.labels
     assert labels[:2] == ("2008-01", "2008-02") and labels[-1] == "2020-01"
-    assert matrix.cells.shape == (len(matrix.space.rows), len(labels))
+    assert dense(matrix).shape == (len(matrix.space.rows), len(labels))
     flash_182 = next(r for r in fixture_catalog.timelines[("adobe", "flash")].releases if r.version == "21.0.0.182")
-    cells = matrix.cells[matrix.space.row_index[flash_182]]
+    cells = dense(matrix)[matrix.space.row_index[flash_182]]
     assert cells[0] and cells[11] and not cells[12]
