@@ -182,9 +182,9 @@ class Catalog:
             for pc in self.vulns[cve].affected:
                 timeline = self.timelines.get(pc.key)
                 if timeline is not None:
-                    fixed = pc.constraint.fixed_in()
-                    # releases are sorted by month, so the first fixed one is the earliest
-                    escapes.append(next((rel.release_month for rel in timeline.releases if fixed(rel.sort_key)), None))
+                    # releases are sorted by month, so the first one above the range is the earliest
+                    above = (rel.release_month for rel in timeline.releases if pc.constraint.position(rel.sort_key) > 0)
+                    escapes.append(next(above, None))
             index[cve] = min((m for m in escapes if m is not None), default=None)
         return index
 

@@ -124,6 +124,9 @@ def _tie_rule_flags() -> argparse.ArgumentParser:
 
 def _output_flags() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--out", default=None,
+                        help="directory for the artifacts and their manifest.json; report requires it, "
+                             "as a flag or in --config")
     parser.add_argument("--format", default="both", choices=CHOICES["format"],
                         help="artifact family to write under --out")
     return parser
@@ -149,11 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("validate", [data], "check dataset integrity")
 
-    p_eval = add("evaluate", [data, strategy, output], "probability / update-count / odds table per strategy")
-    p_eval.add_argument("--out", default=None, help="directory for JSON/CSV artifacts")
-
-    p_classify = add("classify", [data, tie_rule, output], "lifecycle classes per campaign, knowledge-group counts")
-    p_classify.add_argument("--out", default=None, help="directory for classify.csv / venn.json")
+    add("evaluate", [data, strategy, output], "probability / update-count / odds table per strategy")
+    add("classify", [data, tie_rule, output], "lifecycle classes per campaign, knowledge-group counts")
 
     p_survival = add("survival", [data, tie_rule, output], "exploit-age survival curve (CSV)")
     p_survival.add_argument("--products", default="all",
@@ -162,10 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="keep only CVEs first exploited at or after publication")
     p_survival.add_argument("--include-unexploited", action="store_true",
                             help="add never-exploited CVEs as censored at the horizon end")
-    p_survival.add_argument("--out", default=None, help="directory for survival.csv")
-
-    p_report = add("report", [data, strategy, tie_rule, output], "full run: evaluate + classify + survival + manifest")
-    p_report.add_argument("--out", default=None, help="output directory (required, as a flag or in --config)")
+    add("report", [data, strategy, tie_rule, output], "full run: evaluate + classify + survival + manifest")
     return parser
 
 
@@ -324,15 +321,11 @@ def _classify_files(catalog: Catalog, tie_rule: TieRule) -> dict[str, str]:
     return {"classify.csv": buf.getvalue(), "venn.json": venn}
 
 
-def _survival_files(catalog: Catalog, args: argparse.Namespace) -> dict[str, str]:
-    tie_rule = TieRule(args.tie_rule)
-    samples = exploit_ages(
-        catalog,
-        include_unexploited=args.include_unexploited,
-        kk_only=args.kk_only,
-        tie_rule=tie_rule,
-    )
-    products = args.products.strip()
+def _survival_files(
+    catalog: Catalog, tie_rule: TieRule, products: str = "all", kk_only: bool = False, include_unexploited: bool = False
+) -> dict[str, str]:
+    samples = exploit_ages(catalog, include_unexploited=include_unexploited, kk_only=kk_only, tie_rule=tie_rule)
+    products = products.strip()
     if products != "all":
         keys = set()
         for token in products.split(","):
@@ -413,24 +406,25 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    catalog = _load(args)
-    files = _classify_files(catalog, TieRule(args.tie_rule))
+def _emit_or_print(files: dict[str, str], args: argparse.Namespace) -> None:
+    """Write the artifacts under --out when it is given, else each file's text to stdout."""
     if args.out:
         emit_files(files, args.out, args.format)
     else:
-        sys.stdout.write(files["classify.csv"])
-        sys.stdout.write(files["venn.json"])
+        for text in files.values():
+            sys.stdout.write(text)
+
+
+def _cmd_classify(args: argparse.Namespace) -> int:
+    catalog = _load(args)
+    _emit_or_print(_classify_files(catalog, TieRule(args.tie_rule)), args)
     return 0
 
 
 def _cmd_survival(args: argparse.Namespace) -> int:
     catalog = _load(args)
-    files = _survival_files(catalog, args)
-    if args.out:
-        emit_files(files, args.out, args.format)
-    else:
-        sys.stdout.write(files["survival.csv"])
+    tie_rule = TieRule(args.tie_rule)
+    _emit_or_print(_survival_files(catalog, tie_rule, args.products, args.kk_only, args.include_unexploited), args)
     return 0
 
 
@@ -440,11 +434,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     catalog = _load(args)
     reports = _evaluate(catalog, args)
     files = _evaluation_files(reports, catalog)
-    files.update(_classify_files(catalog, TieRule(args.tie_rule)))
-    survival_args = argparse.Namespace(
-        tie_rule=args.tie_rule, products="all", kk_only=False, include_unexploited=False
-    )
-    files.update(_survival_files(catalog, survival_args))
+    tie_rule = TieRule(args.tie_rule)
+    files.update(_classify_files(catalog, tie_rule))
+    files.update(_survival_files(catalog, tie_rule))
     files["diagnostics.json"] = json.dumps(catalog_diagnostics(catalog), indent=2, sort_keys=True) + "\n"
     emit_files(files, args.out, args.format)
     _print_table(reports, sys.stdout)

@@ -17,7 +17,6 @@ transition month, modeling an attacker who strikes before the update lands.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -29,8 +28,6 @@ import numpy as np
 
 from .catalog import Catalog, MatrixSpace, ProductKey, ReleaseTimeline, VersionRelease
 from .months import DataError
-
-log = logging.getLogger(__name__)
 
 
 class ConfigurationError(DataError):
@@ -165,11 +162,7 @@ def _planned(catalog: Catalog, start: dict[ProductKey, VersionRelease], delay: i
             if not 1 <= month <= last_trigger:
                 continue
             candidate = max(releases, key=lambda r: r.sort_key)
-            if candidate.sort_key <= current.sort_key:
-                log.debug(
-                    "%s/%s: release %s at %s skipped (downgrade from %s)",
-                    key[0], key[1], candidate.version, catalog.horizon.format(month), current.version,
-                )
+            if candidate.sort_key <= current.sort_key:  # never downgrade
                 continue
             transitions.append(Transition(key, month + delay, current, candidate))
             current = candidate
@@ -217,8 +210,7 @@ def _reactive(catalog: Catalog, start: dict[ProductKey, VersionRelease], config:
             if escape is None:  # the blocked set only grows, so no later escape exists
                 break
             land = max(max(m, escape.release_month) + delay, last + 1)  # at most one change a month
-            if land > end:
-                log.debug("%s/%s: pending deployment at %d falls outside the window", key[0], key[1], land)
+            if land > end:  # the deployment would land outside the window
                 break
             rel = first_nonvulnerable(timeline, blocked_by(current, land), at=land, installed=current, pick=pick)
             if rel is not None:  # otherwise CVEs triggered since m blocked every candidate: reschedule

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 # Segment encoding: numeric runs become (0, int), alphabetic runs (1, str).
 # Plain tuple comparison then yields a total order with numbers sorting
@@ -144,37 +144,24 @@ class VersionConstraint:
             obj["endIncluding" if self.end.inclusive else "endExcluding"] = self.end.version
         return obj
 
-    def contains(self) -> Callable[[tuple], bool]:
-        """Predicate over version keys, compared with each bound's key.
+    def position(self, key: tuple) -> int:
+        """Where a version key lies against the range: -1 below it, 0 inside
+        it, 1 strictly above it (never without an end bound). An exact
+        constraint is a range whose two inclusive bounds are equal.
 
-        An exact constraint is a range whose two inclusive bounds are equal.
+        The end bound is tested first, so the end of an empty range such as
+        {"startExcluding": "1.0", "endExcluding": "1.0"} reads as above it.
         """
-        lo = None if self.start is None else (self.start.key, self.start.inclusive)
-        hi = None if self.end is None else (self.end.key, self.end.inclusive)
-
-        def inside(key: tuple) -> bool:
-            if lo is not None and (key < lo[0] or (key == lo[0] and not lo[1])):
-                return False
-            if hi is not None and (key > hi[0] or (key == hi[0] and not hi[1])):
-                return False
-            return True
-
-        return inside
-
-    def fixed_in(self) -> Callable[[tuple], bool]:
-        """Predicate over version keys, true strictly above the affected range.
-        Never true without an end bound."""
-        if self.end is None:
-            return lambda key: False
-        hi, inclusive = self.end.key, self.end.inclusive
-        return lambda key: key > hi if inclusive else key >= hi
+        end, start = self.end, self.start
+        if end is not None and (key > end.key or (key == end.key and not end.inclusive)):
+            return 1
+        if start is not None and (key < start.key or (key == start.key and not start.inclusive)):
+            return -1
+        return 0
 
 
 def affected_releases(constraint: VersionConstraint, timeline) -> frozenset:
-    """All releases in the timeline whose version satisfies the constraint.
-
-    The one place a constraint is tested against releases: each bound's key
-    is compared with each release's cached sort_key.
-    """
-    inside = constraint.contains()
-    return frozenset(rel for rel in timeline.releases if inside(rel.sort_key))
+    """All releases in the timeline whose cached sort_key the constraint's
+    `position` puts inside its range."""
+    position = constraint.position
+    return frozenset(rel for rel in timeline.releases if position(rel.sort_key) == 0)

@@ -20,6 +20,7 @@ from patchsim.catalog import (
     VersionRelease,
     VulnRecord,
 )
+from patchsim.evaluator import evaluate, exposure_matrices
 from patchsim.months import Horizon
 from patchsim.strategies import Scenario, StrategyConfig, StrategyKind
 from patchsim.versions import VersionConstraint, version_key
@@ -359,6 +360,19 @@ def ref_matches(match: dict, version: str) -> bool:
     return ok
 
 
+def ref_above(match: dict, version: str) -> bool:
+    """True when the version lies past the range's end: past an endIncluding
+    or exact version, or at or past an endExcluding. With no end bound, no
+    version is above."""
+    if "exact" in match:
+        return ref_compare(version, match["exact"]) > 0
+    if match.get("endIncluding", "*") != "*":
+        return ref_compare(version, match["endIncluding"]) > 0
+    if match.get("endExcluding", "*") != "*":
+        return ref_compare(version, match["endExcluding"]) >= 0
+    return False
+
+
 def ref_targeted_releases(catalog: Catalog, campaign_record: CampaignRecord) -> set:
     targeted = set()
     for cve in campaign_record.cve_ids:
@@ -422,6 +436,20 @@ def ref_success_months(
         if targeted:
             out[record.key] = {m for m in range(record.start_month, len(installed)) if installed[m] & targeted}
     return out
+
+
+def assert_success_months_match_reference(catalog: Catalog, configs, context) -> None:
+    """evaluate()'s success months of every report equal ref_success_months;
+    a catalog whose campaigns target no cataloged release has nothing to score."""
+    if not exposure_matrices(catalog):
+        return
+    for report in evaluate(catalog, configs):
+        config = report.config
+        expected = ref_success_months(
+            catalog, config.kind.value, config.delay_months, config.reactive_pick, report.scenario
+        )
+        got = {o.campaign.key: o.success_months for o in report.outcomes}
+        assert got == expected, (context, config, report.scenario)
 
 
 def ref_monthly(outcomes, month: int) -> Fraction | None:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -259,6 +260,20 @@ def test_help_documents_every_interface_flag():
         assert "--tie-rule" in helps[name], name
     for name in ["validate", "evaluate"]:
         assert "--tie-rule" not in helps[name], name
+
+
+def test_each_flag_is_declared_once():
+    # a subcommand shares the Action objects of its parent parsers, so one
+    # object per option string means each flag is declared in one place
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a.choices, dict))
+    declared: dict[str, set] = {}
+    for sub in subparsers.choices.values():
+        for action in sub._actions:
+            if not isinstance(action, argparse._HelpAction):
+                for option in action.option_strings:
+                    declared.setdefault(option, set()).add(action)
+    assert {option: len(actions) for option, actions in declared.items() if len(actions) > 1} == {}
 
 
 def test_strategy_grammar_error_exits_2(fixture_paths):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import patchsim.evaluator
 from conftest import (
+    assert_success_months_match_reference,
     campaign,
     configs_with_delay,
     make_catalog,
@@ -355,16 +356,7 @@ def test_monthly_series_matches_per_month_rescan_on_random_catalogs():
 def test_success_months_match_per_month_oracle_on_random_catalogs(delay):
     configs = configs_with_delay(delay)
     for seed in range(100):
-        cat = random_catalog(random.Random(seed))
-        if not exposure_matrices(cat):
-            continue
-        for report in evaluate(cat, configs):
-            config = report.config
-            expected = ref_success_months(
-                cat, config.kind.value, config.delay_months, config.reactive_pick, report.scenario
-            )
-            got = {o.campaign.key: o.success_months for o in report.outcomes}
-            assert got == expected, (seed, config, report.scenario)
+        assert_success_months_match_reference(random_catalog(random.Random(seed)), configs, seed)
 
 
 def test_start_release_replaced_in_month_0_is_installed_only_under_apt_first():

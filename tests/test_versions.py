@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_timeline, ref_matches
+from conftest import make_timeline, ref_above, ref_matches
 from patchsim.strategies import first_nonvulnerable
 from patchsim.versions import VersionConstraint, affected_releases, version_key
 
@@ -82,27 +82,25 @@ def test_comparator_transitivity(a, b, c):
 def test_exact_constraint_round_trip():
     c = VersionConstraint.from_mapping({"exact": "10.1.3"})
     assert c.kind == "exact"
-    inside = c.contains()
-    assert inside(version_key("10.1.3"))
-    assert not inside(version_key("10.1.4"))
+    assert c.position(version_key("10.1.3")) == 0
+    assert c.position(version_key("10.1.4")) == 1
     assert c.to_mapping() == {"exact": "10.1.3"}
 
 
 def test_range_bounds_inclusive_exclusive():
-    inside = VersionConstraint.from_mapping({"startExcluding": "1.0", "endIncluding": "2.0"}).contains()
-    assert not inside(version_key("1.0"))
-    assert inside(version_key("1.1"))
-    assert inside(version_key("2.0"))
-    assert not inside(version_key("2.0.1"))
+    c = VersionConstraint.from_mapping({"startExcluding": "1.0", "endIncluding": "2.0"})
+    assert c.position(version_key("1.0")) == -1
+    assert c.position(version_key("1.1")) == 0
+    assert c.position(version_key("2.0")) == 0
+    assert c.position(version_key("2.0.1")) == 1
 
 
 def test_wildcard_is_unbounded():
     c = VersionConstraint.from_mapping({"startIncluding": "*", "endIncluding": "9.2"})
     assert c.start is None
-    inside = c.contains()
-    assert inside(version_key("0.1"))
-    assert inside(version_key("9.2"))
-    assert not inside(version_key("9.3"))
+    assert c.position(version_key("0.1")) == 0
+    assert c.position(version_key("9.2")) == 0
+    assert c.position(version_key("9.3")) == 1
 
 
 @pytest.mark.parametrize(
@@ -121,13 +119,61 @@ def test_malformed_constraints_rejected(mapping):
 
 
 def test_fixes_is_strictly_above_the_range():
-    fixed = VersionConstraint.from_mapping({"endIncluding": "9.2"}).fixed_in()
-    assert not fixed(version_key("9.2"))
-    assert fixed(version_key("9.3"))
-    ex = VersionConstraint.from_mapping({"endExcluding": "9.2"}).fixed_in()
-    assert ex(version_key("9.2"))
-    unbounded = VersionConstraint.from_mapping({"startIncluding": "1.0"}).fixed_in()
-    assert not unbounded(version_key("99.0"))
+    inclusive = VersionConstraint.from_mapping({"endIncluding": "9.2"})
+    assert inclusive.position(version_key("9.2")) == 0
+    assert inclusive.position(version_key("9.3")) == 1
+    exclusive = VersionConstraint.from_mapping({"endExcluding": "9.2"})
+    assert exclusive.position(version_key("9.2")) == 1
+    unbounded = VersionConstraint.from_mapping({"startIncluding": "1.0"})
+    assert unbounded.position(version_key("99.0")) == 0
+    # the end of an empty range is above it, not below it
+    empty = VersionConstraint.from_mapping({"startExcluding": "9.2", "endExcluding": "9.2"})
+    assert empty.position(version_key("9.2")) == 1
+
+
+def _drawn_version(rng):
+    """Few distinct numbers, so bounds and versions often coincide or differ
+    only by a trailing segment ("1" < "1.0" < "1.0a")."""
+    segments = [str(rng.randint(1, 3))] + [str(rng.randint(0, 2)) for _ in range(rng.randint(0, 2))]
+    return ".".join(segments) + rng.choice(["", "", "", "a", "b"])
+
+
+def _drawn_bound(rng):
+    return "*" if rng.random() < 0.15 else _drawn_version(rng)
+
+
+def _drawn_mapping(rng):
+    """An exact, one-sided or two-sided match, with equal bounds and "*" sides."""
+    roll = rng.random()
+    if roll < 0.2:
+        return {"exact": _drawn_version(rng)}
+    start = rng.choice(["startIncluding", "startExcluding"])
+    end = rng.choice(["endIncluding", "endExcluding"])
+    if roll < 0.4:
+        return {start: _drawn_bound(rng)}
+    if roll < 0.6:
+        return {end: _drawn_bound(rng)}
+    low = _drawn_bound(rng)
+    return {start: low, end: low if rng.random() < 0.3 else _drawn_bound(rng)}
+
+
+def test_position_matches_reference_on_random_mappings():
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(5000):
+        mapping = _drawn_mapping(rng)
+        try:
+            constraint = VersionConstraint.from_mapping(mapping)
+        except ValueError:  # reversed bounds
+            continue
+        bounds = [v for v in mapping.values() if v != "*"]
+        for version in bounds + [_drawn_version(rng) for _ in range(4)]:
+            inside, above = ref_matches(mapping, version), ref_above(mapping, version)
+            assert not (inside and above), (mapping, version)
+            expected = 0 if inside else 1 if above else -1
+            assert constraint.position(version_key(version)) == expected, (mapping, version)
+            checked += 1
+    assert checked > 10_000
 
 
 # ---------------------------------------------------------------------------
