@@ -1,9 +1,9 @@
 """Campaign exposure and vulnerability-lifecycle classification.
 
-A campaign's exposure marks, over the rows of the shared (product-version x
-month) space, every release affected by one of its CVEs. Each marked row is
+A campaign's exposure lists, over the rows of the shared (product-version x
+month) space, every release affected by one of its CVEs. Each listed row is
 targeted from the campaign start through the end of the window (a campaign is
-assumed to stay active once observed), so a row mask and the start month
+assumed to stay active once observed), so the rows and the start month
 describe the whole exposed region.
 
 Attacks are classified on two axes at the campaign start month:
@@ -18,10 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Optional
-
-import numpy as np
 
 from .catalog import CampaignRecord, Catalog, MatrixSpace, VulnRecord
 from .months import DataError
@@ -63,28 +60,29 @@ class AttackScenario(Enum):
 @dataclass(frozen=True, eq=False)
 class ExposureMatrix:
     space: MatrixSpace
-    cells: np.ndarray  # bool, one per row: targeted from campaign.start_month on
+    rows: tuple[int, ...]  # ascending indices of the rows targeted from campaign.start_month on
     campaign: CampaignRecord
 
     @property
     def empty(self) -> bool:
-        return not self.cells.any()
+        return not self.rows
 
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """Indices of the targeted rows, found once per matrix."""
-        return self.cells.nonzero()[0]
+    @property
+    def cells(self) -> memoryview:
+        """The rows as a read-only mask, one byte per row of the space: 1 where
+        targeted. Nothing in the package reads it; the benchmark's span tracer
+        sizes exposures by its nbytes."""
+        mask = bytearray(len(self.space.rows))
+        for r in self.rows:
+            mask[r] = 1
+        return memoryview(bytes(mask))
 
 
 def build_campaign_matrix(campaign: CampaignRecord, catalog: Catalog) -> ExposureMatrix:
-    """Mark every release affected by one of the campaign's CVEs."""
+    """List every release affected by one of the campaign's CVEs."""
     space = catalog.space
-    cells = np.zeros(len(space.rows), dtype=bool)
-    for cve in campaign.cve_ids:
-        for rel in catalog.affected.get(cve, ()):
-            cells[space.row_index[rel]] = True
-    cells.setflags(write=False)
-    return ExposureMatrix(space=space, cells=cells, campaign=campaign)
+    rows = sorted({space.row_index[rel] for cve in campaign.cve_ids for rel in catalog.affected.get(cve, ())})
+    return ExposureMatrix(space=space, rows=tuple(rows), campaign=campaign)
 
 
 def classify_attack(

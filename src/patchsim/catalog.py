@@ -174,16 +174,21 @@ class Catalog:
     @cached_property
     def fix_month(self) -> dict[str, Optional[int]]:
         """Campaign CVE id -> release month of the earliest cataloged release
-        strictly above one of its constraints' ranges; None when no release
-        escapes. Products without a timeline contribute nothing."""
+        strictly above one of its constraints' ranges that no constraint of
+        the CVE affects; None when no release escapes. Products without a
+        timeline contribute nothing."""
         index: dict[str, Optional[int]] = {}
         for cve in sorted(self.campaign_cve_ids() & self.vulns.keys()):
-            escapes = []
+            escapes, affected = [], self.affected[cve]
             for pc in self.vulns[cve].affected:
                 timeline = self.timelines.get(pc.key)
                 if timeline is not None:
-                    # releases are sorted by month, so the first one above the range is the earliest
-                    above = (rel.release_month for rel in timeline.releases if pc.constraint.position(rel.sort_key) > 0)
+                    # releases are sorted by month, so the first escape above the range is the earliest
+                    above = (
+                        rel.release_month
+                        for rel in timeline.releases
+                        if pc.constraint.position(rel.sort_key) > 0 and rel not in affected
+                    )
                     escapes.append(next(above, None))
             index[cve] = min((m for m in escapes if m is not None), default=None)
         return index
@@ -201,11 +206,16 @@ class Violation:
 
 
 def _parse_clamped(horizon: Horizon, text: str, where: str) -> int:
+    """The month index of the date field that `where` names; a malformed or
+    post-horizon date is a LoadError."""
     year_month = text.strip()
-    _, _, had_day = split_date(year_month)
+    try:
+        _, _, had_day = split_date(year_month)
+        index, clamped = horizon.parse_clamped(year_month)
+    except DataError as exc:
+        raise LoadError(f"{where}: {exc}") from exc
     if had_day:
         log.info("%s: day-level date %r truncated to month", where, year_month)
-    index, clamped = horizon.parse_clamped(year_month)
     if clamped:
         log.info("%s: pre-epoch date %r clamped to %s", where, year_month, horizon.format(0))
     return index
@@ -247,10 +257,7 @@ def _load_releases(path: Path, horizon: Horizon) -> dict[ProductKey, ReleaseTime
         if (vendor, name, version) in seen:
             raise LoadError(f"{where}: duplicate release {vendor}/{name} {version}")
         seen.add((vendor, name, version))
-        try:
-            month = _parse_clamped(horizon, row["release_date"], where)
-        except DataError as exc:
-            raise LoadError(f"{where}: field release_date: {exc}") from exc
+        month = _parse_clamped(horizon, row["release_date"], f"{where}: field release_date")
         try:
             sort_key = version_key(version)
         except ValueError as exc:  # a digit run too long for int()
@@ -284,11 +291,8 @@ def _load_vulns(path: Path, horizon: Horizon) -> dict[str, VulnRecord]:
         cve = cve.strip()
         if cve in vulns:
             raise LoadError(f"{where}: duplicate CVE id {cve}")
-        try:
-            reserved = _parse_clamped(horizon, str(reserved_raw), f"{where} ({cve}) reserved")
-            published = _parse_clamped(horizon, str(published_raw), f"{where} ({cve}) published")
-        except DataError as exc:
-            raise LoadError(f"{where} ({cve}): {exc}") from exc
+        reserved = _parse_clamped(horizon, str(reserved_raw), f"{where} ({cve}): field reserved")
+        published = _parse_clamped(horizon, str(published_raw), f"{where} ({cve}): field published")
         if not isinstance(affected_raw, list):
             raise LoadError(f"{where} ({cve}): 'affected' must be an array")
         affected = []
@@ -314,10 +318,7 @@ def _load_campaigns(path: Path, horizon: Horizon, vulns: dict[str, VulnRecord]) 
         apt = (row["apt"] or "").strip()
         if not apt or row["date"] is None:
             raise LoadError(f"{where}: apt and date must be non-empty")
-        try:
-            month = _parse_clamped(horizon, row["date"], where)
-        except DataError as exc:
-            raise LoadError(f"{where}: field date: {exc}") from exc
+        month = _parse_clamped(horizon, row["date"], f"{where}: field date")
         cves = {c.strip() for c in (row["cves"] or "").split("|") if c.strip()}
         for cve in sorted(cves):
             if cve not in vulns:

@@ -51,16 +51,20 @@ CHOICES = {
 }
 
 
+def parse_scenario(token: str) -> Scenario:
+    try:
+        return Scenario(token)
+    except ValueError:
+        raise ValueError(f"unknown scenario {token!r}; allowed: update-first, apt-first") from None
+
+
 def parse_scenarios(text: str) -> list[Scenario]:
     out = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
-        try:
-            out.append(Scenario(token))
-        except ValueError:
-            raise ValueError(f"unknown scenario {token!r}; allowed: update-first, apt-first") from None
+        out.append(parse_scenario(token))
     if not out:
         raise ValueError("at least one scenario is required")
     return out
@@ -81,7 +85,7 @@ def parse_strategies(text: str, reactive_pick: str) -> list[StrategyConfig]:
 def parse_baseline(text: str, reactive_pick: str) -> tuple[StrategyConfig, Scenario]:
     token, _, scen = text.partition("@")
     cfg = StrategyConfig.parse(token, reactive_pick)
-    scenario = Scenario(scen) if scen else Scenario.UPDATE_FIRST
+    scenario = parse_scenario(scen) if scen else Scenario.UPDATE_FIRST
     return cfg, scenario
 
 

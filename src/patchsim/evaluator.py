@@ -16,8 +16,6 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .campaigns import ExposureMatrix, build_campaign_matrix
 from .catalog import CampaignRecord, Catalog
 from .months import DataError
@@ -60,11 +58,10 @@ def successful_months(deployment: DeploymentMatrix, exposure: ExposureMatrix) ->
     if deployment.space is not exposure.space:
         raise ValueError("deployment and exposure matrices use different row/column spaces")
     lo, hi = deployment.intervals
-    lo, hi = np.maximum(lo[exposure.rows], exposure.campaign.start_month), hi[exposure.rows]
-    installed = lo < hi
+    start = exposure.campaign.start_month
     months: set[int] = set()
-    for a, b in zip(lo[installed].tolist(), hi[installed].tolist()):
-        months.update(range(a, b))
+    for r in exposure.rows:  # empty when never installed or replaced before the start
+        months.update(range(max(lo[r], start), hi[r]))
     return frozenset(months)
 
 

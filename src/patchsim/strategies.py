@@ -24,8 +24,6 @@ from functools import cached_property
 from itertools import groupby, islice
 from typing import Container, Optional
 
-import numpy as np
-
 from .catalog import Catalog, MatrixSpace, ProductKey, ReleaseTimeline, VersionRelease
 from .months import DataError
 
@@ -110,7 +108,7 @@ class DeploymentMatrix:
     transitions: tuple[Transition, ...]  # sorted by (product, month)
 
     @cached_property
-    def intervals(self) -> tuple[np.ndarray, np.ndarray]:
+    def intervals(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(lo, hi) per row: the row's release is installed over months
         [lo, hi), and lo == hi means never. Under apt-first the outgoing
         release stays installed through its transition month."""
@@ -121,7 +119,7 @@ class DeploymentMatrix:
         for t in self.transitions:  # in month order per product, so each release's end is set last
             hi[row[t.outgoing]] = t.month + extra
             lo[row[t.incoming]], hi[row[t.incoming]] = t.month, end
-        return np.array(lo), np.array(hi)
+        return tuple(lo), tuple(hi)
 
 
 def initial_versions(catalog: Catalog) -> dict[ProductKey, VersionRelease]:

@@ -140,7 +140,7 @@ def save_catalog(catalog: Catalog, directory) -> dict[str, Path]:
 def dense(matrix) -> np.ndarray:
     """A deployment as a rows x months bool array: set where the row's release
     is installed in that month."""
-    lo, hi = matrix.intervals
+    lo, hi = map(np.array, matrix.intervals)
     months = np.arange(matrix.space.n_months)
     return (lo[:, None] <= months) & (months < hi[:, None])
 
@@ -322,12 +322,14 @@ def random_catalog(rng: random.Random, horizon_end: int = 23) -> Catalog:
 
 
 def ref_tokens(version: str) -> list:
-    parts = re.findall(r"\d+|[a-z]+", version.lower())
+    """Decimal runs are numbers; every other run between the separators
+    ".-_+ " is a letter run, whatever its characters ("é", "²", "*")."""
+    parts = re.findall(r"\d+|[^\d.\-_+ ]+", version.strip().lower())
     out = []
     for i, part in enumerate(parts):
-        if part == "u" and 0 < i < len(parts) - 1 and parts[i - 1].isdigit() and parts[i + 1].isdigit():
+        if part == "u" and 0 < i < len(parts) - 1 and parts[i - 1].isdecimal() and parts[i + 1].isdecimal():
             continue
-        out.append(int(part) if part.isdigit() else part)
+        out.append(int(part) if part.isdecimal() else part)
     return out
 
 

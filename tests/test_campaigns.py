@@ -8,6 +8,7 @@ from patchsim.campaigns import (
     AttackScenario,
     TieRule,
     build_campaign_matrix,
+    campaign_scenarios,
     classify_attack,
     classify_campaign,
     venn_counts,
@@ -36,8 +37,8 @@ def test_exposure_union_of_overlapping_cves_has_no_double_count():
     c = campaign("Alpha", 3, ["CVE-2010-0001", "CVE-2010-0002"])
     cat = make_catalog({("acme", "app"): [("1.0", 0), ("1.1", 1), ("2.0", 2)]}, [v1, v2], [c], horizon_end=11)
     matrix = build_campaign_matrix(c, cat)
-    assert matrix.cells.dtype == bool
-    assert int(matrix.cells.sum()) == 3
+    assert matrix.rows == (0, 1, 2)
+    assert matrix.cells.tolist() == [1, 1, 1]
 
 
 def test_fixture_exposure_reader_cve(fixture_catalog):
@@ -151,6 +152,22 @@ def test_fix_month_is_earliest_escape_across_products():
     for key, month in [(("acme", "app"), 6), (("acme", "other"), 4)]:
         single = make_catalog({key: timelines[key]}, [record], [c], horizon_end=11)
         assert single.fix_month == {"CVE-2010-0001": month}, key
+
+
+def test_fix_month_skips_releases_another_constraint_affects():
+    # 2.0 and 2.1 lie above [1.0, 1.5) but inside [2.0, 2.3): the first escape is 1.5
+    record = vuln(
+        "CVE-2010-0001",
+        0,
+        1,
+        ("acme", "app", {"startIncluding": "1.0", "endExcluding": "1.5"}),
+        ("acme", "app", {"startIncluding": "2.0", "endExcluding": "2.3"}),
+    )
+    c = campaign("Alpha", 4, ["CVE-2010-0001"])
+    releases = [("1.0", 0), ("2.0", 1), ("2.1", 2), ("1.5", 6), ("2.3", 8)]
+    cat = make_catalog({("acme", "app"): releases}, [record], [c], horizon_end=11)
+    assert cat.fix_month == {"CVE-2010-0001": 6}
+    assert campaign_scenarios(c, cat) == {"CVE-2010-0001": AttackScenario.KK_U}
 
 
 def test_fix_month_absent_when_no_release_escapes():

@@ -368,6 +368,14 @@ def _bad_strategy_delay(tmp_path, fixture_paths):
     return ["evaluate", *_data_args(fixture_paths), "--strategies", "planned:x"]
 
 
+def _bad_baseline_scenario(tmp_path, fixture_paths):
+    return ["evaluate", *_data_args(fixture_paths), "--baseline", "immediate@bogus"]
+
+
+def _bad_scenarios_token(tmp_path, fixture_paths):
+    return ["evaluate", *_data_args(fixture_paths), "--scenarios", "update-first,bogus"]
+
+
 def _report_without_out(tmp_path, fixture_paths):
     return ["report", *_data_args(fixture_paths)]
 
@@ -448,6 +456,12 @@ def _non_utf8_config(tmp_path, fixture_paths):
         (_bad_epoch, 2, "--epoch: month out of range in '2008-13'"),
         (_bad_choice_config, 2, "run.json: option 'tie_rule' must be one of inclusive, exclusive"),
         (_bad_strategy_delay, 2, "--strategies: strategy 'planned' delay must be a whole number of months, got 'x'"),
+        (_bad_baseline_scenario, 2, "--baseline: unknown scenario 'bogus'; allowed: update-first, apt-first"),
+        (_bad_scenarios_token, 2, "--scenarios: unknown scenario 'bogus'; allowed: update-first, apt-first"),
+        (_malformed_entry(reserved="2009/12"), 1,
+         "vulns.json: entry #0 (CVE-2009-4324): field reserved: expected YYYY-MM date, got '2009/12'"),
+        (_malformed_entry(published="2009/12"), 1,
+         "vulns.json: entry #0 (CVE-2009-4324): field published: expected YYYY-MM date, got '2009/12'"),
         (_long_field("releases"), 1, "releases.csv:10: field larger than field limit"),
         (_long_field("campaigns"), 1, "campaigns.csv:6: field larger than field limit"),
         (_deeply_nested_vulns, 1, "vulns.json: invalid JSON: maximum recursion depth exceeded"),
@@ -460,6 +474,7 @@ def _non_utf8_config(tmp_path, fixture_paths):
          "non-utf8-input", "superscript-digit-version", "overlong-digit-run", "overlong-digit-bound",
          "overlong-digit-exact", "null-cve", "numeric-cve",
          "reversed-range", "bad-epoch-flag", "bad-choice-config", "bad-strategy-delay",
+         "bad-baseline-scenario", "bad-scenarios-token", "bad-reserved-date", "bad-published-date",
          "long-releases-field", "long-campaigns-field", "nested-vulns", "nested-config",
          "non-utf8-config"],
 )
@@ -515,6 +530,22 @@ def test_report_independent_of_hash_seed_and_row_order(dataset, fixture_paths, t
         _report_manifest(shuffled, horizon, "1", tmp_path / "shuffled-out"),
     ]
     assert manifests[0] == manifests[1] == manifests[2]
+
+
+def test_report_loads_no_numpy(fixture_paths, tmp_path):
+    # the package needs only the standard library, so a report never imports numpy
+    argv = ["report", *_data_args(fixture_paths), "--out", str(tmp_path / "out")]
+    code = (
+        "import sys\n"
+        "from patchsim.cli import run\n"
+        f"rc = run({argv!r})\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "sys.exit(rc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(patchsim.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_parse_helpers():

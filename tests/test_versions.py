@@ -133,9 +133,14 @@ def test_fixes_is_strictly_above_the_range():
 
 def _drawn_version(rng):
     """Few distinct numbers, so bounds and versions often coincide or differ
-    only by a trailing segment ("1" < "1.0" < "1.0a")."""
+    only by a trailing segment ("1" < "1.0" < "1.0a"). Tags include non-ASCII
+    letters, "²" and "*", which tokenize as letters; now and then a version is
+    a tag alone (a bare "*" bound is a wildcard, a bare "*" exact is not)."""
+    tag = rng.choice(["", "", "", "a", "b", "é", "É", "ß", "²", "*"])
+    if tag and rng.random() < 0.05:
+        return tag
     segments = [str(rng.randint(1, 3))] + [str(rng.randint(0, 2)) for _ in range(rng.randint(0, 2))]
-    return ".".join(segments) + rng.choice(["", "", "", "a", "b"])
+    return ".".join(segments) + tag
 
 
 def _drawn_bound(rng):
