@@ -28,7 +28,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .months import DataError, Horizon, split_date
+from .months import DataError, Horizon
 from .versions import VersionConstraint, affected_releases, version_key
 
 log = logging.getLogger(__name__)
@@ -210,11 +210,10 @@ def _parse_clamped(horizon: Horizon, text: str, where: str) -> int:
     post-horizon date is a LoadError."""
     year_month = text.strip()
     try:
-        _, _, had_day = split_date(year_month)
         index, clamped = horizon.parse_clamped(year_month)
     except DataError as exc:
         raise LoadError(f"{where}: {exc}") from exc
-    if had_day:
+    if len(year_month) == 10:  # an accepted YYYY-MM-DD; YYYY-MM is 7 long
         log.info("%s: day-level date %r truncated to month", where, year_month)
     if clamped:
         log.info("%s: pre-epoch date %r clamped to %s", where, year_month, horizon.format(0))

@@ -28,14 +28,9 @@ from pathlib import Path
 
 from .campaigns import TieRule, campaign_scenarios, classify_campaign, venn_counts
 from .catalog import Catalog, catalog_diagnostics, load_catalog, validate_catalog
-from .evaluator import (
-    EvaluationReport,
-    evaluate,
-    percent_1dp,
-    report_to_dict,
-)
+from .evaluator import EvaluationReport, evaluate, percent_1dp
 from .months import DataError, Horizon, split_date
-from .stats import exploit_ages, kaplan_meier
+from .stats import agresti_coull, exploit_ages, kaplan_meier
 from .strategies import Scenario, StrategyConfig
 
 DATA_DIR_ENV = "PATCHSIM_DATA"
@@ -273,9 +268,59 @@ def emit_report(reports: list[EvaluationReport], catalog: Catalog, out_dir, form
     return emit_files(_evaluation_files(reports, catalog), out_dir, formats)
 
 
+def _json_list(items: list[str], depth: int) -> str:
+    """A JSON array of rendered items, laid out as json.dumps(indent=2) lays
+    out an array `depth` levels deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+def _evaluation_json(reports: list[EvaluationReport], catalog: Catalog) -> str:
+    """evaluate.json: per report its summary and campaign outcomes, in the bytes
+    json.dumps(..., indent=2, sort_keys=True) + "\n" gives. It is written from
+    a template because an indent makes json.dumps fall back to its pure-Python
+    encoder; each leaf still goes through json.dumps, keys in sorted order."""
+    labels = [json.dumps(label) for label in catalog.horizon.labels]
+    rendered = []
+    for r in reports:
+        outcomes = []
+        for o in r.outcomes:
+            months = ",\n          ".join([labels[m] for m in sorted(o.success_months)])
+            months = f"[\n          {months}\n        ]" if months else "[]"
+            outcomes.append(f"""{{
+        "apt": {json.dumps(o.campaign.apt_name)},
+        "months": {months},
+        "start": {labels[o.campaign.start_month]},
+        "success": {"true" if o.success else "false"}
+      }}""")
+        ci = agresti_coull(sum(1 for o in r.outcomes if o.success), len(r.outcomes), 0.95)
+        odds = None if r.odds_vs_baseline is None else round(r.odds_vs_baseline, 3)
+        rendered.append(f"""{{
+    "ci95_percent": [
+      {json.dumps(round(ci.low * 100, 2))},
+      {json.dumps(round(ci.high * 100, 2))}
+    ],
+    "delay_months": {json.dumps(r.config.delay_months)},
+    "odds_vs_baseline": {json.dumps(odds)},
+    "outcomes": {_json_list(outcomes, 2)},
+    "overall_probability": {{
+      "fraction": {json.dumps(f"{r.overall.numerator}/{r.overall.denominator}")},
+      "percent": {json.dumps(percent_1dp(r.overall))}
+    }},
+    "scenario": {json.dumps(r.scenario.value)},
+    "strategy": {json.dumps(r.config.kind.value)},
+    "updates": {{
+      "net": {json.dumps(r.updates_net)},
+      "raw": {json.dumps(r.updates_raw)}
+    }}
+  }}""")
+    return _json_list(rendered, 0) + "\n"
+
+
 def _evaluation_files(reports: list[EvaluationReport], catalog: Catalog) -> dict[str, str]:
-    payload = [report_to_dict(r, catalog) for r in reports]
-    eval_json = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    eval_json = _evaluation_json(reports, catalog)
 
     buf = io.StringIO()
     writer = csv.writer(buf)

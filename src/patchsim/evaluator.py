@@ -19,7 +19,6 @@ from typing import Iterable, Optional, Sequence
 from .campaigns import ExposureMatrix, build_campaign_matrix
 from .catalog import CampaignRecord, Catalog
 from .months import DataError
-from .stats import agresti_coull
 from .strategies import (
     DeploymentMatrix,
     Scenario,
@@ -60,8 +59,10 @@ def successful_months(deployment: DeploymentMatrix, exposure: ExposureMatrix) ->
     lo, hi = deployment.intervals
     start = exposure.campaign.start_month
     months: set[int] = set()
-    for r in exposure.rows:  # empty when never installed or replaced before the start
-        months.update(range(max(lo[r], start), hi[r]))
+    for r in exposure.rows:
+        end = hi[r]
+        if end > start:  # skips rows never installed or replaced by the start
+            months.update(range(lo[r] if lo[r] > start else start, end))
     return frozenset(months)
 
 
@@ -185,33 +186,3 @@ def percent_1dp(value: Fraction) -> str:
     if 2 * r >= value.denominator:
         q += 1
     return f"{q // 10}.{q % 10}"
-
-
-def report_to_dict(report: EvaluationReport, catalog: Catalog) -> dict:
-    labels = catalog.horizon.labels
-    ci = agresti_coull(
-        sum(1 for o in report.outcomes if o.success), len(report.outcomes), 0.95
-    )
-    return {
-        "strategy": report.config.kind.value,
-        "delay_months": report.config.delay_months,
-        "scenario": report.scenario.value,
-        "overall_probability": {
-            "fraction": f"{report.overall.numerator}/{report.overall.denominator}",
-            "percent": percent_1dp(report.overall),
-        },
-        "ci95_percent": [round(ci.low * 100, 2), round(ci.high * 100, 2)],
-        "updates": {"raw": report.updates_raw, "net": report.updates_net},
-        "odds_vs_baseline": (
-            None if report.odds_vs_baseline is None else round(report.odds_vs_baseline, 3)
-        ),
-        "outcomes": [
-            {
-                "apt": o.campaign.apt_name,
-                "start": labels[o.campaign.start_month],
-                "success": o.success,
-                "months": [labels[m] for m in sorted(o.success_months)],
-            }
-            for o in report.outcomes
-        ],
-    }

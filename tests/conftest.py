@@ -22,6 +22,7 @@ from patchsim.catalog import (
 )
 from patchsim.evaluator import evaluate, exposure_matrices
 from patchsim.months import Horizon
+from patchsim.stats import agresti_coull
 from patchsim.strategies import Scenario, StrategyConfig, StrategyKind
 from patchsim.versions import VersionConstraint, version_key
 
@@ -470,6 +471,39 @@ def ref_percent_1dp(value: Fraction) -> str:
     if 2 * r >= scaled.denominator:
         q += 1
     return f"{q // 10}.{q % 10}"
+
+
+def ref_evaluation_json(reports, catalog: Catalog) -> str:
+    """evaluate.json as the whole payload built as dicts and rendered by
+    json.dumps(indent=2, sort_keys=True), the encoder's own layout."""
+    labels = catalog.horizon.labels
+    payload = []
+    for report in reports:
+        ci = agresti_coull(sum(1 for o in report.outcomes if o.success), len(report.outcomes), 0.95)
+        payload.append({
+            "strategy": report.config.kind.value,
+            "delay_months": report.config.delay_months,
+            "scenario": report.scenario.value,
+            "overall_probability": {
+                "fraction": f"{report.overall.numerator}/{report.overall.denominator}",
+                "percent": ref_percent_1dp(report.overall),
+            },
+            "ci95_percent": [round(ci.low * 100, 2), round(ci.high * 100, 2)],
+            "updates": {"raw": report.updates_raw, "net": report.updates_net},
+            "odds_vs_baseline": (
+                None if report.odds_vs_baseline is None else round(report.odds_vs_baseline, 3)
+            ),
+            "outcomes": [
+                {
+                    "apt": o.campaign.apt_name,
+                    "start": labels[o.campaign.start_month],
+                    "success": o.success,
+                    "months": [labels[m] for m in sorted(o.success_months)],
+                }
+                for o in report.outcomes
+            ],
+        })
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def ref_strategy_run(catalog: Catalog, kind: str, delay: int = 0, pick: str = "first") -> dict:

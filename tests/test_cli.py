@@ -9,8 +9,16 @@ from pathlib import Path
 import pytest
 
 import patchsim
-from conftest import random_catalog, save_catalog
-from patchsim.cli import build_parser, emit_report, parse_baseline, parse_strategies, run
+from conftest import campaign, make_catalog, random_catalog, ref_evaluation_json, save_catalog, vuln
+from patchsim.cli import (
+    DEFAULT_STRATEGIES,
+    _evaluation_files,
+    build_parser,
+    emit_report,
+    parse_baseline,
+    parse_strategies,
+    run,
+)
 from patchsim.evaluator import evaluate
 from patchsim.strategies import Scenario, StrategyConfig, StrategyKind
 
@@ -110,6 +118,29 @@ def test_evaluate_writes_deterministic_artifacts(fixture_paths, tmp_path):
     payload = json.loads((tmp_path / "a" / "evaluate.json").read_text())
     assert payload[0]["strategy"] == "immediate"
     assert payload[0]["overall_probability"]["percent"] == "33.3"
+
+
+def test_evaluate_json_is_the_encoders_bytes_on_fixture_and_random_catalogs(fixture_catalog):
+    configs = parse_strategies(DEFAULT_STRATEGIES, "first")
+    for catalog in [fixture_catalog] + [random_catalog(random.Random(seed)) for seed in range(50)]:
+        reports = evaluate(catalog, configs)
+        assert _evaluation_files(reports, catalog)["evaluate.json"] == ref_evaluation_json(reports, catalog)
+
+
+def test_evaluate_json_is_the_encoders_bytes_for_escaped_names_and_extreme_outcomes():
+    names = ['Quote"d', "Back\\slash", "Tab\tbed", "Bell\x07", "Ωmega é"]
+    v = vuln("CVE-2010-0001", 0, 1, ("acme", "app", {"exact": "1.0"}))
+    campaigns = [campaign(name, 3 + i, ["CVE-2010-0001"]) for i, name in enumerate(names)]
+    catalog = make_catalog({("acme", "app"): [("1.0", 0), ("2.0", 1)]}, [v], campaigns, horizon_end=11)
+    immediate, planned = StrategyConfig(StrategyKind.IMMEDIATE), StrategyConfig(StrategyKind.PLANNED, 7)
+    reports = evaluate(catalog, [immediate, planned], baseline=(planned, Scenario.APT_FIRST))
+    # immediate replaces 1.0 before any campaign starts, planned:7 keeps it until month 8;
+    # under the planned:7@apt-first baseline every campaign succeeds, so no odds ratio is defined
+    assert [[o.success for o in r.outcomes] for r in reports] == [[False] * 5] * 2 + [[True] * 5] * 2
+    assert [r.odds_vs_baseline for r in reports] == [None] * 4
+    text = _evaluation_files(reports, catalog)["evaluate.json"]
+    assert text == ref_evaluation_json(reports, catalog)
+    assert '"months": [],' in text and '"odds_vs_baseline": null,' in text and "\\u03a9" in text
 
 
 def test_format_selector_limits_files(fixture_paths, tmp_path):

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
@@ -19,8 +20,8 @@ from conftest import (
     ref_success_months,
     vuln,
 )
-from patchsim.campaigns import build_campaign_matrix
-from patchsim.cli import DEFAULT_STRATEGIES
+from patchsim.campaigns import ExposureMatrix, build_campaign_matrix
+from patchsim.cli import DEFAULT_STRATEGIES, _evaluation_files
 from patchsim.evaluator import (
     CampaignOutcome,
     evaluate,
@@ -30,7 +31,6 @@ from patchsim.evaluator import (
     overall_probability,
     percent_1dp,
     probability_at,
-    report_to_dict,
     successful_months,
 )
 from patchsim.strategies import (
@@ -74,6 +74,24 @@ def test_successful_months_includes_apt_first_transition_hit():
     assert successful_months(optimistic, exposure) == frozenset()
     pessimistic = apply_apt_first(optimistic)
     assert successful_months(pessimistic, exposure) == {4}
+
+
+def test_successful_months_reads_only_rows_installed_at_the_campaign_start():
+    # hand-built (lo, hi) per row around a campaign starting in month 4: row 0 is
+    # replaced exactly in the start month, row 1 is installed after the start,
+    # rows 2 and 3 are never installed (lo == hi), row 4 spans the start
+    space = object()
+    deployment = SimpleNamespace(space=space, intervals=((0, 6, 0, 7, 2), (4, 9, 0, 7, 5)))
+    record = campaign("Alpha", 4, ["CVE-2010-0001"])
+
+    def hit(*rows):
+        return successful_months(deployment, ExposureMatrix(space=space, rows=rows, campaign=record))
+
+    assert hit(0) == frozenset()
+    assert hit(1) == {6, 7, 8}
+    assert hit(2) == hit(3) == frozenset()
+    assert hit(4) == {4}
+    assert hit(0, 1, 2, 3, 4) == {4, 6, 7, 8}
 
 
 def test_successful_months_rejects_mismatched_spaces(fixture_catalog):
@@ -267,9 +285,9 @@ def test_evaluate_is_deterministic(fixture_catalog):
     configs = [StrategyConfig(StrategyKind.PLANNED, 3), StrategyConfig(StrategyKind.REACTIVE, 3)]
     first = evaluate(fixture_catalog, configs)
     second = evaluate(fixture_catalog, configs)
-    assert [report_to_dict(r, fixture_catalog) for r in first] == [
-        report_to_dict(r, fixture_catalog) for r in second
-    ]
+    assert _evaluation_files(first, fixture_catalog)["evaluate.json"] == (
+        _evaluation_files(second, fixture_catalog)["evaluate.json"]
+    )
 
 
 def test_evaluate_requires_configs_and_scenarios(fixture_catalog):
