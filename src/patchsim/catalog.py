@@ -160,6 +160,14 @@ class Catalog:
         return index
 
     @cached_property
+    def exploited(self) -> frozenset[VersionRelease]:
+        """Every cataloged release that some campaign-exploited CVE affects."""
+        hit: set[VersionRelease] = set()
+        for cve in self.campaign_cve_ids():
+            hit |= self.affected.get(cve, frozenset())
+        return frozenset(hit)
+
+    @cached_property
     def hitting(self) -> dict[VersionRelease, tuple[str, ...]]:
         """The affects-index read the other way: release -> the ids of every
         CVE affecting it, in id order; an empty tuple for an unaffected release."""

@@ -282,20 +282,28 @@ def _evaluation_json(reports: list[EvaluationReport], catalog: Catalog) -> str:
     json.dumps(..., indent=2, sort_keys=True) + "\n" gives. It is written from
     a template because an indent makes json.dumps fall back to its pure-Python
     encoder; each leaf still goes through json.dumps, keys in sorted order."""
+    sep = ",\n          "
     labels = [json.dumps(label) for label in catalog.horizon.labels]
+    campaigns, parts = (), []
     rendered = []
     for r in reports:
-        outcomes = []
-        for o in r.outcomes:
-            months = ",\n          ".join([labels[m] for m in sorted(o.success_months)])
-            months = f"[\n          {months}\n        ]" if months else "[]"
-            outcomes.append(f"""{{
-        "apt": {json.dumps(o.campaign.apt_name)},
-        "months": {months},
-        "start": {labels[o.campaign.start_month]},
-        "success": {"true" if o.success else "false"}
-      }}""")
-        ci = agresti_coull(sum(1 for o in r.outcomes if o.success), len(r.outcomes), 0.95)
+        listed = tuple(o.campaign for o in r.outcomes)
+        if listed != campaigns:  # the reports of one evaluation list the same campaigns
+            campaigns = listed
+            parts = [
+                (f'{{\n        "apt": {json.dumps(c.apt_name)},\n        "months": ',
+                 f',\n        "start": {labels[c.start_month]},\n        "success": ')
+                for c in campaigns
+            ]
+        outcomes, successes = [], 0
+        for (head, tail), o in zip(parts, r.outcomes):
+            if o.success_months:
+                months = sep.join([sep.join(labels[a:b]) for a, b in o.success_months])
+                outcomes.append(f"{head}[\n          {months}\n        ]{tail}true\n      }}")
+                successes += 1
+            else:
+                outcomes.append(f"{head}[]{tail}false\n      }}")
+        ci = agresti_coull(successes, len(r.outcomes), 0.95)
         odds = None if r.odds_vs_baseline is None else round(r.odds_vs_baseline, 3)
         rendered.append(f"""{{
     "ci95_percent": [
@@ -342,12 +350,15 @@ def _evaluation_files(reports: list[EvaluationReport], catalog: Catalog) -> dict
     writer = csv.writer(buf)
     labels = [f"{r.config.label}@{r.scenario.value}" for r in reports]
     writer.writerow(["month", "date"] + labels)
-    for m, date in enumerate(catalog.horizon.labels):
-        row = [m, date]
-        for r in reports:
-            p = r.monthly[m]
-            row.append("" if p is None else percent_1dp(p))
-        writer.writerow(row)
+    columns = []
+    for r in reports:
+        column, shown, text = [], object(), ""
+        for p in r.monthly:
+            if p is not shown:  # monthly_probabilities repeats one object while the counts hold
+                shown, text = p, "" if p is None else percent_1dp(p)
+            column.append(text)
+        columns.append(column)
+    writer.writerows(zip(range(len(catalog.horizon.labels)), catalog.horizon.labels, *columns))
     series_csv = buf.getvalue()
 
     return {"evaluate.json": eval_json, "evaluate.csv": eval_csv, "series.csv": series_csv}

@@ -2,9 +2,10 @@
 
 For each strategy deployment and campaign exposure, the installed intervals
 of the rows that the campaign targets, clipped to its start month, are the
-months in which an installed version was being targeted. A campaign counts as
-(potentially) successful if that happens in at least one month; the overall
-probability is the fraction of targeting campaigns that ever succeed.
+months in which an installed version was being targeted; merged, they are a
+campaign outcome's success runs. A campaign counts as (potentially)
+successful if it has at least one run; the overall probability is the
+fraction of targeting campaigns that ever succeed.
 Probabilities are exact rationals internally and only rendered to percentages
 at the reporting boundary.
 """
@@ -30,10 +31,13 @@ from .strategies import (
 )
 
 
+Runs = tuple[tuple[int, int], ...]
+
+
 @dataclass(frozen=True)
 class CampaignOutcome:
     campaign: CampaignRecord
-    success_months: frozenset[int]
+    success_months: Runs  # sorted, disjoint, non-adjacent, non-empty [a, b) month runs
 
     @property
     def success(self) -> bool:
@@ -45,6 +49,8 @@ class EvaluationReport:
     config: StrategyConfig
     scenario: Scenario
     overall: Fraction
+    # one entry per month; consecutive months with the same success and active
+    # counts share one object, so a reader may render a value once per object
     monthly: tuple[Optional[Fraction], ...]
     updates_raw: int
     updates_net: int
@@ -52,33 +58,60 @@ class EvaluationReport:
     odds_vs_baseline: Optional[float]
 
 
-def successful_months(deployment: DeploymentMatrix, exposure: ExposureMatrix) -> frozenset[int]:
-    """Months in which some installed version is targeted by the campaign."""
+def successful_months(deployment: DeploymentMatrix, exposure: ExposureMatrix) -> Runs:
+    """Months in which some installed version is targeted by the campaign, as
+    sorted [a, b) runs with overlapping or touching runs merged, so equal
+    months give equal runs."""
     if deployment.space is not exposure.space:
         raise ValueError("deployment and exposure matrices use different row/column spaces")
     lo, hi = deployment.intervals
     start = exposure.campaign.start_month
-    months: set[int] = set()
+    runs = []
     for r in exposure.rows:
-        end = hi[r]
-        if end > start:  # skips rows never installed or replaced by the start
-            months.update(range(lo[r] if lo[r] > start else start, end))
-    return frozenset(months)
+        a, b = lo[r], hi[r]
+        if a < start:
+            a = start
+        if b > a:  # skips rows never installed or replaced by the start
+            runs.append((a, b))
+    if len(runs) < 2:
+        return tuple(runs)
+    runs.sort()
+    merged = [runs[0]]
+    for a, b in runs:
+        last_a, last_b = merged[-1]
+        if a > last_b:
+            merged.append((a, b))
+        elif b > last_b:
+            merged[-1] = (last_a, b)
+    return tuple(merged)
 
 
 def monthly_probabilities(outcomes: Sequence[CampaignOutcome], n_months: int) -> tuple[Optional[Fraction], ...]:
     """Successful over active campaigns for each month below n_months; None
     where none are active. A campaign is active from its start month on and
-    counts as successful only in success months at or after its start."""
-    starts, hits = [0] * n_months, [0] * n_months
+    counts as successful only in success months at or after its start.
+    Consecutive months with the same counts share one Fraction object."""
+    starts, delta = [0] * n_months, [0] * (n_months + 1)
     for o in outcomes:
         start = o.campaign.start_month
         if start < n_months:
             starts[start] += 1
-            for m in o.success_months:
-                if start <= m < n_months:
-                    hits[m] += 1
-    return tuple(Fraction(h, a) if a else None for h, a in zip(hits, accumulate(starts)))
+            for a, b in o.success_months:
+                if a < start:
+                    a = start
+                if b > n_months:
+                    b = n_months
+                if a < b:
+                    delta[a] += 1
+                    delta[b] -= 1
+    series: list[Optional[Fraction]] = []
+    counts, value = None, None
+    for hits_active in zip(accumulate(delta), accumulate(starts)):
+        if hits_active != counts:
+            counts = hits_active
+            value = Fraction(*counts) if counts[1] else None
+        series.append(value)
+    return tuple(series)
 
 
 def probability_at(outcomes: Sequence[CampaignOutcome], month: int) -> Optional[Fraction]:

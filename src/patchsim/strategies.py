@@ -125,9 +125,7 @@ class DeploymentMatrix:
 def initial_versions(catalog: Catalog) -> dict[ProductKey, VersionRelease]:
     """Starting version per product: oldest release already out at the epoch,
     preferring one vulnerable to a campaign-exploited CVE."""
-    exploited: set[VersionRelease] = set()
-    for cve in catalog.campaign_cve_ids():
-        exploited |= catalog.affected.get(cve, frozenset())
+    exploited = catalog.exploited
     chosen: dict[ProductKey, VersionRelease] = {}
     for key in sorted(catalog.timelines):
         timeline = catalog.timelines[key]

@@ -418,6 +418,23 @@ def ref_overall_probability(catalog: Catalog, matrix) -> Fraction | None:
     return Fraction(succeeded, included)
 
 
+def months_of(runs) -> frozenset:
+    """The months of a campaign outcome's [a, b) success runs."""
+    return frozenset(m for a, b in runs for m in range(a, b))
+
+
+def runs_of(months) -> tuple:
+    """The canonical [a, b) runs of a set of months: sorted, disjoint and
+    non-adjacent."""
+    runs: list = []
+    for m in sorted(months):
+        if runs and runs[-1][1] == m:
+            runs[-1] = (runs[-1][0], m + 1)
+        else:
+            runs.append((m, m + 1))
+    return tuple(runs)
+
+
 def ref_success_months(
     catalog: Catalog, kind: str, delay: int = 0, pick: str = "first", scenario: Scenario = Scenario.UPDATE_FIRST
 ) -> dict:
@@ -442,8 +459,8 @@ def ref_success_months(
 
 
 def assert_success_months_match_reference(catalog: Catalog, configs, context) -> None:
-    """evaluate()'s success months of every report equal ref_success_months;
-    a catalog whose campaigns target no cataloged release has nothing to score."""
+    """evaluate()'s success months of every report are canonical runs whose
+    months equal ref_success_months; a catalog whose campaigns target no cataloged release has nothing to score."""
     if not exposure_matrices(catalog):
         return
     for report in evaluate(catalog, configs):
@@ -451,7 +468,14 @@ def assert_success_months_match_reference(catalog: Catalog, configs, context) ->
         expected = ref_success_months(
             catalog, config.kind.value, config.delay_months, config.reactive_pick, report.scenario
         )
-        got = {o.campaign.key: o.success_months for o in report.outcomes}
+        for o in report.outcomes:
+            runs = o.success_months
+            # canonical runs: a tuple of sorted, disjoint, non-adjacent, non-empty [a, b)
+            assert isinstance(runs, tuple), (context, config, report.scenario, runs)
+            assert all(a < b for a, b in runs), (context, config, report.scenario, runs)
+            assert all(b < a for (_, b), (a, _) in zip(runs, runs[1:])), (context, config, report.scenario, runs)
+            assert o.success == bool(expected[o.campaign.key]), (context, config, report.scenario)
+        got = {o.campaign.key: months_of(o.success_months) for o in report.outcomes}
         assert got == expected, (context, config, report.scenario)
 
 
@@ -461,7 +485,7 @@ def ref_monthly(outcomes, month: int) -> Fraction | None:
     active = [o for o in outcomes if o.campaign.start_month <= month]
     if not active:
         return None
-    return Fraction(sum(1 for o in active if month in o.success_months), len(active))
+    return Fraction(sum(1 for o in active if month in months_of(o.success_months)), len(active))
 
 
 def ref_percent_1dp(value: Fraction) -> str:
@@ -498,7 +522,7 @@ def ref_evaluation_json(reports, catalog: Catalog) -> str:
                     "apt": o.campaign.apt_name,
                     "start": labels[o.campaign.start_month],
                     "success": o.success,
-                    "months": [labels[m] for m in sorted(o.success_months)],
+                    "months": [labels[m] for m in sorted(months_of(o.success_months))],
                 }
                 for o in report.outcomes
             ],

@@ -13,14 +13,17 @@ from conftest import (
     campaign,
     configs_with_delay,
     make_catalog,
+    months_of,
     random_catalog,
     ref_monthly,
     ref_overall_probability,
     ref_percent_1dp,
     ref_success_months,
+    runs_of,
     vuln,
 )
 from patchsim.campaigns import ExposureMatrix, build_campaign_matrix
+from patchsim.catalog import Catalog, load_catalog
 from patchsim.cli import DEFAULT_STRATEGIES, _evaluation_files
 from patchsim.evaluator import (
     CampaignOutcome,
@@ -52,7 +55,7 @@ def test_successful_months_single_row_product():
     cat = _one_row_catalog()
     deployment = build_matrix(cat, StrategyConfig(StrategyKind.IMMEDIATE))  # 1.0 installed on [0, 3]
     exposure = build_campaign_matrix(cat.campaigns[0], cat)
-    assert successful_months(deployment, exposure) == {2, 3}
+    assert months_of(successful_months(deployment, exposure)) == {2, 3}
 
 
 def test_successful_months_disjoint_sets_are_empty():
@@ -61,7 +64,7 @@ def test_successful_months_disjoint_sets_are_empty():
     cat = make_catalog({("acme", "app"): [("1.0", 0), ("2.0", 4)]}, [v], [c], horizon_end=11)
     deployment = build_matrix(cat, StrategyConfig(StrategyKind.IMMEDIATE))
     exposure = build_campaign_matrix(c, cat)
-    assert successful_months(deployment, exposure) == frozenset()
+    assert months_of(successful_months(deployment, exposure)) == frozenset()
 
 
 def test_successful_months_includes_apt_first_transition_hit():
@@ -71,9 +74,9 @@ def test_successful_months_includes_apt_first_transition_hit():
     cat = make_catalog({("acme", "app"): [("1.0", 0), ("2.0", 4)]}, [v], [c], horizon_end=11)
     optimistic = build_matrix(cat, StrategyConfig(StrategyKind.IMMEDIATE))
     exposure = build_campaign_matrix(c, cat)
-    assert successful_months(optimistic, exposure) == frozenset()
+    assert months_of(successful_months(optimistic, exposure)) == frozenset()
     pessimistic = apply_apt_first(optimistic)
-    assert successful_months(pessimistic, exposure) == {4}
+    assert months_of(successful_months(pessimistic, exposure)) == {4}
 
 
 def test_successful_months_reads_only_rows_installed_at_the_campaign_start():
@@ -85,13 +88,35 @@ def test_successful_months_reads_only_rows_installed_at_the_campaign_start():
     record = campaign("Alpha", 4, ["CVE-2010-0001"])
 
     def hit(*rows):
-        return successful_months(deployment, ExposureMatrix(space=space, rows=rows, campaign=record))
+        return months_of(successful_months(deployment, ExposureMatrix(space=space, rows=rows, campaign=record)))
 
     assert hit(0) == frozenset()
     assert hit(1) == {6, 7, 8}
     assert hit(2) == hit(3) == frozenset()
     assert hit(4) == {4}
     assert hit(0, 1, 2, 3, 4) == {4, 6, 7, 8}
+
+
+def test_empty_intervals_give_no_run_and_no_success():
+    # a campaign starting in month 4: rows 0 and 2 are never installed (lo == hi,
+    # before and after the start), rows 1 and 3 are replaced exactly in the start month
+    space = object()
+    deployment = SimpleNamespace(space=space, intervals=((3, 0, 5, 2), (3, 4, 5, 4)))
+    record = campaign("Alpha", 4, ["CVE-2010-0001"])
+    for rows in ((0,), (1,), (2,), (3,), (0, 1, 2, 3)):
+        runs = successful_months(deployment, ExposureMatrix(space=space, rows=rows, campaign=record))
+        assert runs == ()
+        assert not CampaignOutcome(record, runs).success
+
+
+def test_overlapping_and_touching_runs_merge():
+    # rows installed over [4, 6), [6, 8), [8, 9) touch, [5, 7) overlaps them,
+    # [10, 11) lies inside [10, 12), and [0, 3) is clipped to the start month 1
+    space = object()
+    deployment = SimpleNamespace(space=space, intervals=((4, 6, 8, 5, 10, 10, 0), (6, 8, 9, 7, 12, 11, 3)))
+    record = campaign("Alpha", 1, ["CVE-2010-0001"])
+    runs = successful_months(deployment, ExposureMatrix(space=space, rows=tuple(range(7)), campaign=record))
+    assert runs == ((1, 3), (4, 9), (10, 12))
 
 
 def test_successful_months_rejects_mismatched_spaces(fixture_catalog):
@@ -107,7 +132,7 @@ def test_successful_months_rejects_mismatched_spaces(fixture_catalog):
 
 
 def _outcome(apt, start, months):
-    return CampaignOutcome(campaign(apt, start, ["CVE-2010-0001"]), frozenset(months))
+    return CampaignOutcome(campaign(apt, start, ["CVE-2010-0001"]), runs_of(months))
 
 
 def test_probability_at_counts_active_campaigns():
@@ -140,6 +165,19 @@ def test_monthly_probabilities_ignore_months_before_start():
     outcomes = [_outcome("A", 2, {1, 2}), _outcome("B", 0, set())]
     assert monthly_probabilities(outcomes, 3) == (0, 0, Fraction(1, 2))
     assert [probability_at(outcomes, m) for m in range(3)] == [ref_monthly(outcomes, m) for m in range(3)]
+
+
+def test_monthly_probabilities_clip_runs_to_the_start_and_the_window():
+    # runs that begin before the campaign start or end past n_months count
+    # only inside [start, n_months)
+    outcomes = [
+        CampaignOutcome(campaign("A", 2, ["CVE-2010-0001"]), ((0, 4),)),
+        CampaignOutcome(campaign("B", 0, ["CVE-2010-0001"]), ((1, 9),)),
+        CampaignOutcome(campaign("C", 3, ["CVE-2010-0001"]), ((0, 2), (7, 9))),
+    ]
+    assert monthly_probabilities(outcomes, 5) == (0, 1, 1, Fraction(2, 3), Fraction(1, 3))
+    assert monthly_probabilities(outcomes, 5) == tuple(ref_monthly(outcomes, m) for m in range(5))
+    assert monthly_probabilities(outcomes[2:], 2) == (None, None)
 
 
 def test_overall_counts_each_campaign_once():
@@ -236,8 +274,8 @@ def test_fixture_campaign_outcomes(fixture_catalog):
     (report,) = reports
     by_key = {o.campaign.key: o for o in report.outcomes}
     assert len(by_key) == 3  # the vector-only campaign is excluded
-    assert by_key[("Nightshade", 23)].success_months == {23}
-    assert by_key[("Quartz", 14)].success_months == frozenset(range(14, 21))
+    assert months_of(by_key[("Nightshade", 23)].success_months) == {23}
+    assert months_of(by_key[("Quartz", 14)].success_months) == frozenset(range(14, 21))
     assert not by_key[("Nightshade", 42)].success
 
 
@@ -265,6 +303,29 @@ def test_equal_configs_build_one_matrix(fixture_catalog, monkeypatch):
     assert built == [StrategyConfig(StrategyKind.IMMEDIATE), StrategyConfig(StrategyKind.PLANNED, 1)]
 
 
+def test_exploited_releases_are_indexed_once_per_catalog(fixture_paths, monkeypatch):
+    # every config's build_matrix reads its start releases from the catalog's
+    # exploited-release index, so evaluating ten configs unions the campaign
+    # CVEs' affected releases no more often than evaluating one
+    unions = []
+    campaign_cve_ids = Catalog.campaign_cve_ids
+
+    def counting(catalog):
+        unions.append(catalog)
+        return campaign_cve_ids(catalog)
+
+    monkeypatch.setattr(Catalog, "campaign_cve_ids", counting)
+    configs = [StrategyConfig.parse(token) for token in DEFAULT_STRATEGIES.split(",")]
+    calls = []
+    for some in (configs[:1], configs):
+        catalog = load_catalog(fixture_paths["releases"], fixture_paths["vulns"], fixture_paths["campaigns"])
+        unions.clear()
+        assert len(evaluate(catalog, some)) == 2 * len(some)
+        calls.append(len(unions))
+        assert catalog.exploited == {rel for cve in catalog.campaign_cve_ids() for rel in catalog.affected.get(cve, ())}
+    assert calls[0] == calls[1]
+
+
 def test_baseline_reuses_its_report_outcomes(fixture_catalog, monkeypatch):
     # the default baseline (immediate, update-first) is also a report: each of
     # the 20 default reports scores every exposure once, and the baseline none
@@ -279,6 +340,27 @@ def test_baseline_reuses_its_report_outcomes(fixture_catalog, monkeypatch):
     reports = evaluate(fixture_catalog, configs)
     assert len(reports) == len(scored) == 20
     assert set(scored.values()) == {len(exposure_matrices(fixture_catalog))}
+
+
+def test_recorded_success_months_are_the_reported_ones(fixture_catalog, monkeypatch):
+    # a traced benchmark run stores what each successful_months call returns and
+    # compares it with evaluate()'s outcomes: both must be the same runs
+    recorded = {}
+
+    def recording(deployment, exposure):
+        runs = successful_months(deployment, exposure)
+        recorded[(deployment.config, deployment.scenario, exposure.campaign.key)] = runs
+        return runs
+
+    monkeypatch.setattr(patchsim.evaluator, "successful_months", recording)
+    configs = [StrategyConfig.parse(token) for token in DEFAULT_STRATEGIES.split(",")]
+    for catalog in [fixture_catalog] + [random_catalog(random.Random(seed)) for seed in range(10)]:
+        if not exposure_matrices(catalog):
+            continue
+        recorded.clear()
+        reports = evaluate(catalog, configs)
+        composed = {(r.config, r.scenario, o.campaign.key): o.success_months for r in reports for o in r.outcomes}
+        assert composed == recorded
 
 
 def test_evaluate_is_deterministic(fixture_catalog):
@@ -368,9 +450,17 @@ def test_monthly_series_matches_per_month_rescan_on_random_catalogs():
             for m, p in enumerate(report.monthly):
                 assert p == ref_monthly(report.outcomes, m)
                 assert probability_at(report.outcomes, m) == p
+            # the documented sharing: months with the same counts share one object
+            counts = [
+                (sum(m in months_of(o.success_months) for o in report.outcomes),
+                 sum(o.campaign.start_month <= m for o in report.outcomes))
+                for m in range(cat.horizon.n_months)
+            ]
+            for m in range(1, cat.horizon.n_months):
+                assert (report.monthly[m] is report.monthly[m - 1]) == (counts[m] == counts[m - 1])
 
 
-@pytest.mark.parametrize("delay", [0, 1, 3])
+@pytest.mark.parametrize("delay", [0, 1, 3, 7])
 def test_success_months_match_per_month_oracle_on_random_catalogs(delay):
     configs = configs_with_delay(delay)
     for seed in range(100):
@@ -387,7 +477,7 @@ def test_start_release_replaced_in_month_0_is_installed_only_under_apt_first():
     expected = {Scenario.UPDATE_FIRST: set(), Scenario.APT_FIRST: {0}}
     for kind in (StrategyKind.REACTIVE, StrategyKind.INFORMED_REACTIVE):
         for report in evaluate(cat, [StrategyConfig(kind, 0)]):
-            assert report.outcomes[0].success_months == expected[report.scenario]
+            assert months_of(report.outcomes[0].success_months) == expected[report.scenario]
             assert ref_success_months(cat, kind.value, 0, "first", report.scenario) == {
                 ("Alpha", 0): expected[report.scenario]
             }
