@@ -128,6 +128,7 @@ def campaign_scenarios(
     return out
 
 
+KNOWLEDGE_ORDER = ("KK", "KU", "UU")  # how classify.csv and venn.json list a campaign's groups
 VENN_REGIONS = ("KK", "KU", "UU", "KK&KU", "KK&UU", "KU&UU", "KK&KU&UU")
 
 
@@ -142,6 +143,6 @@ def venn_counts(catalog: Catalog, tie_rule: TieRule = TieRule.INCLUSIVE) -> dict
         if not groups:
             continue
         total += 1
-        counts["&".join(sorted(groups, key=("KK", "KU", "UU").index))] += 1
+        counts["&".join(sorted(groups, key=KNOWLEDGE_ORDER.index))] += 1
     counts["total"] = total
     return counts

@@ -26,7 +26,7 @@ import os
 import sys
 from pathlib import Path
 
-from .campaigns import TieRule, campaign_scenarios, classify_campaign, venn_counts
+from .campaigns import KNOWLEDGE_ORDER, TieRule, campaign_scenarios, classify_campaign, venn_counts
 from .catalog import Catalog, catalog_diagnostics, load_catalog, validate_catalog
 from .evaluator import EvaluationReport, evaluate, percent_1dp
 from .months import DataError, Horizon, split_date
@@ -53,28 +53,20 @@ def parse_scenario(token: str) -> Scenario:
         raise ValueError(f"unknown scenario {token!r}; allowed: update-first, apt-first") from None
 
 
-def parse_scenarios(text: str) -> list[Scenario]:
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        out.append(parse_scenario(token))
+def _comma_list(text: str, parse, what: str) -> list:
+    """Parse each non-blank token of a comma list; an empty list is an error."""
+    out = [parse(token) for token in map(str.strip, text.split(",")) if token]
     if not out:
-        raise ValueError("at least one scenario is required")
+        raise ValueError(f"at least one {what} is required")
     return out
+
+
+def parse_scenarios(text: str) -> list[Scenario]:
+    return _comma_list(text, parse_scenario, "scenario")
 
 
 def parse_strategies(text: str, reactive_pick: str) -> list[StrategyConfig]:
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        out.append(StrategyConfig.parse(token, reactive_pick))
-    if not out:
-        raise ValueError("at least one strategy is required")
-    return out
+    return _comma_list(text, lambda token: StrategyConfig.parse(token, reactive_pick), "strategy")
 
 
 def parse_baseline(text: str, reactive_pick: str) -> tuple[StrategyConfig, Scenario]:
@@ -374,7 +366,7 @@ def _classify_files(catalog: Catalog, tie_rule: TieRule) -> dict[str, str]:
         writer.writerow([
             campaign.apt_name,
             catalog.horizon.format(campaign.start_month),
-            "|".join(sorted(groups, key=("KK", "KU", "UU").index)),
+            "|".join(sorted(groups, key=KNOWLEDGE_ORDER.index)),
             "|".join(f"{cve}={scenario.value}" for cve, scenario in sorted(scenarios.items())),
         ])
     venn = json.dumps(venn_counts(catalog, tie_rule), indent=2, sort_keys=True) + "\n"

@@ -63,7 +63,7 @@ def successful_months(deployment: DeploymentMatrix, exposure: ExposureMatrix) ->
     sorted [a, b) runs with overlapping or touching runs merged, so equal
     months give equal runs."""
     if deployment.space is not exposure.space:
-        raise ValueError("deployment and exposure matrices use different row/column spaces")
+        raise ValueError("deployment and exposure matrices use different row spaces")
     lo, hi = deployment.intervals
     start = exposure.campaign.start_month
     runs = []

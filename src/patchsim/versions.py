@@ -92,11 +92,6 @@ class VersionConstraint:
             raise ValueError("exact constraint needs a version literal")
 
     @classmethod
-    def exact(cls, version: str) -> "VersionConstraint":
-        b = Bound(version, True)
-        return cls("exact", b, b, raw=json.dumps({"exact": version}, sort_keys=True))
-
-    @classmethod
     def from_mapping(cls, obj: dict) -> "VersionConstraint":
         """Parse a constraint object such as {"endIncluding": "9.2"}."""
         raw = json.dumps(obj, sort_keys=True)
@@ -107,7 +102,8 @@ class VersionConstraint:
             extras = set(obj) - {"exact"}
             if extras:
                 raise ValueError(f"exact constraint mixed with {sorted(extras)} in {raw}")
-            return cls.exact(obj["exact"])
+            b = Bound(obj["exact"], True)
+            return cls("exact", b, b, raw=raw)
         known = {"startIncluding", "startExcluding", "endIncluding", "endExcluding"}
         unknown = set(obj) - known
         if unknown:

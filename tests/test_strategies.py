@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -423,6 +424,20 @@ def test_planned_counts_never_increase_with_delay_on_random_catalogs():
         counts = [count_updates(matrix)[0] for matrix in planned]
         assert counts == sorted(counts, reverse=True), counts
         assert np.array_equal(dense(planned[0]), dense(build_matrix(cat, IMMEDIATE)))
+
+
+def test_planned_is_immediate_truncated_and_shifted(fixture_catalog):
+    """planned:k's transitions are immediate's with month <= end - k, each
+    landing k months later; ref_strategy_run checks each delay on its own."""
+    catalogs = [fixture_catalog] + [random_catalog(random.Random(seed)) for seed in range(300)]
+    for index, cat in enumerate(catalogs):
+        immediate = build_matrix(cat, IMMEDIATE)
+        end = cat.horizon.end_index
+        for delay in (1, 2, 3, 7):
+            planned = build_matrix(cat, StrategyConfig(StrategyKind.PLANNED, delay))
+            shifted = tuple(replace(t, month=t.month + delay) for t in immediate.transitions if t.month <= end - delay)
+            assert planned.start == immediate.start, (index, delay)
+            assert planned.transitions == shifted, (index, delay)
 
 
 def test_reactive_never_installs_a_triggering_cve_on_random_catalogs():
