@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import Optional
 
 from .catalog import CampaignRecord, Catalog, MatrixSpace, VulnRecord
@@ -129,7 +130,8 @@ def campaign_scenarios(
 
 
 KNOWLEDGE_ORDER = ("KK", "KU", "UU")  # how classify.csv and venn.json list a campaign's groups
-VENN_REGIONS = ("KK", "KU", "UU", "KK&KU", "KK&UU", "KU&UU", "KK&KU&UU")
+# the non-empty combinations of the groups, smallest first: "KK", ..., "KK&KU", ..., "KK&KU&UU"
+VENN_REGIONS = tuple("&".join(c) for n in range(1, len(KNOWLEDGE_ORDER) + 1) for c in combinations(KNOWLEDGE_ORDER, n))
 
 
 def venn_counts(catalog: Catalog, tie_rule: TieRule = TieRule.INCLUSIVE) -> dict[str, int]:

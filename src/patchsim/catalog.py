@@ -240,12 +240,15 @@ def _read_text(path: Path) -> str:
 
 def _csv_rows(path: Path, header: list[str]) -> Iterator[tuple[str, dict]]:
     """Each data row of a CSV file that must start with `header`, with its
-    "file:line"; a row the csv module cannot parse is a data error."""
+    "file:line"; a row the csv module cannot parse, or one wider than the
+    header, is a data error."""
     reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
     try:
         if reader.fieldnames != header:
             raise LoadError(f"{path}: header must be {','.join(header)}, got {reader.fieldnames}")
         for lineno, row in enumerate(reader, start=2):
+            if None in row:  # DictReader files the fields past the header under the key None
+                raise LoadError(f"{path}:{lineno}: {len(header) + len(row[None])} fields, the header has {len(header)}")
             yield f"{path}:{lineno}", row
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         # the DictReader's own line_num only moves on a parsed row; its csv.reader's counts every line read

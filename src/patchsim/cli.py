@@ -28,20 +28,20 @@ from pathlib import Path
 
 from .campaigns import KNOWLEDGE_ORDER, TieRule, campaign_scenarios, classify_campaign, venn_counts
 from .catalog import Catalog, catalog_diagnostics, load_catalog, validate_catalog
-from .evaluator import EvaluationReport, evaluate, percent_1dp
-from .months import DataError, Horizon, split_date
+from .evaluator import DEFAULT_BASELINE, EvaluationReport, evaluate, percent_1dp
+from .months import DEFAULT_EPOCH, DEFAULT_HORIZON_END, DataError, Horizon, split_date
 from .stats import agresti_coull, exploit_ages, kaplan_meier
-from .strategies import Scenario, StrategyConfig
+from .strategies import REACTIVE_PICKS, Scenario, StrategyConfig
 
 DATA_DIR_ENV = "PATCHSIM_DATA"
 
 DEFAULT_STRATEGIES = "immediate,planned:1,planned:3,planned:7,reactive:1,reactive:3,reactive:7,informed:1,informed:3,informed:7"
-DEFAULT_SCENARIOS = "update-first,apt-first"
+DEFAULT_SCENARIOS = ",".join(scenario.value for scenario in Scenario)
 
 # option -> allowed values, for argparse and for --config alike
 CHOICES = {
-    "reactive_pick": ("first", "latest"),
-    "tie_rule": ("inclusive", "exclusive"),
+    "reactive_pick": REACTIVE_PICKS,
+    "tie_rule": tuple(rule.value for rule in TieRule),
     "format": ("json", "csv", "both"),
 }
 
@@ -50,7 +50,8 @@ def parse_scenario(token: str) -> Scenario:
     try:
         return Scenario(token)
     except ValueError:
-        raise ValueError(f"unknown scenario {token!r}; allowed: update-first, apt-first") from None
+        allowed = ", ".join(scenario.value for scenario in Scenario)
+        raise ValueError(f"unknown scenario {token!r}; allowed: {allowed}") from None
 
 
 def _comma_list(text: str, parse, what: str) -> list:
@@ -86,8 +87,8 @@ def _data_flags() -> argparse.ArgumentParser:
                         help="vulnerability records JSON with affected-version constraints")
     parser.add_argument("--campaigns", default=default("campaigns.csv"),
                         help="campaign events CSV (apt,date,cves,vectors)")
-    parser.add_argument("--epoch", default="2008-01", help="first month of the analysis window (YYYY-MM)")
-    parser.add_argument("--horizon", default="2020-01", help="last month of the analysis window (YYYY-MM)")
+    parser.add_argument("--epoch", default=DEFAULT_EPOCH, help="first month of the analysis window (YYYY-MM)")
+    parser.add_argument("--horizon", default=DEFAULT_HORIZON_END, help="last month of the analysis window (YYYY-MM)")
     parser.add_argument("--config", default=None,
                         help="JSON file holding any of these options; explicit flags win")
     return parser
@@ -99,16 +100,17 @@ def _strategy_flags() -> argparse.ArgumentParser:
                         help="comma list of name[:delay] with names immediate, planned, reactive, informed")
     parser.add_argument("--scenarios", default=DEFAULT_SCENARIOS,
                         help="comma list of update-first (optimistic) and/or apt-first (pessimistic)")
-    parser.add_argument("--baseline", default="immediate@update-first",
+    baseline_config, baseline_scenario = DEFAULT_BASELINE
+    parser.add_argument("--baseline", default=f"{baseline_config.label}@{baseline_scenario.value}",
                         help="odds baseline as strategy[:delay][@scenario]")
-    parser.add_argument("--reactive-pick", default="first", choices=CHOICES["reactive_pick"],
+    parser.add_argument("--reactive-pick", default=REACTIVE_PICKS[0], choices=CHOICES["reactive_pick"],
                         help="which escaping release a reactive update installs")
     return parser
 
 
 def _tie_rule_flags() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("--tie-rule", default="inclusive", choices=CHOICES["tie_rule"],
+    parser.add_argument("--tie-rule", default=TieRule.INCLUSIVE.value, choices=CHOICES["tie_rule"],
                         help="same-month tie handling in lifecycle classification")
     return parser
 

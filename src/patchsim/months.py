@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-_DATE_RE = re.compile(r"^(\d{4})-(\d{2})(?:-(\d{2}))?$")
+_DATE_RE = re.compile(r"^(\d{4})-(\d{2})(?:-\d{2})?$")
 
 DEFAULT_EPOCH = "2008-01"
 DEFAULT_HORIZON_END = "2020-01"
@@ -29,19 +29,14 @@ class AfterHorizonError(DataError):
     """Date falls after the end of the analysis horizon."""
 
 
-def split_date(text: str) -> tuple[int, int, bool]:
-    """Split YYYY-MM or YYYY-MM-DD into (year, month, had_day_part)."""
+def split_date(text: str) -> tuple[int, int]:
+    """Split YYYY-MM or YYYY-MM-DD into (year, month); the day is dropped."""
     m = _DATE_RE.match(text.strip())
     if not m:
         raise MonthFormatError(f"expected YYYY-MM date, got {text!r}")
     year, month = int(m.group(1)), int(m.group(2))
     if not 1 <= month <= 12:
         raise MonthFormatError(f"month out of range in {text!r}")
-    return year, month, m.group(3) is not None
-
-
-def _split(text: str) -> tuple[int, int]:
-    year, month, _ = split_date(text)
     return year, month
 
 
@@ -55,8 +50,8 @@ class Horizon:
 
     @classmethod
     def from_strings(cls, epoch: str = DEFAULT_EPOCH, end: str = DEFAULT_HORIZON_END) -> "Horizon":
-        ey, em = _split(epoch)
-        ny, nm = _split(end)
+        ey, em = split_date(epoch)
+        ny, nm = split_date(end)
         end_index = 12 * (ny - ey) + (nm - em)
         if end_index <= 0:
             raise MonthFormatError(f"horizon end {end!r} must be after epoch {epoch!r}")
@@ -74,7 +69,7 @@ class Horizon:
         window end is a hard bound, while "before the epoch" just means
         "already available when the analysis starts".
         """
-        year, month = _split(text)
+        year, month = split_date(text)
         index = 12 * (year - self.epoch_year) + (month - self.epoch_month)
         if index > self.end_index:
             raise AfterHorizonError(f"{text!r} is after the horizon end {self.format(self.end_index)}")

@@ -41,6 +41,9 @@ class Scenario(Enum):
     APT_FIRST = "apt-first"
 
 
+REACTIVE_PICKS = ("first", "latest")  # which escaping release a reactive update installs; the first is the default
+
+
 class StrategyKind(Enum):
     IMMEDIATE = "immediate"
     PLANNED = "planned"
@@ -52,17 +55,17 @@ class StrategyKind(Enum):
 class StrategyConfig:
     kind: StrategyKind
     delay_months: int = 0
-    reactive_pick: str = "first"  # first | latest
+    reactive_pick: str = REACTIVE_PICKS[0]
 
     def __post_init__(self):
         if self.delay_months < 0:
             raise ValueError("delay_months must be >= 0")
         if self.kind is StrategyKind.IMMEDIATE and self.delay_months != 0:
             raise ValueError("immediate strategy has no delay")
-        if self.reactive_pick not in ("first", "latest"):
-            raise ValueError(f"reactive_pick must be 'first' or 'latest', got {self.reactive_pick!r}")
+        if self.reactive_pick not in REACTIVE_PICKS:
+            raise ValueError(f"reactive_pick must be {' or '.join(map(repr, REACTIVE_PICKS))}, got {self.reactive_pick!r}")
         if self.kind in (StrategyKind.IMMEDIATE, StrategyKind.PLANNED):
-            object.__setattr__(self, "reactive_pick", "first")  # unused here: equal configs build once
+            object.__setattr__(self, "reactive_pick", REACTIVE_PICKS[0])  # unused here: equal configs build once
 
     @property
     def label(self) -> str:
@@ -71,7 +74,7 @@ class StrategyConfig:
         return f"{self.kind.value}:{self.delay_months}"
 
     @classmethod
-    def parse(cls, token: str, reactive_pick: str = "first") -> "StrategyConfig":
+    def parse(cls, token: str, reactive_pick: str = REACTIVE_PICKS[0]) -> "StrategyConfig":
         """Parse a 'name[:delay]' token, e.g. 'planned:3'."""
         name, _, delay = token.strip().partition(":")
         kinds = {k.value: k for k in StrategyKind}

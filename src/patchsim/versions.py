@@ -10,6 +10,7 @@ as "6.13".
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,26 +22,13 @@ _ALPHA = 1
 
 Segment = tuple[int, object]
 
+# a run of decimal digits, or a run of anything else up to a separator ".-_+ ";
+# \d is what str.isdecimal() and int() accept, so "²" reads as a letter
+_RUN = re.compile(r"\d+|[^\d.\-_+ ]+")
+
 
 def _tokenize(raw: str) -> list[Segment]:
-    segments: list[Segment] = []
-    run = ""
-    run_digit = False
-    for ch in raw.strip().lower():
-        if ch in ".-_+ ":
-            if run:
-                segments.append((_NUM, int(run)) if run_digit else (_ALPHA, run))
-                run = ""
-            continue
-        is_digit = ch.isdecimal()  # int() reads decimal digits only: "²" is a letter
-        if run and is_digit != run_digit:
-            segments.append((_NUM, int(run)) if run_digit else (_ALPHA, run))
-            run = ""
-        run += ch
-        run_digit = is_digit
-    if run:
-        segments.append((_NUM, int(run)) if run_digit else (_ALPHA, run))
-    return segments
+    return [(_NUM, int(run)) if run.isdecimal() else (_ALPHA, run) for run in _RUN.findall(raw.strip().lower())]
 
 
 def version_key(raw: str) -> tuple[Segment, ...]:
@@ -84,12 +72,6 @@ class VersionConstraint:
     start: Optional[Bound] = None
     end: Optional[Bound] = None
     raw: str = field(default="", compare=False)  # original match text, provenance only
-
-    def __post_init__(self):
-        if self.kind not in ("exact", "range"):
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if self.kind == "exact" and (self.start is None or self.end is None):
-            raise ValueError("exact constraint needs a version literal")
 
     @classmethod
     def from_mapping(cls, obj: dict) -> "VersionConstraint":

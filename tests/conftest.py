@@ -4,8 +4,8 @@ import csv
 import json
 import math
 import random
-import re
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -325,7 +325,8 @@ def random_catalog(rng: random.Random, horizon_end: int = 23) -> Catalog:
 def ref_tokens(version: str) -> list:
     """Decimal runs are numbers; every other run between the separators
     ".-_+ " is a letter run, whatever its characters ("é", "²", "*")."""
-    parts = re.findall(r"\d+|[^\d.\-_+ ]+", version.strip().lower())
+    runs = groupby(version.strip().lower(), lambda ch: None if ch in ".-_+ " else ch.isdecimal())
+    parts = ["".join(chars) for decimal, chars in runs if decimal is not None]
     out = []
     for i, part in enumerate(parts):
         if part == "u" and 0 < i < len(parts) - 1 and parts[i - 1].isdecimal() and parts[i + 1].isdecimal():

@@ -10,17 +10,21 @@ import pytest
 
 import patchsim
 from conftest import campaign, make_catalog, random_catalog, ref_evaluation_json, save_catalog, vuln
+from patchsim.campaigns import TieRule
 from patchsim.cli import (
+    CHOICES,
     DEFAULT_STRATEGIES,
     _evaluation_files,
     build_parser,
     emit_report,
     parse_baseline,
+    parse_scenarios,
     parse_strategies,
     run,
 )
-from patchsim.evaluator import evaluate
-from patchsim.strategies import Scenario, StrategyConfig, StrategyKind
+from patchsim.evaluator import DEFAULT_BASELINE, evaluate
+from patchsim.months import Horizon
+from patchsim.strategies import REACTIVE_PICKS, Scenario, StrategyConfig, StrategyKind
 
 
 def _data_args(fixture_paths):
@@ -429,14 +433,25 @@ def _superscript_version(tmp_path, fixture_paths):
     return ["validate", *_data_args(fixture_paths), "--releases", str(releases)]
 
 
-def _long_field(name):
-    """Append a row whose quoted field is over csv.field_size_limit(), then validate."""
-    row = {"releases": 'adobe,reader,"{}",2009-01\n', "campaigns": 'Basalt,2010-05,"{}",undetermined\n'}[name]
+def _appended_row(name, row):
+    """Append one row to the releases or campaigns file, then validate."""
     def make_argv(tmp_path, fixture_paths):
         path = tmp_path / fixture_paths[name].name
-        path.write_text(fixture_paths[name].read_text() + row.format("x" * 200_000))
+        path.write_text(fixture_paths[name].read_text() + row)
         return ["validate", *_data_args(fixture_paths), f"--{name}", str(path)]
     return make_argv
+
+
+def _long_field(name):
+    """A row whose quoted field is over csv.field_size_limit()."""
+    row = {"releases": 'adobe,reader,"{}",2009-01\n', "campaigns": 'Basalt,2010-05,"{}",undetermined\n'}[name]
+    return _appended_row(name, row.format("x" * 200_000))
+
+
+def _wide_row(name):
+    """A row with one field more than the header."""
+    row = {"releases": "adobe,reader,9.9,2009-01,extra\n", "campaigns": "Basalt,2010-05,,valid-accounts,drive-by\n"}
+    return _appended_row(name, row[name])
 
 
 def _deeply_nested_vulns(tmp_path, fixture_paths):
@@ -495,6 +510,8 @@ def _non_utf8_config(tmp_path, fixture_paths):
          "vulns.json: entry #0 (CVE-2009-4324): field published: expected YYYY-MM date, got '2009/12'"),
         (_long_field("releases"), 1, "releases.csv:10: field larger than field limit"),
         (_long_field("campaigns"), 1, "campaigns.csv:6: field larger than field limit"),
+        (_wide_row("releases"), 1, "releases.csv:10: 5 fields, the header has 4"),
+        (_wide_row("campaigns"), 1, "campaigns.csv:6: 5 fields, the header has 4"),
         (_deeply_nested_vulns, 1, "vulns.json: invalid JSON: maximum recursion depth exceeded"),
         (_deeply_nested_config, 2, "run.json: maximum recursion depth exceeded"),
         (_non_utf8_config, 2, "run.json: 'utf-8' codec can't decode byte 0xff"),
@@ -506,8 +523,8 @@ def _non_utf8_config(tmp_path, fixture_paths):
          "overlong-digit-exact", "null-cve", "numeric-cve",
          "reversed-range", "bad-epoch-flag", "bad-choice-config", "bad-strategy-delay",
          "bad-baseline-scenario", "bad-scenarios-token", "bad-reserved-date", "bad-published-date",
-         "long-releases-field", "long-campaigns-field", "nested-vulns", "nested-config",
-         "non-utf8-config"],
+         "long-releases-field", "long-campaigns-field", "wide-releases-row", "wide-campaigns-row",
+         "nested-vulns", "nested-config", "non-utf8-config"],
 )
 def test_boundary_errors_exit_with_code_and_message(make_argv, code, fragment, tmp_path, fixture_paths, capsys):
     assert run(make_argv(tmp_path, fixture_paths)) == code
@@ -564,19 +581,35 @@ def test_report_independent_of_hash_seed_and_row_order(dataset, fixture_paths, t
 
 
 def test_report_loads_no_numpy(fixture_paths, tmp_path):
-    # the package needs only the standard library, so a report never imports numpy
+    # the package needs only the standard library: every module a report loads,
+    # numpy included, is patchsim's own or the standard library's. The set is
+    # taken before the import, because site may load third-party modules first.
     argv = ["report", *_data_args(fixture_paths), "--out", str(tmp_path / "out")]
     code = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "from patchsim.cli import run\n"
         f"rc = run({argv!r})\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "added = {name for name in set(sys.modules) - before if name.split('.')[0] != 'patchsim'}\n"
+        "foreign = sorted(name for name in added if name.split('.')[0] not in sys.stdlib_module_names)\n"
+        "assert not foreign, f'modules outside the standard library were imported: {foreign}'\n"
         "sys.exit(rc)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(patchsim.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_cli_defaults_are_the_librarys(fixture_paths):
+    args = build_parser().parse_args(["report", *_data_args(fixture_paths)])
+    assert parse_baseline(args.baseline, args.reactive_pick) == DEFAULT_BASELINE
+    assert parse_scenarios(args.scenarios) == list(Scenario)
+    assert Horizon.from_strings(args.epoch, args.horizon) == Horizon.from_strings()
+    assert args.reactive_pick == StrategyConfig(StrategyKind.REACTIVE, 1).reactive_pick
+    assert TieRule(args.tie_rule) is TieRule.INCLUSIVE
+    assert CHOICES["tie_rule"] == tuple(rule.value for rule in TieRule)
+    assert CHOICES["reactive_pick"] == REACTIVE_PICKS
 
 
 def test_parse_helpers():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_timeline, ref_above, ref_matches
+from conftest import make_timeline, ref_above, ref_matches, ref_tokens
 from patchsim.strategies import first_nonvulnerable
 from patchsim.versions import VersionConstraint, affected_releases, version_key
 
@@ -73,6 +73,15 @@ def test_comparator_transitivity(a, b, c):
     k0, k1, k2 = (version_key(v) for v in sorted([a, b, c], key=version_key))
     assert k0 <= k1 <= k2
     assert k0 <= k2
+
+
+# separators, the update letter, ASCII and Arabic-Indic decimal digits, a
+# superscript digit that is not decimal, letters, "*" and a tab
+@settings(max_examples=500)
+@given(st.text(alphabet=".-_+ u0123456789\u0663\u00b2abZ*\t", max_size=16))
+def test_version_key_matches_the_independent_tokenizer(text):
+    expected = ref_tokens(text)
+    assert version_key(text) == tuple((0, t) if isinstance(t, int) else (1, t) for t in expected)
 
 
 # ---------------------------------------------------------------------------
