@@ -24,7 +24,7 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -49,9 +49,6 @@ class AttackVector(Enum):
     PUBLIC_FACING_APP = "public-facing-app"
     REMOVABLE_MEDIA = "removable-media"
     UNDETERMINED = "undetermined"
-
-
-_VECTOR_BY_TAG = {v.value: v for v in AttackVector}
 
 
 @dataclass(frozen=True)
@@ -239,20 +236,23 @@ def _read_text(path: Path) -> str:
 
 
 def _csv_rows(path: Path, header: list[str]) -> Iterator[tuple[str, dict]]:
-    """Each data row of a CSV file that must start with `header`, with its
-    "file:line"; a row the csv module cannot parse, or one wider than the
-    header, is a data error."""
-    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
+    """Each record of a CSV file that must start with `header`, with the
+    "file:line" it starts on (blank lines skipped but counted) and None for
+    missing trailing fields; an unparsable or too-wide record is a data error."""
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
-        if reader.fieldnames != header:
-            raise LoadError(f"{path}: header must be {','.join(header)}, got {reader.fieldnames}")
-        for lineno, row in enumerate(reader, start=2):
-            if None in row:  # DictReader files the fields past the header under the key None
-                raise LoadError(f"{path}:{lineno}: {len(header) + len(row[None])} fields, the header has {len(header)}")
-            yield f"{path}:{lineno}", row
+        fields = next(reader, None)
+        if fields != header:
+            raise LoadError(f"{path}: header must be {','.join(header)}, got {fields}")
+        line = reader.line_num  # the last physical line read: a record starts on the next one
+        for fields in reader:
+            if fields:
+                if len(fields) > len(header):
+                    raise LoadError(f"{path}:{line + 1}: {len(fields)} fields, the header has {len(header)}")
+                yield f"{path}:{line + 1}", dict(zip_longest(header, fields))
+            line = reader.line_num
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        # the DictReader's own line_num only moves on a parsed row; its csv.reader's counts every line read
-        raise LoadError(f"{path}:{reader.reader.line_num}: {exc}") from exc
+        raise LoadError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def _load_releases(path: Path, horizon: Horizon) -> dict[ProductKey, ReleaseTimeline]:
@@ -336,11 +336,11 @@ def _load_campaigns(path: Path, horizon: Horizon, vulns: dict[str, VulnRecord]) 
         tags = [t.strip() for t in (row["vectors"] or "").split("|") if t.strip()]
         vectors = set()
         for tag in tags:
-            if tag not in _VECTOR_BY_TAG:
-                raise LoadError(
-                    f"{where}: unknown attack vector {tag!r}; allowed: {', '.join(sorted(_VECTOR_BY_TAG))}"
-                )
-            vectors.add(_VECTOR_BY_TAG[tag])
+            try:
+                vectors.add(AttackVector(tag))
+            except ValueError:
+                allowed = ", ".join(sorted(v.value for v in AttackVector))
+                raise LoadError(f"{where}: unknown attack vector {tag!r}; allowed: {allowed}") from None
         if not cves and not vectors:
             raise LoadError(f"{where}: campaign {apt} has neither CVEs nor attack vectors")
         key = (apt, month)

@@ -517,10 +517,7 @@ def run(argv=None) -> int:
     try:
         args = _apply_config_file(args, argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:

@@ -162,7 +162,8 @@ def evaluate(
     scenarios: Iterable[Scenario] = (Scenario.UPDATE_FIRST, Scenario.APT_FIRST),
     baseline: tuple[StrategyConfig, Scenario] = DEFAULT_BASELINE,
 ) -> list[EvaluationReport]:
-    """One report per (strategy config, scenario), odds relative to the baseline."""
+    """One report per (strategy config, scenario), odds relative to the baseline.
+    Each distinct config is built once, and each distinct pair scored once, the baseline's included."""
     configs = list(configs)
     scenarios = list(scenarios)
     if not configs:
@@ -175,25 +176,19 @@ def evaluate(
 
     matrices: dict[StrategyConfig, DeploymentMatrix] = {}
     scored: dict[tuple[StrategyConfig, Scenario], tuple[DeploymentMatrix, tuple[CampaignOutcome, ...]]] = {}
-
-    def score(config: StrategyConfig, scenario: Scenario):
-        """The deployment and its outcomes; each (config, scenario) is scored once."""
+    for config, scenario in [baseline, *((c, s) for c in configs for s in scenarios)]:
         if (config, scenario) not in scored:
             if config not in matrices:
                 matrices[config] = build_matrix(catalog, config)
-            matrix = matrices[config]
-            if scenario is Scenario.APT_FIRST:
-                matrix = apply_apt_first(matrix)
+            matrix = apply_apt_first(matrices[config]) if scenario is Scenario.APT_FIRST else matrices[config]
             outcomes = tuple(CampaignOutcome(e.campaign, successful_months(matrix, e)) for e in exposures)
-            scored[(config, scenario)] = matrix, outcomes
-        return scored[(config, scenario)]
-
-    baseline_overall = overall_probability(score(*baseline)[1])
+            scored[config, scenario] = matrix, outcomes
+    baseline_overall = overall_probability(scored[tuple(baseline)][1])
 
     reports = []
     for config in configs:
         for scenario in scenarios:
-            matrix, outcomes = score(config, scenario)
+            matrix, outcomes = scored[config, scenario]
             overall = overall_probability(outcomes)
             monthly = monthly_probabilities(outcomes, catalog.horizon.n_months)
             raw, net = count_updates(matrix)

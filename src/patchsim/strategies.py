@@ -77,10 +77,11 @@ class StrategyConfig:
     def parse(cls, token: str, reactive_pick: str = REACTIVE_PICKS[0]) -> "StrategyConfig":
         """Parse a 'name[:delay]' token, e.g. 'planned:3'."""
         name, _, delay = token.strip().partition(":")
-        kinds = {k.value: k for k in StrategyKind}
-        if name not in kinds:
-            raise ValueError(f"unknown strategy {name!r}; allowed: {', '.join(sorted(kinds))}")
-        kind = kinds[name]
+        try:
+            kind = StrategyKind(name)
+        except ValueError:
+            allowed = ", ".join(sorted(k.value for k in StrategyKind))
+            raise ValueError(f"unknown strategy {name!r}; allowed: {allowed}") from None
         if kind is StrategyKind.IMMEDIATE:
             if delay:
                 raise ValueError("immediate takes no delay")
@@ -96,7 +97,6 @@ class StrategyConfig:
 
 @dataclass(frozen=True)
 class Transition:
-    product: ProductKey
     month: int
     outgoing: VersionRelease
     incoming: VersionRelease
@@ -108,7 +108,7 @@ class DeploymentMatrix:
     scenario: Scenario
     config: StrategyConfig
     start: dict[ProductKey, VersionRelease]
-    transitions: tuple[Transition, ...]  # sorted by (product, month)
+    transitions: tuple[Transition, ...]  # products in key order, months increasing within a product
 
     @cached_property
     def intervals(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -119,7 +119,7 @@ class DeploymentMatrix:
         row, end, extra = self.space.row_index, self.space.n_months, int(self.scenario is Scenario.APT_FIRST)
         for rel in self.start.values():
             hi[row[rel]] = end
-        for t in self.transitions:  # in month order per product, so each release's end is set last
+        for t in self.transitions:  # months increase within a product, so each release's end is set last
             hi[row[t.outgoing]] = t.month + extra
             lo[row[t.incoming]], hi[row[t.incoming]] = t.month, end
         return tuple(lo), tuple(hi)
@@ -163,7 +163,7 @@ def _planned(catalog: Catalog, start: dict[ProductKey, VersionRelease], delay: i
             candidate = max(releases, key=lambda r: r.sort_key)
             if candidate.sort_key <= current.sort_key:  # never downgrade
                 continue
-            transitions.append(Transition(key, month + delay, current, candidate))
+            transitions.append(Transition(month + delay, current, candidate))
             current = candidate
     return transitions
 
@@ -213,7 +213,7 @@ def _reactive(catalog: Catalog, start: dict[ProductKey, VersionRelease], config:
                 break
             rel = first_nonvulnerable(timeline, blocked_by(current, land), at=land, installed=current, pick=pick)
             if rel is not None:  # otherwise CVEs triggered since m blocked every candidate: reschedule
-                transitions.append(Transition(key, land, current, rel))
+                transitions.append(Transition(land, current, rel))
                 current, last = rel, land
             m = land
     return transitions
@@ -256,7 +256,6 @@ def build_matrix(catalog: Catalog, config: StrategyConfig) -> DeploymentMatrix:
         transitions = _planned(catalog, start, config.delay_months)
     else:
         transitions = _reactive(catalog, start, config)
-    transitions.sort(key=lambda t: (t.product, t.month))
     return DeploymentMatrix(catalog.space, Scenario.UPDATE_FIRST, config, start, tuple(transitions))
 
 

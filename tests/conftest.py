@@ -166,7 +166,15 @@ def installed_series(matrix, product) -> list[set]:
 def matrix_problems(matrix) -> list[str]:
     """Structural self-checks of a deployment matrix; empty when well-formed."""
     problems: list[str] = []
-    transition_months = {(t.product, t.month): t for t in matrix.transitions}
+    # the builders' order, which intervals relies on to set each release's end last
+    products = [t.incoming.product for t in matrix.transitions]
+    if products != sorted(products):
+        problems.append("transitions are not grouped by product in key order")
+    for key, group in groupby(matrix.transitions, key=lambda t: t.incoming.product):
+        months = [t.month for t in group]
+        if any(a >= b for a, b in zip(months, months[1:])):
+            problems.append(f"{key}: transition months do not strictly increase: {months}")
+    transition_months = {(t.incoming.product, t.month): t for t in matrix.transitions}
     for key in product_keys(matrix.space):
         prev_max = None
         for m, installed in enumerate(installed_series(matrix, key)):

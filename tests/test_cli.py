@@ -512,6 +512,10 @@ def _non_utf8_config(tmp_path, fixture_paths):
         (_long_field("campaigns"), 1, "campaigns.csv:6: field larger than field limit"),
         (_wide_row("releases"), 1, "releases.csv:10: 5 fields, the header has 4"),
         (_wide_row("campaigns"), 1, "campaigns.csv:6: 5 fields, the header has 4"),
+        (_appended_row("releases", "\nadobe,reader,9.9,2009-01,extra\n"), 1,
+         "releases.csv:11: 5 fields, the header has 4"),
+        (_appended_row("campaigns", 'Basalt,2010-06,,"valid-accounts|\ndrive-by"\nBasalt,2010-07,,drive-by,x\n'), 1,
+         "campaigns.csv:8: 5 fields, the header has 4"),
         (_deeply_nested_vulns, 1, "vulns.json: invalid JSON: maximum recursion depth exceeded"),
         (_deeply_nested_config, 2, "run.json: maximum recursion depth exceeded"),
         (_non_utf8_config, 2, "run.json: 'utf-8' codec can't decode byte 0xff"),
@@ -524,6 +528,7 @@ def _non_utf8_config(tmp_path, fixture_paths):
          "reversed-range", "bad-epoch-flag", "bad-choice-config", "bad-strategy-delay",
          "bad-baseline-scenario", "bad-scenarios-token", "bad-reserved-date", "bad-published-date",
          "long-releases-field", "long-campaigns-field", "wide-releases-row", "wide-campaigns-row",
+         "wide-row-after-blank-line", "wide-row-after-multiline-field",
          "nested-vulns", "nested-config", "non-utf8-config"],
 )
 def test_boundary_errors_exit_with_code_and_message(make_argv, code, fragment, tmp_path, fixture_paths, capsys):

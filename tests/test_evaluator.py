@@ -342,6 +342,33 @@ def test_baseline_reuses_its_report_outcomes(fixture_catalog, monkeypatch):
     assert set(scored.values()) == {len(exposure_matrices(fixture_catalog))}
 
 
+def test_evaluate_builds_each_config_and_scores_each_pair_once(fixture_catalog, monkeypatch):
+    # duplicate configs, apt-first listed first and a baseline that is no report:
+    # three distinct configs are built once, five distinct pairs scored once
+    built, scored = Counter(), Counter()
+
+    def building(catalog, config):
+        built[config] += 1
+        return build_matrix(catalog, config)
+
+    def counting(deployment, exposure):
+        scored[(deployment.config, deployment.scenario)] += 1
+        return successful_months(deployment, exposure)
+
+    monkeypatch.setattr(patchsim.evaluator, "build_matrix", building)
+    monkeypatch.setattr(patchsim.evaluator, "successful_months", counting)
+    configs = [StrategyConfig.parse(token) for token in ("planned:1", "planned:1", "reactive:3")]
+    scenarios = [Scenario.APT_FIRST, Scenario.UPDATE_FIRST]
+    baseline = (StrategyConfig.parse("planned:7"), Scenario.APT_FIRST)
+    reports = evaluate(fixture_catalog, configs, scenarios, baseline=baseline)
+    pairs = [(c, s) for c in configs for s in scenarios]
+    assert built == Counter({config: 1 for config in [baseline[0], *configs]})
+    assert set(scored) == {baseline, *pairs}
+    assert set(scored.values()) == {len(exposure_matrices(fixture_catalog))}
+    assert [(r.config, r.scenario) for r in reports] == pairs
+    assert reports[0].outcomes is reports[2].outcomes  # a repeated config reads the one scored pair
+
+
 def test_recorded_success_months_are_the_reported_ones(fixture_catalog, monkeypatch):
     # a traced benchmark run stores what each successful_months call returns and
     # compares it with evaluate()'s outcomes: both must be the same runs

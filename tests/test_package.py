@@ -29,3 +29,20 @@ def test_package_exports_exactly_the_readme_library_names():
     assert exported == documented
     for name in documented:
         assert getattr(patchsim, name).__module__.startswith("patchsim."), name
+
+
+def test_src_modules_use_every_name_they_import():
+    # deleting a caller must delete the import it needed; annotations count,
+    # since they stay in the syntax tree under `from __future__ import annotations`
+    for path in sorted(Path(patchsim.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))

@@ -455,14 +455,14 @@ def test_reactive_never_installs_a_triggering_cve_on_random_catalogs():
                     hits_outgoing = any(
                         ref_matches(pc.constraint.to_mapping(), t.outgoing.version)
                         for pc in record.affected
-                        if pc.key == t.product
+                        if pc.key == t.incoming.product
                     )
                     if not hits_outgoing:
                         continue
                     hits_incoming = any(
                         ref_matches(pc.constraint.to_mapping(), t.incoming.version)
                         for pc in record.affected
-                        if pc.key == t.product
+                        if pc.key == t.incoming.product
                     )
                     assert not hits_incoming, (t, record.cve_id)
 
@@ -473,7 +473,7 @@ def _assert_matches_reference(catalog, config, context):
     for key, (versions, transitions) in expected.items():
         assert _installed_versions(matrix, key) == [[v] for v in versions], (context, config, key)
         got_transitions = [
-            (t.month, t.outgoing.version, t.incoming.version) for t in matrix.transitions if t.product == key
+            (t.month, t.outgoing.version, t.incoming.version) for t in matrix.transitions if t.incoming.product == key
         ]
         assert got_transitions == transitions, (context, config, key)
 
