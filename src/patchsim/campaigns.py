@@ -82,7 +82,7 @@ class ExposureMatrix:
 def build_campaign_matrix(campaign: CampaignRecord, catalog: Catalog) -> ExposureMatrix:
     """List every release affected by one of the campaign's CVEs."""
     space = catalog.space
-    rows = sorted({space.row_index[rel] for cve in campaign.cve_ids for rel in catalog.affected.get(cve, ())})
+    rows = sorted({space.row_index[rel] for cve in campaign.cve_ids for rel in catalog.affected[cve]})
     return ExposureMatrix(space=space, rows=tuple(rows), campaign=campaign)
 
 
@@ -120,13 +120,10 @@ def campaign_scenarios(
     tie_rule: TieRule = TieRule.INCLUSIVE,
 ) -> dict[str, AttackScenario]:
     """Per-CVE scenario labels for one campaign (earliest fix across products)."""
-    out: dict[str, AttackScenario] = {}
-    for cve in sorted(campaign.cve_ids):
-        vuln = catalog.vulns.get(cve)
-        if vuln is None:
-            continue
-        out[cve] = classify_attack(vuln, campaign.start_month, catalog.fix_month[cve], tie_rule)
-    return out
+    return {
+        cve: classify_attack(catalog.vulns[cve], campaign.start_month, catalog.fix_month[cve], tie_rule)
+        for cve in sorted(campaign.cve_ids)
+    }
 
 
 KNOWLEDGE_ORDER = ("KK", "KU", "UU")  # how classify.csv and venn.json list a campaign's groups

@@ -36,10 +36,6 @@ log = logging.getLogger(__name__)
 ProductKey = tuple[str, str]  # (vendor, name)
 
 
-class LoadError(DataError):
-    """Input file cannot be turned into a catalog; message carries context."""
-
-
 class AttackVector(Enum):
     SPEARPHISHING = "spearphishing"
     DRIVE_BY = "drive-by"
@@ -161,7 +157,7 @@ class Catalog:
         """Every cataloged release that some campaign-exploited CVE affects."""
         hit: set[VersionRelease] = set()
         for cve in self.campaign_cve_ids():
-            hit |= self.affected.get(cve, frozenset())
+            hit |= self.affected[cve]
         return frozenset(hit)
 
     @cached_property
@@ -183,7 +179,7 @@ class Catalog:
         the CVE affects; None when no release escapes. Products without a
         timeline contribute nothing."""
         index: dict[str, Optional[int]] = {}
-        for cve in sorted(self.campaign_cve_ids() & self.vulns.keys()):
+        for cve in sorted(self.campaign_cve_ids()):
             escapes, affected = [], self.affected[cve]
             for pc in self.vulns[cve].affected:
                 timeline = self.timelines.get(pc.key)
@@ -212,12 +208,12 @@ class Violation:
 
 def _parse_clamped(horizon: Horizon, text: str, where: str) -> int:
     """The month index of the date field that `where` names; a malformed or
-    post-horizon date is a LoadError."""
+    post-horizon date is a DataError."""
     year_month = text.strip()
     try:
         index, clamped = horizon.parse_clamped(year_month)
     except DataError as exc:
-        raise LoadError(f"{where}: {exc}") from exc
+        raise DataError(f"{where}: {exc}") from exc
     if len(year_month) == 10:  # an accepted YYYY-MM-DD; YYYY-MM is 7 long
         log.info("%s: day-level date %r truncated to month", where, year_month)
     if clamped:
@@ -226,13 +222,15 @@ def _parse_clamped(horizon: Horizon, text: str, where: str) -> int:
 
 
 def _read_text(path: Path) -> str:
-    """The whole file as UTF-8 text; a byte that is not UTF-8 is a data error."""
-    data = path.read_bytes()
+    """The whole file as UTF-8 text, less one leading byte-order mark; a byte
+    that is not UTF-8 is a data error naming its line."""
+    # not "utf-8-sig": its error offsets skip the mark, and the line count reads these bytes
+    data = path.read_bytes().removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise LoadError(f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from exc
+        raise DataError(f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from exc
 
 
 def _csv_rows(path: Path, header: list[str]) -> Iterator[tuple[str, dict]]:
@@ -243,16 +241,16 @@ def _csv_rows(path: Path, header: list[str]) -> Iterator[tuple[str, dict]]:
     try:
         fields = next(reader, None)
         if fields != header:
-            raise LoadError(f"{path}: header must be {','.join(header)}, got {fields}")
+            raise DataError(f"{path}: header must be {','.join(header)}, got {fields}")
         line = reader.line_num  # the last physical line read: a record starts on the next one
         for fields in reader:
             if fields:
                 if len(fields) > len(header):
-                    raise LoadError(f"{path}:{line + 1}: {len(fields)} fields, the header has {len(header)}")
+                    raise DataError(f"{path}:{line + 1}: {len(fields)} fields, the header has {len(header)}")
                 yield f"{path}:{line + 1}", dict(zip_longest(header, fields))
             line = reader.line_num
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise LoadError(f"{path}:{reader.line_num}: {exc}") from exc
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def _load_releases(path: Path, horizon: Horizon) -> dict[ProductKey, ReleaseTimeline]:
@@ -263,15 +261,15 @@ def _load_releases(path: Path, horizon: Horizon) -> dict[ProductKey, ReleaseTime
         name = (row["product"] or "").strip()
         version = (row["version"] or "").strip()
         if not vendor or not name or not version or row["release_date"] is None:
-            raise LoadError(f"{where}: vendor, product, version and release_date must be non-empty")
+            raise DataError(f"{where}: vendor, product, version and release_date must be non-empty")
         if (vendor, name, version) in seen:
-            raise LoadError(f"{where}: duplicate release {vendor}/{name} {version}")
+            raise DataError(f"{where}: duplicate release {vendor}/{name} {version}")
         seen.add((vendor, name, version))
         month = _parse_clamped(horizon, row["release_date"], f"{where}: field release_date")
         try:
             sort_key = version_key(version)
         except ValueError as exc:  # a digit run too long for int()
-            raise LoadError(f"{where}: field version: {exc}") from exc
+            raise DataError(f"{where}: field version: {exc}") from exc
         key = (vendor, name)
         rows.setdefault(key, []).append(VersionRelease(key, version, sort_key, month))
     return {key: ReleaseTimeline(tuple(rels)) for key, rels in rows.items()}
@@ -281,42 +279,42 @@ def _load_vulns(path: Path, horizon: Horizon) -> dict[str, VulnRecord]:
     try:
         entries = json.loads(_read_text(path))
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
-        raise LoadError(f"{path}: invalid JSON: {exc}") from exc
+        raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(entries, list):
-        raise LoadError(f"{path}: top-level value must be an array")
+        raise DataError(f"{path}: top-level value must be an array")
     vulns: dict[str, VulnRecord] = {}
     for i, entry in enumerate(entries):
         where = f"{path}: entry #{i}"
         if not isinstance(entry, dict):
-            raise LoadError(f"{where}: expected an object")
+            raise DataError(f"{where}: expected an object")
         try:
             cve = entry["cve"]
             reserved_raw = entry["reserved"]
             published_raw = entry["published"]
             affected_raw = entry["affected"]
         except KeyError as exc:
-            raise LoadError(f"{where}: missing field {exc.args[0]!r}") from exc
+            raise DataError(f"{where}: missing field {exc.args[0]!r}") from exc
         if not isinstance(cve, str) or not cve.strip():
-            raise LoadError(f"{where}: 'cve' must be a non-empty string, got {cve!r}")
+            raise DataError(f"{where}: 'cve' must be a non-empty string, got {cve!r}")
         cve = cve.strip()
         if cve in vulns:
-            raise LoadError(f"{where}: duplicate CVE id {cve}")
+            raise DataError(f"{where}: duplicate CVE id {cve}")
         reserved = _parse_clamped(horizon, str(reserved_raw), f"{where} ({cve}): field reserved")
         published = _parse_clamped(horizon, str(published_raw), f"{where} ({cve}): field published")
         if not isinstance(affected_raw, list):
-            raise LoadError(f"{where} ({cve}): 'affected' must be an array")
+            raise DataError(f"{where} ({cve}): 'affected' must be an array")
         affected = []
         for j, item in enumerate(affected_raw):
             if not isinstance(item, dict) or not {"vendor", "product", "match"} <= set(item):
-                raise LoadError(f"{where} ({cve}): affected[{j}] needs vendor, product and match")
+                raise DataError(f"{where} ({cve}): affected[{j}] needs vendor, product and match")
             if not isinstance(item["vendor"], str) or not isinstance(item["product"], str):
-                raise LoadError(f"{where} ({cve}): affected[{j}] vendor and product must be strings")
+                raise DataError(f"{where} ({cve}): affected[{j}] vendor and product must be strings")
             if not isinstance(item["match"], dict):
-                raise LoadError(f"{where} ({cve}): affected[{j}].match must be an object")
+                raise DataError(f"{where} ({cve}): affected[{j}].match must be an object")
             try:
                 constraint = VersionConstraint.from_mapping(item["match"])
             except ValueError as exc:
-                raise LoadError(f"{where} ({cve}): affected[{j}].match: {exc}") from exc
+                raise DataError(f"{where} ({cve}): affected[{j}].match: {exc}") from exc
             affected.append(ProductConstraint(item["vendor"].strip(), item["product"].strip(), constraint))
         vulns[cve] = VulnRecord(cve, reserved, published, tuple(affected))
     return vulns
@@ -327,12 +325,12 @@ def _load_campaigns(path: Path, horizon: Horizon, vulns: dict[str, VulnRecord]) 
     for where, row in _csv_rows(path, ["apt", "date", "cves", "vectors"]):
         apt = (row["apt"] or "").strip()
         if not apt or row["date"] is None:
-            raise LoadError(f"{where}: apt and date must be non-empty")
+            raise DataError(f"{where}: apt and date must be non-empty")
         month = _parse_clamped(horizon, row["date"], f"{where}: field date")
         cves = {c.strip() for c in (row["cves"] or "").split("|") if c.strip()}
         for cve in sorted(cves):
             if cve not in vulns:
-                raise LoadError(f"{where}: campaign {apt} references unknown CVE {cve}")
+                raise DataError(f"{where}: campaign {apt} references unknown CVE {cve}")
         tags = [t.strip() for t in (row["vectors"] or "").split("|") if t.strip()]
         vectors = set()
         for tag in tags:
@@ -340,9 +338,9 @@ def _load_campaigns(path: Path, horizon: Horizon, vulns: dict[str, VulnRecord]) 
                 vectors.add(AttackVector(tag))
             except ValueError:
                 allowed = ", ".join(sorted(v.value for v in AttackVector))
-                raise LoadError(f"{where}: unknown attack vector {tag!r}; allowed: {allowed}") from None
+                raise DataError(f"{where}: unknown attack vector {tag!r}; allowed: {allowed}") from None
         if not cves and not vectors:
-            raise LoadError(f"{where}: campaign {apt} has neither CVEs nor attack vectors")
+            raise DataError(f"{where}: campaign {apt} has neither CVEs nor attack vectors")
         key = (apt, month)
         if key in merged:
             log.info("%s: merging duplicate campaign key %s/%s", where, apt, horizon.format(month))

@@ -25,9 +25,10 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .campaigns import KNOWLEDGE_ORDER, TieRule, campaign_scenarios, classify_campaign, venn_counts
-from .catalog import Catalog, catalog_diagnostics, load_catalog, validate_catalog
+from .catalog import Catalog, ProductKey, catalog_diagnostics, load_catalog, validate_catalog
 from .evaluator import DEFAULT_BASELINE, EvaluationReport, evaluate, percent_1dp
 from .months import DEFAULT_EPOCH, DEFAULT_HORIZON_END, DataError, Horizon, split_date
 from .stats import agresti_coull, exploit_ages, kaplan_meier
@@ -68,6 +69,22 @@ def parse_scenarios(text: str) -> list[Scenario]:
 
 def parse_strategies(text: str, reactive_pick: str) -> list[StrategyConfig]:
     return _comma_list(text, lambda token: StrategyConfig.parse(token, reactive_pick), "strategy")
+
+
+def parse_products(text: str, catalog: Catalog) -> Optional[set[ProductKey]]:
+    """'all' (None: no filter) or a comma list of cataloged vendor/name keys."""
+    if text.strip() == "all":
+        return None
+
+    def key(token: str) -> ProductKey:
+        vendor, _, name = token.partition("/")
+        if not name:
+            raise ValueError(f"entries must look like vendor/name, got {token!r}")
+        if (vendor, name) not in catalog.timelines:
+            raise ValueError(f"unknown product {token!r}")
+        return vendor, name
+
+    return set(_comma_list(text, key, "product"))
 
 
 def parse_baseline(text: str, reactive_pick: str) -> tuple[StrategyConfig, Scenario]:
@@ -164,7 +181,7 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> argparse.Na
         return args
     path = Path(args.config)
     try:
-        values = json.loads(path.read_text(encoding="utf-8"))
+        values = json.loads(path.read_text(encoding="utf-8-sig"))
     # RecursionError: nested too deeply
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"config file {path}: {exc}") from exc
@@ -375,26 +392,12 @@ def _classify_files(catalog: Catalog, tie_rule: TieRule) -> dict[str, str]:
     return {"classify.csv": buf.getvalue(), "venn.json": venn}
 
 
-def _survival_files(
-    catalog: Catalog, tie_rule: TieRule, products: str = "all", kk_only: bool = False, include_unexploited: bool = False
-) -> dict[str, str]:
+def _survival_files(catalog: Catalog, tie_rule: TieRule, products: Optional[set[ProductKey]] = None,
+                    kk_only: bool = False, include_unexploited: bool = False) -> dict[str, str]:
+    """survival.csv over the CVEs affecting one of `products`, or every CVE when None."""
     samples = exploit_ages(catalog, include_unexploited=include_unexploited, kk_only=kk_only, tie_rule=tie_rule)
-    products = products.strip()
-    if products != "all":
-        keys = set()
-        for token in products.split(","):
-            vendor, _, name = token.strip().partition("/")
-            if not name:
-                raise UsageError(f"--products entries must look like vendor/name, got {token!r}")
-            keys.add((vendor, name))
-        unknown = keys - set(catalog.timelines)
-        if unknown:
-            raise UsageError(f"unknown products: {sorted(unknown)}")
-        wanted = {
-            cve
-            for cve, vuln in catalog.vulns.items()
-            if any(pc.key in keys for pc in vuln.affected)
-        }
+    if products is not None:
+        wanted = {cve for cve, vuln in catalog.vulns.items() if any(pc.key in products for pc in vuln.affected)}
         samples = [s for s in samples if s.cve_id in wanted]
     if not samples:
         raise DataError("no exploit-age samples under the given filters")
@@ -477,8 +480,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_survival(args: argparse.Namespace) -> int:
     catalog = _load(args)
+    products = _flag_value("--products", parse_products, args.products, catalog)
     tie_rule = TieRule(args.tie_rule)
-    _emit_or_print(_survival_files(catalog, tie_rule, args.products, args.kk_only, args.include_unexploited), args)
+    _emit_or_print(_survival_files(catalog, tie_rule, products, args.kk_only, args.include_unexploited), args)
     return 0
 
 

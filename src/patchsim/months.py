@@ -18,25 +18,17 @@ DEFAULT_HORIZON_END = "2020-01"
 
 
 class DataError(Exception):
-    """Base class for problems in input data."""
-
-
-class MonthFormatError(DataError):
-    """Date string is not YYYY-MM (or YYYY-MM-DD)."""
-
-
-class AfterHorizonError(DataError):
-    """Date falls after the end of the analysis horizon."""
+    """A problem in input data; every data error the library raises is this type."""
 
 
 def split_date(text: str) -> tuple[int, int]:
     """Split YYYY-MM or YYYY-MM-DD into (year, month); the day is dropped."""
     m = _DATE_RE.match(text.strip())
     if not m:
-        raise MonthFormatError(f"expected YYYY-MM date, got {text!r}")
+        raise DataError(f"expected YYYY-MM date, got {text!r}")
     year, month = int(m.group(1)), int(m.group(2))
     if not 1 <= month <= 12:
-        raise MonthFormatError(f"month out of range in {text!r}")
+        raise DataError(f"month out of range in {text!r}")
     return year, month
 
 
@@ -54,7 +46,7 @@ class Horizon:
         ny, nm = split_date(end)
         end_index = 12 * (ny - ey) + (nm - em)
         if end_index <= 0:
-            raise MonthFormatError(f"horizon end {end!r} must be after epoch {epoch!r}")
+            raise DataError(f"horizon end {end!r} must be after epoch {epoch!r}")
         return cls(ey, em, end_index)
 
     @property
@@ -72,7 +64,7 @@ class Horizon:
         year, month = split_date(text)
         index = 12 * (year - self.epoch_year) + (month - self.epoch_month)
         if index > self.end_index:
-            raise AfterHorizonError(f"{text!r} is after the horizon end {self.format(self.end_index)}")
+            raise DataError(f"{text!r} is after the horizon end {self.format(self.end_index)}")
         if index < 0:
             return 0, True
         return index, False

@@ -28,14 +28,6 @@ from .catalog import Catalog, MatrixSpace, ProductKey, ReleaseTimeline, VersionR
 from .months import DataError
 
 
-class ConfigurationError(DataError):
-    """Catalog cannot support the requested simulation."""
-
-
-class ScenarioError(Exception):
-    """Matrix used under the wrong optimistic/pessimistic tag."""
-
-
 class Scenario(Enum):
     UPDATE_FIRST = "update-first"
     APT_FIRST = "apt-first"
@@ -134,9 +126,7 @@ def initial_versions(catalog: Catalog) -> dict[ProductKey, VersionRelease]:
         timeline = catalog.timelines[key]
         at_epoch = [r for r in timeline.releases if r.release_month <= 0]
         if not at_epoch:
-            raise ConfigurationError(
-                f"product {key[0]}/{key[1]} has no release at or before {catalog.horizon.format(0)}"
-            )
+            raise DataError(f"product {key[0]}/{key[1]} has no release at or before {catalog.horizon.format(0)}")
         vulnerable = [r for r in at_epoch if r in exploited]
         pool = vulnerable or at_epoch
         chosen[key] = min(pool, key=lambda r: (r.release_month, r.sort_key))
@@ -260,9 +250,9 @@ def build_matrix(catalog: Catalog, config: StrategyConfig) -> DeploymentMatrix:
 
 
 def apply_apt_first(matrix: DeploymentMatrix) -> DeploymentMatrix:
-    """Keep the outgoing version installed during each transition month."""
-    if matrix.scenario is not Scenario.UPDATE_FIRST:
-        raise ScenarioError("pessimistic transform expects an update-first matrix")
+    """Keep the outgoing version installed during each transition month.
+    This only sets the scenario tag that `intervals` reads, so applying it
+    twice gives the same deployment."""
     return replace(matrix, scenario=Scenario.APT_FIRST)
 
 

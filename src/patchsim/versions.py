@@ -71,46 +71,42 @@ class VersionConstraint:
     kind: str  # "exact" | "range"
     start: Optional[Bound] = None
     end: Optional[Bound] = None
-    raw: str = field(default="", compare=False)  # original match text, provenance only
 
     @classmethod
     def from_mapping(cls, obj: dict) -> "VersionConstraint":
-        """Parse a constraint object such as {"endIncluding": "9.2"}."""
-        raw = json.dumps(obj, sort_keys=True)
+        """Parse a constraint object such as {"endIncluding": "9.2"}; a
+        malformed one is a ValueError that quotes it as sorted JSON."""
+
+        def bad(problem: str) -> ValueError:
+            return ValueError(f"{problem} in {json.dumps(obj, sort_keys=True)}")
+
         not_text = sorted(key for key, value in obj.items() if not isinstance(value, str))
         if not_text:
-            raise ValueError(f"constraint fields {not_text} must be version strings in {raw}")
+            raise bad(f"constraint fields {not_text} must be version strings")
         if "exact" in obj:
             extras = set(obj) - {"exact"}
             if extras:
-                raise ValueError(f"exact constraint mixed with {sorted(extras)} in {raw}")
+                raise bad(f"exact constraint mixed with {sorted(extras)}")
             b = Bound(obj["exact"], True)
-            return cls("exact", b, b, raw=raw)
+            return cls("exact", b, b)
         known = {"startIncluding", "startExcluding", "endIncluding", "endExcluding"}
         unknown = set(obj) - known
         if unknown:
-            raise ValueError(f"unknown constraint fields {sorted(unknown)} in {raw}")
-        if "startIncluding" in obj and "startExcluding" in obj:
-            raise ValueError(f"both start bounds present in {raw}")
-        if "endIncluding" in obj and "endExcluding" in obj:
-            raise ValueError(f"both end bounds present in {raw}")
-        start = end = None
-        if "startIncluding" in obj:
-            start = Bound(obj["startIncluding"], True)
-        elif "startExcluding" in obj:
-            start = Bound(obj["startExcluding"], False)
-        if "endIncluding" in obj:
-            end = Bound(obj["endIncluding"], True)
-        elif "endExcluding" in obj:
-            end = Bound(obj["endExcluding"], False)
-        # "*" means unbounded on that side
-        if start is not None and start.version == "*":
-            start = None
-        if end is not None and end.version == "*":
-            end = None
+            raise bad(f"unknown constraint fields {sorted(unknown)}")
+        for side in ("start", "end"):
+            if f"{side}Including" in obj and f"{side}Excluding" in obj:
+                raise bad(f"both {side} bounds present")
+
+        def bound(side: str) -> Optional[Bound]:
+            for kind, inclusive in (("Including", True), ("Excluding", False)):
+                if obj.get(side + kind, "*") != "*":  # "*" means unbounded on that side
+                    return Bound(obj[side + kind], inclusive)
+            return None
+
+        start, end = bound("start"), bound("end")
         if start is not None and end is not None and start.key > end.key:
-            raise ValueError(f"range bounds reversed in {raw}")
-        return cls("range", start, end, raw=raw)
+            raise bad("range bounds reversed")
+        return cls("range", start, end)
 
     def to_mapping(self) -> dict:
         if self.kind == "exact":

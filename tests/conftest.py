@@ -245,10 +245,11 @@ def configs_with_delay(delay: int) -> list[StrategyConfig]:
     ]
 
 
-def random_catalog(rng: random.Random, horizon_end: int = 23) -> Catalog:
+def random_catalog(rng: random.Random, horizon_end: int = 23, affected_out: dict | None = None) -> Catalog:
     """Seeded catalog with dotted products, sometimes an Oracle product using
     "6u13" update notation, multi-product CVEs (some naming a product with no
-    timeline) and "*" bounds."""
+    timeline) and "*" bounds. When given, `affected_out` receives each CVE's
+    (vendor, product, match object) triples as drawn."""
     n_products = rng.randint(1, 5)
     timelines_spec = {}
     for i in range(n_products):
@@ -308,6 +309,8 @@ def random_catalog(rng: random.Random, horizon_end: int = 23) -> Catalog:
         if rng.random() < 0.1:
             affected.append(("acme", "ghost", {"endIncluding": "9.9"}))
         vulns.append(vuln(f"CVE-2010-{1000 + i}", reserved, published, *affected))
+        if affected_out is not None:
+            affected_out[vulns[-1].cve_id] = affected
 
     campaigns = {}
     for i in range(rng.randint(1, 20)):

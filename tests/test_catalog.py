@@ -7,13 +7,12 @@ import pytest
 from conftest import campaign, make_catalog, make_timeline, random_catalog, ref_matches, save_catalog, vuln
 from patchsim.catalog import (
     AttackVector,
-    LoadError,
     ReleaseTimeline,
     catalog_diagnostics,
     load_catalog,
     validate_catalog,
 )
-from patchsim.months import Horizon
+from patchsim.months import DataError, Horizon
 
 
 def test_fixture_loads_fully_linked(fixture_catalog):
@@ -41,7 +40,7 @@ def test_vector_only_campaign_retained(fixture_catalog):
 def test_unknown_cve_named_in_error(tmp_path, fixture_paths):
     bad = tmp_path / "campaigns.csv"
     bad.write_text("apt,date,cves,vectors\nGhost,2010-01,CVE-1999-0001,spearphishing\n")
-    with pytest.raises(LoadError, match="CVE-1999-0001"):
+    with pytest.raises(DataError, match="CVE-1999-0001"):
         load_catalog(fixture_paths["releases"], fixture_paths["vulns"], bad)
 
 
@@ -56,7 +55,7 @@ _BEYOND_HORIZON = {
 def test_release_beyond_horizon_rejected(tmp_path, fixture_paths, name):
     paths = {**fixture_paths, name.split(".")[0]: tmp_path / name}
     paths[name.split(".")[0]].write_text(_BEYOND_HORIZON[name])
-    with pytest.raises(LoadError, match=re.escape(name) + ".*after the horizon end"):
+    with pytest.raises(DataError, match=re.escape(name) + ".*after the horizon end"):
         load_catalog(paths["releases"], paths["vulns"], paths["campaigns"])
 
 
@@ -67,7 +66,7 @@ def test_duplicate_release_rejected(tmp_path, fixture_paths):
         "adobe,reader,9.1,2008-01\n"
         "adobe,reader,9.1,2008-02\n"
     )
-    with pytest.raises(LoadError, match="duplicate"):
+    with pytest.raises(DataError, match="duplicate"):
         load_catalog(bad, fixture_paths["vulns"], fixture_paths["campaigns"])
 
 
@@ -76,7 +75,7 @@ def test_duplicate_cve_rejected(tmp_path, fixture_paths):
     entries.append(entries[0])
     bad = tmp_path / "vulns.json"
     bad.write_text(json.dumps(entries))
-    with pytest.raises(LoadError, match="duplicate CVE"):
+    with pytest.raises(DataError, match="duplicate CVE"):
         load_catalog(fixture_paths["releases"], bad, fixture_paths["campaigns"])
 
 
@@ -117,21 +116,21 @@ def test_same_apt_same_month_merges_cve_sets(tmp_path, fixture_paths):
 def test_unknown_vector_rejected(tmp_path, fixture_paths):
     campaigns = tmp_path / "campaigns.csv"
     campaigns.write_text("apt,date,cves,vectors\nGhost,2010-01,,carrier-pigeon\n")
-    with pytest.raises(LoadError, match="carrier-pigeon"):
+    with pytest.raises(DataError, match="carrier-pigeon"):
         load_catalog(fixture_paths["releases"], fixture_paths["vulns"], campaigns)
 
 
 def test_campaign_without_cves_or_vectors_rejected(tmp_path, fixture_paths):
     campaigns = tmp_path / "campaigns.csv"
     campaigns.write_text("apt,date,cves,vectors\nGhost,2010-01,,\n")
-    with pytest.raises(LoadError, match="neither"):
+    with pytest.raises(DataError, match="neither"):
         load_catalog(fixture_paths["releases"], fixture_paths["vulns"], campaigns)
 
 
 def test_bad_header_rejected(tmp_path, fixture_paths):
     bad = tmp_path / "releases.csv"
     bad.write_text("vendor,product,release_date\nadobe,reader,2008-01\n")
-    with pytest.raises(LoadError, match="header"):
+    with pytest.raises(DataError, match="header"):
         load_catalog(bad, fixture_paths["vulns"], fixture_paths["campaigns"])
 
 
@@ -142,7 +141,7 @@ def test_errors_carry_file_and_line(tmp_path, fixture_paths):
         "adobe,reader,9.1,2008-01\n"
         "adobe,reader,9.2,not-a-date\n"
     )
-    with pytest.raises(LoadError, match=r"releases\.csv:3"):
+    with pytest.raises(DataError, match=r"releases\.csv:3"):
         load_catalog(bad, fixture_paths["vulns"], fixture_paths["campaigns"])
 
 
@@ -215,21 +214,22 @@ def test_affects_index_matches_reference_on_random_catalogs():
     rng = random.Random(4324)
     shapes = {"multi-product": 0, "wildcard": 0, "update-notation": 0, "off-catalog": 0}
     for _ in range(200):
-        cat = random_catalog(rng)
-        assert set(cat.affected) == set(cat.vulns)
-        for cve, record in cat.vulns.items():
+        # the oracle reads the match objects as drawn, not the parsed constraints
+        drawn: dict = {}
+        cat = random_catalog(rng, affected_out=drawn)
+        assert set(cat.affected) == set(cat.vulns) == set(drawn)
+        for cve, affected in drawn.items():
             expected = set()
-            for pc in record.affected:
-                timeline = cat.timelines.get(pc.key)
+            for vendor, product, match in affected:
+                timeline = cat.timelines.get((vendor, product))
                 if timeline is None:
                     shapes["off-catalog"] += 1
                     continue
-                mapping = pc.constraint.to_mapping()
-                expected |= {rel for rel in timeline.releases if ref_matches(mapping, rel.version)}
-                shapes["wildcard"] += '"*"' in pc.constraint.raw
-                shapes["update-notation"] += pc.vendor == "oracle"
-            shapes["multi-product"] += len({pc.key for pc in record.affected}) > 1
-            assert cat.affected[cve] == expected, (cve, record.affected)
+                expected |= {rel for rel in timeline.releases if ref_matches(match, rel.version)}
+                shapes["wildcard"] += "*" in match.values()
+                shapes["update-notation"] += vendor == "oracle"
+            shapes["multi-product"] += len({(vendor, product) for vendor, product, _ in affected}) > 1
+            assert cat.affected[cve] == expected, (cve, affected)
     # every widened shape of random_catalog was exercised
     assert all(shapes.values()), shapes
 

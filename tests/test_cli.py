@@ -185,6 +185,26 @@ def test_survival_unknown_product_exits_2(fixture_paths):
     assert run(["survival", *_data_args(fixture_paths), "--products", "acme/ghost"]) == 2
 
 
+def test_survival_products_is_a_comma_list_like_the_others(fixture_paths, capsys):
+    # a trailing comma leaves an empty token, which every comma list skips
+    assert run(["survival", *_data_args(fixture_paths), "--products", "adobe/flash,"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["-2,0.000000"]
+
+
+@pytest.mark.parametrize(
+    "products,message",
+    [
+        ("", "--products: at least one product is required"),
+        ("nope", "--products: entries must look like vendor/name, got 'nope'"),
+        ("acme/ghost", "--products: unknown product 'acme/ghost'"),
+    ],
+    ids=["empty", "no-slash", "unknown"],
+)
+def test_survival_bad_products_exit_2_naming_the_flag(products, message, fixture_paths, capsys):
+    assert run(["survival", *_data_args(fixture_paths), "--products", products]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_report_bundles_everything(fixture_paths, tmp_path, capsys):
     code = run([
         "report", *_data_args(fixture_paths),
@@ -226,6 +246,23 @@ def test_report_artifacts_match_pinned_digests(fixture_paths, tmp_path, capsys, 
     assert run(["report", *_data_args(fixture_paths), *flags, "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest == {"tool": "patchsim", "files": {**_FIXTURE_REPORT_DIGESTS, **classify_digests}}
+
+
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
+
+
+def test_report_reads_inputs_and_config_that_start_with_a_bom(fixture_paths, tmp_path, capsys):
+    paths = {}
+    for name, path in fixture_paths.items():
+        paths[name] = tmp_path / path.name
+        paths[name].write_bytes(BOM + path.read_bytes())
+    config = tmp_path / "run.json"
+    config.write_bytes(BOM + json.dumps({"out": str(tmp_path / "out")}).encode())
+    assert run(["report", *_data_args(paths), "--config", str(config)]) == 0
+    assert run(["report", *_data_args(fixture_paths), "--out", str(tmp_path / "plain")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest == json.loads((tmp_path / "plain" / "manifest.json").read_text())
+    assert _FIXTURE_REPORT_DIGESTS.items() <= manifest["files"].items()
 
 
 def test_config_file_supplies_values_and_flags_override(fixture_paths, tmp_path, capsys):
@@ -427,6 +464,12 @@ def _non_utf8_releases(tmp_path, fixture_paths):
     return ["validate", *_data_args(fixture_paths), "--releases", str(releases)]
 
 
+def _non_utf8_after_bom(tmp_path, fixture_paths):
+    releases = tmp_path / "releases.csv"
+    releases.write_bytes(BOM + b"vendor,product,version,release_date\nadobe,reader,9.1,2008-01\nadobe,reader,9.2\xfe,2008-06\n")
+    return ["validate", *_data_args(fixture_paths), "--releases", str(releases)]
+
+
 def _superscript_version(tmp_path, fixture_paths):
     releases = tmp_path / "releases.csv"
     releases.write_text(fixture_paths["releases"].read_text() + "adobe,reader,1\u00b2,2009-01\n", encoding="utf-8")
@@ -489,6 +532,7 @@ def _non_utf8_config(tmp_path, fixture_paths):
         (_report_without_out, 2, "--out"),
         (_tie_rule_config_for_evaluate, 2, "unknown option 'tie_rule' for evaluate"),
         (_non_utf8_releases, 1, "releases.csv:2: not UTF-8 text (byte 0xff)"),
+        (_non_utf8_after_bom, 1, "releases.csv:3: not UTF-8 text (byte 0xfe)"),
         (_superscript_version, 0, "ok: "),
         (_overlong_digit_run, 1, "releases.csv:10: field version: Exceeds the limit (4300 digits)"),
         (_malformed_affected(match={"endIncluding": "1" * 5000}), 1,
@@ -523,7 +567,7 @@ def _non_utf8_config(tmp_path, fixture_paths):
     ids=["no-epoch-release", "directory-input", "non-string-config", "format-selects-nothing",
          "reserved-after-published", "no-targeting-campaign", "integer-bound", "null-exact",
          "list-bound", "null-vendor", "report-without-out", "tie-rule-config-for-evaluate",
-         "non-utf8-input", "superscript-digit-version", "overlong-digit-run", "overlong-digit-bound",
+         "non-utf8-input", "non-utf8-after-bom", "superscript-digit-version", "overlong-digit-run", "overlong-digit-bound",
          "overlong-digit-exact", "null-cve", "numeric-cve",
          "reversed-range", "bad-epoch-flag", "bad-choice-config", "bad-strategy-delay",
          "bad-baseline-scenario", "bad-scenarios-token", "bad-reserved-date", "bad-published-date",

@@ -1,0 +1,121 @@
+"""Metamorphic oracles over the whole pipeline. Renaming every vendor,
+product, CVE and APT id by an order-reversing map, or shifting every date and
+the window by the same number of months, must not move any number `report`
+prints or writes: stdout and the artifacts that hold no name or date stay
+byte-identical, and series.csv differs only in its date column."""
+
+import csv
+import io
+import random
+import re
+
+import pytest
+
+from conftest import make_timeline, random_catalog, save_catalog
+from patchsim.catalog import CampaignRecord, Catalog, ProductConstraint, VulnRecord, load_catalog
+from patchsim.cli import run
+from patchsim.months import DEFAULT_EPOCH, DEFAULT_HORIZON_END, Horizon
+
+NAMELESS = ("evaluate.csv", "survival.csv", "venn.json")  # no identifier and no date in them
+SHIFT = 5  # months: 2009-12 moves to 2010-05, across a year boundary
+# a YYYY-MM that starts a field, so never the "2009-43" inside CVE-2009-4324
+_DATE = re.compile(r"(?<![\w-])(\d{4})-(\d{2})(?!\d)")
+DATASETS = ["fixture", 13, 21, 55]  # the fixture, then random_catalog seeds
+
+
+def _dataset(name, fixture_paths, directory):
+    """(paths, epoch, horizon) of one dataset."""
+    if name == "fixture":
+        return fixture_paths, DEFAULT_EPOCH, DEFAULT_HORIZON_END
+    return save_catalog(random_catalog(random.Random(name)), directory), "2008-01", "2009-12"
+
+
+def _report(paths, epoch, horizon, out, capsys) -> tuple[str, dict[str, bytes]]:
+    """stdout and the compared artifacts of one `report` run."""
+    files = [f"--{name}={paths[name]}" for name in ("releases", "vulns", "campaigns")]
+    code = run(["report", *files, f"--epoch={epoch}", f"--horizon={horizon}", f"--out={out}"])
+    stdout, stderr = capsys.readouterr()
+    assert code == 0, stderr
+    return stdout, {name: (out / name).read_bytes() for name in (*NAMELESS, "series.csv")}
+
+
+def _series(data: bytes) -> tuple[list, list]:
+    """series.csv split into its rows less the date column, and that column."""
+    rows = list(csv.reader(io.StringIO(data.decode())))
+    return [row[:1] + row[2:] for row in rows], [row[1] for row in rows]
+
+
+def _reversing(prefix: str, names) -> dict[str, str]:
+    """A renaming of `names` that reverses their order."""
+    ordered = sorted(set(names))
+    return {name: f"{prefix}{len(ordered) - i:04d}" for i, name in enumerate(ordered)}
+
+
+def _renamed(cat: Catalog) -> Catalog:
+    """The catalog with vendors, products, CVE ids and APT names each renamed
+    in reverse order, so every product, CVE and campaign is visited in the
+    opposite order to the original's."""
+    keys = set(cat.timelines) | {pc.key for record in cat.vulns.values() for pc in record.affected}
+    vendor, product = _reversing("v", (v for v, _ in keys)), _reversing("p", (p for _, p in keys))
+    cve, apt = _reversing("CVE-", cat.vulns), _reversing("apt", (c.apt_name for c in cat.campaigns))
+    timelines = {}
+    for (v, p), timeline in cat.timelines.items():
+        key = (vendor[v], product[p])
+        timelines[key] = make_timeline(key, [(rel.version, rel.release_month) for rel in timeline.releases])
+    vulns = {
+        cve[record.cve_id]: VulnRecord(
+            cve[record.cve_id],
+            record.reserved_month,
+            record.published_month,
+            tuple(ProductConstraint(vendor[pc.vendor], product[pc.product], pc.constraint) for pc in record.affected),
+        )
+        for record in cat.vulns.values()
+    }
+    campaigns = sorted(
+        (CampaignRecord(apt[c.apt_name], c.start_month, frozenset(cve[i] for i in c.cve_ids), c.vectors)
+         for c in cat.campaigns),
+        key=lambda c: (c.apt_name, c.start_month),
+    )
+    return Catalog(cat.horizon, timelines, vulns, tuple(campaigns))
+
+
+def _shifted(text: str) -> str:
+    """Every YYYY-MM in the text SHIFT months later; a day part stays."""
+
+    def later(m: re.Match) -> str:
+        total = int(m.group(1)) * 12 + int(m.group(2)) - 1 + SHIFT
+        return f"{total // 12:04d}-{total % 12 + 1:02d}"
+
+    return _DATE.sub(later, text)
+
+
+@pytest.mark.parametrize("dataset", DATASETS)
+def test_order_reversing_rename_moves_no_number(dataset, fixture_paths, tmp_path, capsys):
+    paths, epoch, horizon = _dataset(dataset, fixture_paths, tmp_path / "data")
+    base_out, base = _report(paths, epoch, horizon, tmp_path / "base", capsys)
+    cat = load_catalog(paths["releases"], paths["vulns"], paths["campaigns"], Horizon.from_strings(epoch, horizon))
+    renamed = _renamed(cat)
+    assert [c.apt_name for c in renamed.campaigns] != [c.apt_name for c in cat.campaigns]  # names really moved
+    renamed_paths = save_catalog(renamed, tmp_path / "renamed")
+    out, files = _report(renamed_paths, epoch, horizon, tmp_path / "renamed-out", capsys)
+    assert out == base_out
+    assert files == base
+
+
+@pytest.mark.parametrize("dataset", DATASETS)
+def test_shifting_every_date_moves_no_number(dataset, fixture_paths, tmp_path, capsys):
+    paths, epoch, horizon = _dataset(dataset, fixture_paths, tmp_path / "data")
+    base_out, base = _report(paths, epoch, horizon, tmp_path / "base", capsys)
+    (tmp_path / "shifted").mkdir()
+    shifted_paths = {name: tmp_path / "shifted" / path.name for name, path in paths.items()}
+    for name, path in paths.items():
+        shifted_paths[name].write_text(_shifted(path.read_text(encoding="utf-8")), encoding="utf-8")
+    assert shifted_paths["campaigns"].read_text() != paths["campaigns"].read_text()
+    out, files = _report(shifted_paths, _shifted(epoch), _shifted(horizon), tmp_path / "shifted-out", capsys)
+    assert out == base_out
+    for name in NAMELESS:
+        assert files[name] == base[name], name
+    rows, dates = _series(files["series.csv"])
+    base_rows, base_dates = _series(base["series.csv"])
+    assert rows == base_rows
+    assert dates[1:] == [_shifted(date) for date in base_dates[1:]]

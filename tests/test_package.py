@@ -2,6 +2,7 @@
 no less, so re-exports cannot creep back and README cannot drift."""
 
 import ast
+import builtins
 import inspect
 import re
 from pathlib import Path
@@ -46,3 +47,24 @@ def test_src_modules_use_every_name_they_import():
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+def test_src_defines_only_two_exception_types():
+    # one type per exit code: DataError (1) for data, UsageError (2) for misuse;
+    # a subclass that no code catches apart from its base is dead taxonomy
+    bases: dict[str, list[str]] = {}  # class name -> base names, over every module
+    where: dict[str, set[str]] = {}
+    for path in sorted(Path(patchsim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases.setdefault(node.name, []).extend(ast.unparse(b).split(".")[-1] for b in node.bases)
+                where.setdefault(node.name, set()).add(f"{path.stem}.{node.name}")
+    builtin_errors = {name for name, v in vars(builtins).items() if isinstance(v, type) and issubclass(v, BaseException)}
+
+    def is_error(name: str, seen: frozenset = frozenset()) -> bool:
+        if name in builtin_errors:
+            return True
+        return name not in seen and any(is_error(b, seen | {name}) for b in bases.get(name, ()))
+
+    errors = {qualified for name in bases if is_error(name) for qualified in where[name]}
+    assert errors == {"months.DataError", "cli.UsageError"}

@@ -20,9 +20,9 @@ from conftest import (
     ref_strategy_run,
     vuln,
 )
+from patchsim.months import DataError
 from patchsim.strategies import (
-    ConfigurationError,
-    ScenarioError,
+    Scenario,
     StrategyConfig,
     StrategyKind,
     apply_apt_first,
@@ -109,7 +109,7 @@ def test_initial_single_release_at_epoch():
 
 def test_initial_missing_epoch_release_is_configuration_error():
     cat = make_catalog({("acme", "late-app"): [("1.0", 3)]}, horizon_end=23)
-    with pytest.raises(ConfigurationError, match="late-app"):
+    with pytest.raises(DataError, match="late-app"):
         initial_versions(cat)
 
 
@@ -354,10 +354,13 @@ def test_apt_first_without_transitions_changes_nothing():
     assert np.array_equal(dense(apply_apt_first(base)), dense(base))
 
 
-def test_apt_first_twice_is_an_error(fixture_catalog):
-    pessimistic = apply_apt_first(build_matrix(fixture_catalog, IMMEDIATE))
-    with pytest.raises(ScenarioError):
-        apply_apt_first(pessimistic)
+def test_apt_first_twice_is_idempotent(fixture_catalog):
+    base = build_matrix(fixture_catalog, IMMEDIATE)
+    pessimistic = apply_apt_first(base)
+    twice = apply_apt_first(pessimistic)
+    assert pessimistic.intervals != base.intervals  # the fixture has transitions, so apt-first shows
+    assert twice.scenario is Scenario.APT_FIRST
+    assert twice.intervals == pessimistic.intervals
 
 
 # ---------------------------------------------------------------------------
