@@ -66,11 +66,16 @@ class VersionRelease:
 class ReleaseTimeline:
     releases: tuple[VersionRelease, ...]  # sorted by (release_month, sort_key) on construction
     running_max: tuple[tuple, ...] = field(init=False, repr=False, compare=False)  # newest sort_key so far
+    by_version: tuple[VersionRelease, ...] = field(init=False, repr=False, compare=False)  # sorted by sort_key
+    keys: tuple[tuple, ...] = field(init=False, repr=False, compare=False)  # the sort_key of each by_version entry
 
     def __post_init__(self):
         ordered = tuple(sorted(self.releases, key=lambda r: (r.release_month, r.sort_key)))
         object.__setattr__(self, "releases", ordered)
         object.__setattr__(self, "running_max", tuple(accumulate((r.sort_key for r in ordered), max)))
+        by_version = tuple(sorted(ordered, key=lambda r: r.sort_key))
+        object.__setattr__(self, "by_version", by_version)
+        object.__setattr__(self, "keys", tuple(r.sort_key for r in by_version))
 
 
 @dataclass(frozen=True)
@@ -120,6 +125,22 @@ class MatrixSpace:
         self.n_months: int = catalog.horizon.n_months
 
 
+class TriggerOrder(dict):
+    """Release -> (months, cves): the CVEs hitting it sorted by (trigger month,
+    id) and their months, so cves[:bisect_right(months, m)] have triggered by
+    month m. An entry is filled on its first lookup."""
+
+    def __init__(self, catalog: Catalog, informed: bool):
+        super().__init__()
+        self.hitting = catalog.hitting
+        self.month = {cve: v.reserved_month if informed else v.published_month for cve, v in catalog.vulns.items()}
+
+    def __missing__(self, rel: VersionRelease) -> tuple[tuple[int, ...], tuple[str, ...]]:
+        cves = tuple(sorted(self.hitting[rel], key=self.month.__getitem__))  # hitting is in id order
+        entry = self[rel] = tuple(map(self.month.__getitem__, cves)), cves
+        return entry
+
+
 @dataclass
 class Catalog:
     horizon: Horizon
@@ -164,13 +185,17 @@ class Catalog:
     def hitting(self) -> dict[VersionRelease, tuple[str, ...]]:
         """The affects-index read the other way: release -> the ids of every
         CVE affecting it, in id order; an empty tuple for an unaffected release."""
-        index: dict[VersionRelease, list[str]] = {
-            rel: [] for timeline in self.timelines.values() for rel in timeline.releases
-        }
+        index: dict[VersionRelease, list[str]] = {rel: [] for t in self.timelines.values() for rel in t.releases}
         for cve in sorted(self.affected):
             for rel in self.affected[cve]:
                 index[rel].append(cve)
         return {rel: tuple(cves) for rel, cves in index.items()}
+
+    @cached_property
+    def trigger_order(self) -> dict[bool, TriggerOrder]:
+        """`hitting` in trigger order, for the published (False) and the
+        reserved (True) clock; shared by every reactive or informed build."""
+        return {informed: TriggerOrder(self, informed) for informed in (False, True)}
 
     @cached_property
     def fix_month(self) -> dict[str, Optional[int]]:
@@ -184,14 +209,9 @@ class Catalog:
             for pc in self.vulns[cve].affected:
                 timeline = self.timelines.get(pc.key)
                 if timeline is not None:
-                    # releases are sorted by month, so the first escape above the range is the earliest
-                    above = (
-                        rel.release_month
-                        for rel in timeline.releases
-                        if pc.constraint.position(rel.sort_key) > 0 and rel not in affected
-                    )
-                    escapes.append(next(above, None))
-            index[cve] = min((m for m in escapes if m is not None), default=None)
+                    _, hi = pc.constraint.span(timeline.keys)  # by_version[hi:] lies above the range
+                    escapes.extend(rel.release_month for rel in timeline.by_version[hi:] if rel not in affected)
+            index[cve] = min(escapes, default=None)
         return index
 
 
@@ -206,19 +226,38 @@ class Violation:
 # Loading
 
 
-def _parse_clamped(horizon: Horizon, text: str, where: str) -> int:
-    """The month index of the date field that `where` names; a malformed or
-    post-horizon date is a DataError."""
-    year_month = text.strip()
-    try:
-        index, clamped = horizon.parse_clamped(year_month)
-    except DataError as exc:
-        raise DataError(f"{where}: {exc}") from exc
-    if len(year_month) == 10:  # an accepted YYYY-MM-DD; YYYY-MM is 7 long
-        log.info("%s: day-level date %r truncated to month", where, year_month)
-    if clamped:
-        log.info("%s: pre-epoch date %r clamped to %s", where, year_month, horizon.format(0))
-    return index
+class _Parser:
+    """Reads the version and date texts of one load, each distinct text once.
+    A text that fails is never stored, so each of its occurrences raises
+    naming its own file and line."""
+
+    def __init__(self, horizon: Horizon):
+        self.horizon = horizon
+        self.keys: dict[str, tuple] = {}
+        self.dates: dict[str, tuple[int, bool]] = {}
+
+    def version_key(self, text: str) -> tuple:
+        key = self.keys.get(text)
+        if key is None:
+            key = self.keys[text] = version_key(text)
+        return key
+
+    def month(self, text: str, where: str) -> int:
+        """The month index of the date field that `where` names; a malformed or
+        post-horizon date is a DataError."""
+        year_month = text.strip()
+        parsed = self.dates.get(year_month)
+        if parsed is None:
+            try:
+                parsed = self.dates[year_month] = self.horizon.parse_clamped(year_month)
+            except DataError as exc:
+                raise DataError(f"{where}: {exc}") from exc
+        index, clamped = parsed
+        if len(year_month) == 10:  # an accepted YYYY-MM-DD; YYYY-MM is 7 long
+            log.info("%s: day-level date %r truncated to month", where, year_month)
+        if clamped:
+            log.info("%s: pre-epoch date %r clamped to %s", where, year_month, self.horizon.format(0))
+        return index
 
 
 def _read_text(path: Path) -> str:
@@ -253,7 +292,7 @@ def _csv_rows(path: Path, header: list[str]) -> Iterator[tuple[str, dict]]:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
-def _load_releases(path: Path, horizon: Horizon) -> dict[ProductKey, ReleaseTimeline]:
+def _load_releases(path: Path, parse: _Parser) -> dict[ProductKey, ReleaseTimeline]:
     rows: dict[ProductKey, list[VersionRelease]] = {}
     seen: set[tuple[str, str, str]] = set()
     for where, row in _csv_rows(path, ["vendor", "product", "version", "release_date"]):
@@ -265,9 +304,9 @@ def _load_releases(path: Path, horizon: Horizon) -> dict[ProductKey, ReleaseTime
         if (vendor, name, version) in seen:
             raise DataError(f"{where}: duplicate release {vendor}/{name} {version}")
         seen.add((vendor, name, version))
-        month = _parse_clamped(horizon, row["release_date"], f"{where}: field release_date")
+        month = parse.month(row["release_date"], f"{where}: field release_date")
         try:
-            sort_key = version_key(version)
+            sort_key = parse.version_key(version)
         except ValueError as exc:  # a digit run too long for int()
             raise DataError(f"{where}: field version: {exc}") from exc
         key = (vendor, name)
@@ -275,7 +314,7 @@ def _load_releases(path: Path, horizon: Horizon) -> dict[ProductKey, ReleaseTime
     return {key: ReleaseTimeline(tuple(rels)) for key, rels in rows.items()}
 
 
-def _load_vulns(path: Path, horizon: Horizon) -> dict[str, VulnRecord]:
+def _load_vulns(path: Path, parse: _Parser) -> dict[str, VulnRecord]:
     try:
         entries = json.loads(_read_text(path))
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
@@ -299,8 +338,8 @@ def _load_vulns(path: Path, horizon: Horizon) -> dict[str, VulnRecord]:
         cve = cve.strip()
         if cve in vulns:
             raise DataError(f"{where}: duplicate CVE id {cve}")
-        reserved = _parse_clamped(horizon, str(reserved_raw), f"{where} ({cve}): field reserved")
-        published = _parse_clamped(horizon, str(published_raw), f"{where} ({cve}): field published")
+        reserved = parse.month(str(reserved_raw), f"{where} ({cve}): field reserved")
+        published = parse.month(str(published_raw), f"{where} ({cve}): field published")
         if not isinstance(affected_raw, list):
             raise DataError(f"{where} ({cve}): 'affected' must be an array")
         affected = []
@@ -312,7 +351,7 @@ def _load_vulns(path: Path, horizon: Horizon) -> dict[str, VulnRecord]:
             if not isinstance(item["match"], dict):
                 raise DataError(f"{where} ({cve}): affected[{j}].match must be an object")
             try:
-                constraint = VersionConstraint.from_mapping(item["match"])
+                constraint = VersionConstraint.from_mapping(item["match"], parse.version_key)
             except ValueError as exc:
                 raise DataError(f"{where} ({cve}): affected[{j}].match: {exc}") from exc
             affected.append(ProductConstraint(item["vendor"].strip(), item["product"].strip(), constraint))
@@ -320,13 +359,13 @@ def _load_vulns(path: Path, horizon: Horizon) -> dict[str, VulnRecord]:
     return vulns
 
 
-def _load_campaigns(path: Path, horizon: Horizon, vulns: dict[str, VulnRecord]) -> tuple[CampaignRecord, ...]:
+def _load_campaigns(path: Path, parse: _Parser, vulns: dict[str, VulnRecord]) -> tuple[CampaignRecord, ...]:
     merged: dict[tuple[str, int], tuple[set[str], set[AttackVector]]] = {}
     for where, row in _csv_rows(path, ["apt", "date", "cves", "vectors"]):
         apt = (row["apt"] or "").strip()
         if not apt or row["date"] is None:
             raise DataError(f"{where}: apt and date must be non-empty")
-        month = _parse_clamped(horizon, row["date"], f"{where}: field date")
+        month = parse.month(row["date"], f"{where}: field date")
         cves = {c.strip() for c in (row["cves"] or "").split("|") if c.strip()}
         for cve in sorted(cves):
             if cve not in vulns:
@@ -343,7 +382,7 @@ def _load_campaigns(path: Path, horizon: Horizon, vulns: dict[str, VulnRecord]) 
             raise DataError(f"{where}: campaign {apt} has neither CVEs nor attack vectors")
         key = (apt, month)
         if key in merged:
-            log.info("%s: merging duplicate campaign key %s/%s", where, apt, horizon.format(month))
+            log.info("%s: merging duplicate campaign key %s/%s", where, apt, parse.horizon.format(month))
             old_cves, old_vectors = merged[key]
             old_cves |= cves
             old_vectors |= vectors
@@ -357,17 +396,13 @@ def _load_campaigns(path: Path, horizon: Horizon, vulns: dict[str, VulnRecord]) 
     return tuple(campaigns)
 
 
-def load_catalog(
-    release_path,
-    vuln_path,
-    campaign_path,
-    horizon: Optional[Horizon] = None,
-) -> Catalog:
+def load_catalog(release_path, vuln_path, campaign_path, horizon: Optional[Horizon] = None) -> Catalog:
     """Load and cross-link the three dataset files into a Catalog."""
     horizon = horizon or Horizon.from_strings()
-    timelines = _load_releases(Path(release_path), horizon)
-    vulns = _load_vulns(Path(vuln_path), horizon)
-    campaigns = _load_campaigns(Path(campaign_path), horizon, vulns)
+    parse = _Parser(horizon)  # one per call: nothing parsed outlives the load
+    timelines = _load_releases(Path(release_path), parse)
+    vulns = _load_vulns(Path(vuln_path), parse)
+    campaigns = _load_campaigns(Path(campaign_path), parse, vulns)
     return Catalog(horizon=horizon, timelines=timelines, vulns=vulns, campaigns=campaigns)
 
 
@@ -385,18 +420,11 @@ def validate_catalog(catalog: Catalog) -> list[Violation]:
         for rel in timeline.releases:
             first = first_version.setdefault(rel.sort_key, rel.version)
             if first != rel.version:
-                out.append(
-                    Violation(
-                        f"{key[0]}/{key[1]} {rel.version}",
-                        "duplicate-version-key",
-                        f"normalizes identically to {first!r}",
-                    )
-                )
+                detail = f"normalizes identically to {first!r}"
+                out.append(Violation(f"{key[0]}/{key[1]} {rel.version}", "duplicate-version-key", detail))
     for cve, vuln in catalog.vulns.items():
         if vuln.reserved_month > vuln.published_month:
-            out.append(
-                Violation(cve, "reserved-after-published", f"{vuln.reserved_month} > {vuln.published_month}")
-            )
+            out.append(Violation(cve, "reserved-after-published", f"{vuln.reserved_month} > {vuln.published_month}"))
     return out
 
 

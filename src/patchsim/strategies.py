@@ -103,18 +103,25 @@ class DeploymentMatrix:
     transitions: tuple[Transition, ...]  # products in key order, months increasing within a product
 
     @cached_property
-    def intervals(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(lo, hi) per row: the row's release is installed over months
-        [lo, hi), and lo == hi means never. Under apt-first the outgoing
-        release stays installed through its transition month."""
-        lo, hi = [0] * len(self.space.rows), [0] * len(self.space.rows)
-        row, end, extra = self.space.row_index, self.space.n_months, int(self.scenario is Scenario.APT_FIRST)
+    def bounds(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(lo, hi, apt_hi) per row, both scenarios in one pass: the row's
+        release is installed over months [lo, hi) update-first and [lo, apt_hi)
+        apt-first, where the outgoing release stays through its transition month."""
+        n, row, end = len(self.space.rows), self.space.row_index, self.space.n_months
+        lo, hi, apt_hi = [0] * n, [0] * n, [0] * n
         for rel in self.start.values():
-            hi[row[rel]] = end
-        for t in self.transitions:  # months increase within a product, so each release's end is set last
-            hi[row[t.outgoing]] = t.month + extra
-            lo[row[t.incoming]], hi[row[t.incoming]] = t.month, end
-        return tuple(lo), tuple(hi)
+            hi[row[rel]] = apt_hi[row[rel]] = end
+        for t in self.transitions:  # a replaced release is never installed again, so its ends are final
+            out, inc = row[t.outgoing], row[t.incoming]
+            hi[out], apt_hi[out], lo[inc], hi[inc], apt_hi[inc] = t.month, t.month + 1, t.month, end, end
+        return tuple(lo), tuple(hi), tuple(apt_hi)
+
+    @property
+    def intervals(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(lo, hi) per row under this deployment's scenario: the row's
+        release is installed over months [lo, hi), and lo == hi means never."""
+        lo, hi, apt_hi = self.bounds
+        return lo, apt_hi if self.scenario is Scenario.APT_FIRST else hi
 
 
 def initial_versions(catalog: Catalog) -> dict[ProductKey, VersionRelease]:
@@ -168,45 +175,49 @@ def _reactive(catalog: Catalog, start: dict[ProductKey, VersionRelease], config:
     version at most once a month: when already-triggered CVEs hit the release
     just installed, the next update lands the following month at the earliest.
 
-    The CVEs outstanding at month m are those hitting the installed release
-    and triggered by m, so each product visits only its trigger and landing
-    months.
+    The CVEs outstanding at month m are a prefix of those hitting the
+    installed release in trigger order (`Catalog.trigger_order`), so each
+    product visits only its trigger and landing months, and a landing that no
+    new trigger precedes installs the escape already found.
     """
-    informed = config.kind is StrategyKind.INFORMED_REACTIVE
     delay, pick = config.delay_months, config.reactive_pick
-    end = catalog.horizon.end_index
-
-    affected, hitting = catalog.affected, catalog.hitting
-    trigger_month = {
-        cve: vuln.reserved_month if informed else vuln.published_month for cve, vuln in catalog.vulns.items()
-    }
-
-    def blocked_by(current: VersionRelease, m: int) -> set[VersionRelease]:
-        """Releases affected by a CVE that hits `current` and has triggered by month `m`."""
-        blocked: set[VersionRelease] = set()
-        for cve in hitting[current]:
-            if trigger_month[cve] <= m:
-                blocked |= affected[cve]
-        return blocked
+    end, hitting = catalog.horizon.end_index, catalog.hitting
+    order = catalog.trigger_order[config.kind is StrategyKind.INFORMED_REACTIVE]
 
     transitions: list[Transition] = []
     for key in sorted(catalog.timelines):
         timeline = catalog.timelines[key]
         current, m, last = start[key], 0, -1  # last: the month of the last transition
         while hitting[current]:
-            m = max(m, min(trigger_month[cve] for cve in hitting[current]))
-            escape = first_nonvulnerable(timeline, blocked_by(current, m), at=end, installed=current)
-            if escape is None:  # the blocked set only grows, so no later escape exists
+            months, cves = order[current]
+            m = max(m, months[0])
+            due = bisect_right(months, m)  # cves[:due] are outstanding at m
+            escape = first_nonvulnerable(timeline, _Blocked(cves[:due], hitting), at=end, installed=current)
+            if escape is None:  # the outstanding CVEs only grow, so no later escape exists
                 break
             land = max(max(m, escape.release_month) + delay, last + 1)  # at most one change a month
             if land > end:  # the deployment would land outside the window
                 break
-            rel = first_nonvulnerable(timeline, blocked_by(current, land), at=land, installed=current, pick=pick)
+            due_at_land = bisect_right(months, land)
+            if due_at_land == due and pick == "first":  # nothing triggered since m: the escape is first at land
+                rel = escape
+            else:
+                rel = first_nonvulnerable(timeline, _Blocked(cves[:due_at_land], hitting), land, current, pick)
             if rel is not None:  # otherwise CVEs triggered since m blocked every candidate: reschedule
                 transitions.append(Transition(land, current, rel))
                 current, last = rel, land
             m = land
     return transitions
+
+
+class _Blocked:
+    """Releases hit by an outstanding CVE: the union of their `Catalog.affected` sets."""
+
+    def __init__(self, outstanding: tuple[str, ...], hitting: dict[VersionRelease, tuple[str, ...]]):
+        self.outstanding, self.hitting = frozenset(outstanding), hitting
+
+    def __contains__(self, rel: VersionRelease) -> bool:
+        return not self.outstanding.isdisjoint(self.hitting[rel])
 
 
 def first_nonvulnerable(
@@ -251,9 +262,12 @@ def build_matrix(catalog: Catalog, config: StrategyConfig) -> DeploymentMatrix:
 
 def apply_apt_first(matrix: DeploymentMatrix) -> DeploymentMatrix:
     """Keep the outgoing version installed during each transition month.
-    This only sets the scenario tag that `intervals` reads, so applying it
-    twice gives the same deployment."""
-    return replace(matrix, scenario=Scenario.APT_FIRST)
+    This only sets the scenario tag that `intervals` reads, and the copy
+    shares the matrix's one interval pass, so applying it twice gives the
+    same deployment."""
+    tagged = replace(matrix, scenario=Scenario.APT_FIRST)
+    vars(tagged)["bounds"] = matrix.bounds  # fills the copy's cached_property
+    return tagged
 
 
 def count_updates(matrix: DeploymentMatrix) -> tuple[int, int]:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 # Segment encoding: numeric runs become (0, int), alphabetic runs (1, str).
 # Plain tuple comparison then yields a total order with numbers sorting
@@ -27,13 +28,9 @@ Segment = tuple[int, object]
 _RUN = re.compile(r"\d+|[^\d.\-_+ ]+")
 
 
-def _tokenize(raw: str) -> list[Segment]:
-    return [(_NUM, int(run)) if run.isdecimal() else (_ALPHA, run) for run in _RUN.findall(raw.strip().lower())]
-
-
 def version_key(raw: str) -> tuple[Segment, ...]:
     """Normalize a raw version string into a comparable key."""
-    segments = _tokenize(raw)
+    segments = [(_NUM, int(run)) if run.isdecimal() else (_ALPHA, run) for run in _RUN.findall(raw.strip().lower())]
     # "6u13" means major 6, update 13: drop a lone "u" wedged between numbers
     return tuple(
         seg
@@ -49,15 +46,12 @@ def version_key(raw: str) -> tuple[Segment, ...]:
 
 @dataclass(frozen=True)
 class Bound:
-    """One side of a constraint, tokenized once when made: a version that
-    cannot be tokenized (a digit run too long for int()) fails here, at load."""
+    """One side of a constraint and its version key, read when the constraint is
+    made: a digit run too long for int() fails there, at load."""
 
     version: str
     inclusive: bool
-    key: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "key", version_key(self.version))
+    key: tuple = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -73,9 +67,10 @@ class VersionConstraint:
     end: Optional[Bound] = None
 
     @classmethod
-    def from_mapping(cls, obj: dict) -> "VersionConstraint":
-        """Parse a constraint object such as {"endIncluding": "9.2"}; a
-        malformed one is a ValueError that quotes it as sorted JSON."""
+    def from_mapping(cls, obj: dict, key_of: Callable[[str], tuple] = version_key) -> "VersionConstraint":
+        """Parse a constraint object such as {"endIncluding": "9.2"}, reading
+        each bound's version with `key_of`; a malformed one is a ValueError that
+        quotes it as sorted JSON."""
 
         def bad(problem: str) -> ValueError:
             return ValueError(f"{problem} in {json.dumps(obj, sort_keys=True)}")
@@ -87,7 +82,7 @@ class VersionConstraint:
             extras = set(obj) - {"exact"}
             if extras:
                 raise bad(f"exact constraint mixed with {sorted(extras)}")
-            b = Bound(obj["exact"], True)
+            b = Bound(obj["exact"], True, key_of(obj["exact"]))
             return cls("exact", b, b)
         known = {"startIncluding", "startExcluding", "endIncluding", "endExcluding"}
         unknown = set(obj) - known
@@ -100,7 +95,7 @@ class VersionConstraint:
         def bound(side: str) -> Optional[Bound]:
             for kind, inclusive in (("Including", True), ("Excluding", False)):
                 if obj.get(side + kind, "*") != "*":  # "*" means unbounded on that side
-                    return Bound(obj[side + kind], inclusive)
+                    return Bound(obj[side + kind], inclusive, key_of(obj[side + kind]))
             return None
 
         start, end = bound("start"), bound("end")
@@ -118,24 +113,23 @@ class VersionConstraint:
             obj["endIncluding" if self.end.inclusive else "endExcluding"] = self.end.version
         return obj
 
-    def position(self, key: tuple) -> int:
-        """Where a version key lies against the range: -1 below it, 0 inside
-        it, 1 strictly above it (never without an end bound). An exact
-        constraint is a range whose two inclusive bounds are equal.
+    def span(self, keys: Sequence[tuple]) -> tuple[int, int]:
+        """(lo, hi) over ascending version keys: keys[lo:hi] are inside the
+        range and keys[hi:] strictly above it (none without an end bound). An
+        exact constraint is a range whose two inclusive bounds are equal.
 
-        The end bound is tested first, so the end of an empty range such as
-        {"startExcluding": "1.0", "endExcluding": "1.0"} reads as above it.
+        hi is the end bound's own bisect, so for an empty range such as
+        {"startExcluding": "1.0", "endExcluding": "1.0"} it may lie below lo:
+        the slice is then empty, and the end of the range is above it.
         """
-        end, start = self.end, self.start
-        if end is not None and (key > end.key or (key == end.key and not end.inclusive)):
-            return 1
-        if start is not None and (key < start.key or (key == start.key and not start.inclusive)):
-            return -1
-        return 0
+        start, end = self.start, self.end
+        lo = 0 if start is None else (bisect_left if start.inclusive else bisect_right)(keys, start.key)
+        hi = len(keys) if end is None else (bisect_right if end.inclusive else bisect_left)(keys, end.key)
+        return lo, hi
 
 
 def affected_releases(constraint: VersionConstraint, timeline) -> frozenset:
-    """All releases in the timeline whose cached sort_key the constraint's
-    `position` puts inside its range."""
-    position = constraint.position
-    return frozenset(rel for rel in timeline.releases if position(rel.sort_key) == 0)
+    """All releases in the timeline whose sort_key lies inside the
+    constraint's range: one slice of the timeline's version order."""
+    lo, hi = constraint.span(timeline.keys)
+    return frozenset(timeline.by_version[lo:hi])

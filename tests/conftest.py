@@ -388,6 +388,19 @@ def ref_above(match: dict, version: str) -> bool:
     return False
 
 
+def ref_position(constraint: VersionConstraint, key: tuple) -> int:
+    """Where a version key lies against a parsed constraint, one comparison at
+    a time: -1 below the range, 0 inside it, 1 strictly above it (never
+    without an end bound). The end bound is tested first, so the end of an
+    empty range such as {"startExcluding": "1.0", "endExcluding": "1.0"} is above it."""
+    end, start = constraint.end, constraint.start
+    if end is not None and (key > end.key or (key == end.key and not end.inclusive)):
+        return 1
+    if start is not None and (key < start.key or (key == start.key and not start.inclusive)):
+        return -1
+    return 0
+
+
 def ref_targeted_releases(catalog: Catalog, campaign_record: CampaignRecord) -> set:
     targeted = set()
     for cve in campaign_record.cve_ids:

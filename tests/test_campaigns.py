@@ -170,6 +170,19 @@ def test_fix_month_skips_releases_another_constraint_affects():
     assert campaign_scenarios(c, cat) == {"CVE-2010-0001": AttackScenario.KK_U}
 
 
+def test_fix_month_of_an_empty_range_counts_the_releases_at_its_end():
+    # {"startExcluding": "2.0", "endExcluding": "2.0"} affects nothing, and 2.0 itself lies above
+    # it: the escape is 2.0 (month 3), not 3.0, although the range's start bisects past 2.0
+    empty = vuln("CVE-2008-000A", 0, 0, ("acme", "app", {"startExcluding": "2.0", "endExcluding": "2.0"}))
+    exact = vuln("CVE-2008-000B", 0, 0, ("acme", "app", {"exact": "1.0"}))
+    c = campaign("Alpha", 1, ["CVE-2008-000A", "CVE-2008-000B"])
+    releases = [("1.0", 0), ("2.0", 3), ("3.0", 6)]
+    cat = make_catalog({("acme", "app"): releases}, [empty, exact], [c], horizon_end=11)
+    assert cat.affected["CVE-2008-000A"] == frozenset()
+    assert cat.fix_month == {"CVE-2008-000A": 3, "CVE-2008-000B": 3}
+    assert campaign_scenarios(c, cat) == {"CVE-2008-000A": AttackScenario.KK_U, "CVE-2008-000B": AttackScenario.KK_U}
+
+
 def test_fix_month_absent_when_no_release_escapes():
     record = vuln("CVE-2010-0001", 0, 1, ("acme", "app", {"startIncluding": "1.0"}))
     c = campaign("Alpha", 5, ["CVE-2010-0001"])

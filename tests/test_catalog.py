@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -241,3 +242,70 @@ def test_custom_horizon_threading(tmp_path, fixture_paths):
     )
     assert cat.horizon.end_index == 48
     assert validate_catalog(cat) == []
+
+
+# ---------------------------------------------------------------------------
+# Each distinct text parsed once per load
+
+
+def _all_months(catalog):
+    """Every month index the loader produced, in a fixed order."""
+    months = [r.release_month for key in sorted(catalog.timelines) for r in catalog.timelines[key].releases]
+    for cve in sorted(catalog.vulns):
+        months += [catalog.vulns[cve].reserved_month, catalog.vulns[cve].published_month]
+    return months + [c.start_month for c in catalog.campaigns]
+
+
+def test_parse_memo_lives_for_one_load(fixture_paths):
+    # a memo that outlived the call would hand the second load the first load's month indexes
+    paths = (fixture_paths["releases"], fixture_paths["vulns"], fixture_paths["campaigns"])
+    late = load_catalog(*paths, Horizon.from_strings("2008-01"))
+    early = load_catalog(*paths, Horizon.from_strings("2007-01"))
+    assert [month + 12 for month in _all_months(late)] == _all_months(early)
+
+
+def test_a_text_that_fails_is_not_remembered(tmp_path, fixture_paths, capsys):
+    from patchsim.cli import run
+
+    # "2008-13" on lines 3 and 5 names line 3; a second load, where it first appears on
+    # line 4, names line 4, not a line remembered from the first load
+    rows = [
+        "adobe,reader,9.1,2008-01",
+        "adobe,reader,9.2,2008-13",
+        "adobe,reader,9.3,2009-03",
+        "adobe,reader,9.4,2008-13",
+    ]
+    data = ["--vulns", str(fixture_paths["vulns"]), "--campaigns", str(fixture_paths["campaigns"])]
+    for name, lines, line in (("releases.csv", rows, 3), ("later.csv", rows[:1] + rows[2:], 4)):
+        path = tmp_path / name
+        path.write_text("\n".join(["vendor,product,version,release_date", *lines]) + "\n")
+        assert run(["validate", "--releases", str(path), *data]) == 1
+        assert f"{path}:{line}: field release_date" in capsys.readouterr().err, name
+
+
+def test_each_distinct_text_is_parsed_once_per_load(fixture_paths, monkeypatch):
+    import patchsim.catalog
+
+    versions, dates = Counter(), Counter()
+    version_key, parse_clamped = patchsim.catalog.version_key, Horizon.parse_clamped
+
+    def counted_key(text):
+        versions[text] += 1
+        return version_key(text)
+
+    def counted_date(horizon, text):
+        dates[text] += 1
+        return parse_clamped(horizon, text)
+
+    monkeypatch.setattr(patchsim.catalog, "version_key", counted_key)
+    monkeypatch.setattr(Horizon, "parse_clamped", counted_date)
+    paths = (fixture_paths["releases"], fixture_paths["vulns"], fixture_paths["campaigns"])
+    catalog = load_catalog(*paths)
+    texts = {r.version for t in catalog.timelines.values() for r in t.releases}
+    constraints = [pc.constraint for v in catalog.vulns.values() for pc in v.affected]
+    texts |= {b.version for c in constraints for b in (c.start, c.end) if b is not None}
+    assert set(versions) == texts and set(versions.values()) == {1}
+    assert len(dates) > 1 and set(dates.values()) == {1}
+    load_catalog(*paths)
+    assert set(versions) == texts and set(versions.values()) == {2}
+    assert set(dates.values()) == {2}

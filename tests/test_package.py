@@ -68,3 +68,24 @@ def test_src_defines_only_two_exception_types():
 
     errors = {qualified for name in bases if is_error(name) for qualified in where[name]}
     assert errors == {"months.DataError", "cli.UsageError"}
+
+
+def test_src_keeps_no_cache_across_calls():
+    # every cache lives on one object, such as a Catalog's cached properties or one load's
+    # parse memo: the benchmark runs cli.run over and over in one process, so a cache that
+    # outlived a call would time a different program and could carry one call's data into the next
+    for path in sorted(Path(patchsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        from_functools = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "functools"
+            for alias in node.names
+        }
+        attributes = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "functools"
+        }
+        assert not (from_functools | attributes) & {"cache", "lru_cache"}, path.name
+        assert not any(isinstance(node, ast.Global) for node in ast.walk(tree)), path.name

@@ -20,8 +20,10 @@ from conftest import (
     ref_strategy_run,
     vuln,
 )
+from patchsim.catalog import load_catalog
 from patchsim.months import DataError
 from patchsim.strategies import (
+    REACTIVE_PICKS,
     Scenario,
     StrategyConfig,
     StrategyKind,
@@ -487,6 +489,34 @@ def test_builders_match_month_walking_reference_on_random_catalogs(delay):
         catalog = random_catalog(random.Random(seed))
         for config in configs_with_delay(delay):
             _assert_matches_reference(catalog, config, seed)
+
+
+def test_reactive_builds_on_one_catalog_match_builds_alone(fixture_paths):
+    # Catalog.trigger_order is filled as builds ask for it and shared by every reactive and
+    # informed build of a catalog: no build may see what another one left behind
+    configs = [
+        StrategyConfig(kind, delay, pick)
+        for kind in (StrategyKind.REACTIVE, StrategyKind.INFORMED_REACTIVE)
+        for delay in (0, 1, 3)
+        for pick in REACTIVE_PICKS
+    ]
+    def fixture():
+        return load_catalog(fixture_paths["releases"], fixture_paths["vulns"], fixture_paths["campaigns"])
+
+    fresh = [("fixture", fixture)]
+    fresh += [(seed, lambda seed=seed: random_catalog(random.Random(seed))) for seed in range(50)]
+    for context, make in fresh:
+        alone = {config: _start_and_transitions(make(), config) for config in configs}
+        # reversed, every informed config is built before any reactive one
+        for order in (configs[::-1], random.Random(str(context)).sample(configs, len(configs))):
+            shared = make()
+            for config in order:
+                assert _start_and_transitions(shared, config) == alone[config], (context, config)
+
+
+def _start_and_transitions(catalog, config):
+    matrix = build_matrix(catalog, config)
+    return matrix.start, matrix.transitions
 
 
 _SMALL_VERSIONS = ("1.0", "1.1", "1.2", "2.0", "2.1", "3.0")

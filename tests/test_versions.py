@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_timeline, ref_above, ref_matches, ref_tokens
+from conftest import make_timeline, ref_above, ref_matches, ref_position, ref_tokens
 from patchsim.strategies import first_nonvulnerable
 from patchsim.versions import VersionConstraint, affected_releases, version_key
 
@@ -91,25 +91,25 @@ def test_version_key_matches_the_independent_tokenizer(text):
 def test_exact_constraint_round_trip():
     c = VersionConstraint.from_mapping({"exact": "10.1.3"})
     assert c.kind == "exact"
-    assert c.position(version_key("10.1.3")) == 0
-    assert c.position(version_key("10.1.4")) == 1
+    assert ref_position(c, version_key("10.1.3")) == 0
+    assert ref_position(c, version_key("10.1.4")) == 1
     assert c.to_mapping() == {"exact": "10.1.3"}
 
 
 def test_range_bounds_inclusive_exclusive():
     c = VersionConstraint.from_mapping({"startExcluding": "1.0", "endIncluding": "2.0"})
-    assert c.position(version_key("1.0")) == -1
-    assert c.position(version_key("1.1")) == 0
-    assert c.position(version_key("2.0")) == 0
-    assert c.position(version_key("2.0.1")) == 1
+    assert ref_position(c, version_key("1.0")) == -1
+    assert ref_position(c, version_key("1.1")) == 0
+    assert ref_position(c, version_key("2.0")) == 0
+    assert ref_position(c, version_key("2.0.1")) == 1
 
 
 def test_wildcard_is_unbounded():
     c = VersionConstraint.from_mapping({"startIncluding": "*", "endIncluding": "9.2"})
     assert c.start is None
-    assert c.position(version_key("0.1")) == 0
-    assert c.position(version_key("9.2")) == 0
-    assert c.position(version_key("9.3")) == 1
+    assert ref_position(c, version_key("0.1")) == 0
+    assert ref_position(c, version_key("9.2")) == 0
+    assert ref_position(c, version_key("9.3")) == 1
 
 
 @pytest.mark.parametrize(
@@ -129,15 +129,15 @@ def test_malformed_constraints_rejected(mapping):
 
 def test_fixes_is_strictly_above_the_range():
     inclusive = VersionConstraint.from_mapping({"endIncluding": "9.2"})
-    assert inclusive.position(version_key("9.2")) == 0
-    assert inclusive.position(version_key("9.3")) == 1
+    assert ref_position(inclusive, version_key("9.2")) == 0
+    assert ref_position(inclusive, version_key("9.3")) == 1
     exclusive = VersionConstraint.from_mapping({"endExcluding": "9.2"})
-    assert exclusive.position(version_key("9.2")) == 1
+    assert ref_position(exclusive, version_key("9.2")) == 1
     unbounded = VersionConstraint.from_mapping({"startIncluding": "1.0"})
-    assert unbounded.position(version_key("99.0")) == 0
+    assert ref_position(unbounded, version_key("99.0")) == 0
     # the end of an empty range is above it, not below it
     empty = VersionConstraint.from_mapping({"startExcluding": "9.2", "endExcluding": "9.2"})
-    assert empty.position(version_key("9.2")) == 1
+    assert ref_position(empty, version_key("9.2")) == 1
 
 
 def _drawn_version(rng):
@@ -185,9 +185,43 @@ def test_position_matches_reference_on_random_mappings():
             inside, above = ref_matches(mapping, version), ref_above(mapping, version)
             assert not (inside and above), (mapping, version)
             expected = 0 if inside else 1 if above else -1
-            assert constraint.position(version_key(version)) == expected, (mapping, version)
+            assert ref_position(constraint, version_key(version)) == expected, (mapping, version)
             checked += 1
     assert checked > 10_000
+
+
+# "6u13" and "6.13" share one key; "1" < "1.0" < "1.0a" differ only by a trailing segment
+_SPAN_VERSIONS = ["1", "1.0", "1.0a", "2.0", "6u13", "6.13", "6.13.1", "9.2", "9.10"]
+
+
+@st.composite
+def _span_mappings(draw):
+    """Exact, one-sided (a "*" side is unbounded), two-sided and empty ranges."""
+    version = st.sampled_from(_SPAN_VERSIONS)
+    shape = draw(st.sampled_from(["exact", "start", "end", "range", "empty"]))
+    start = draw(st.sampled_from(["startIncluding", "startExcluding"]))
+    end = draw(st.sampled_from(["endIncluding", "endExcluding"]))
+    if shape == "exact":
+        return {"exact": draw(version)}
+    if shape in ("start", "end"):
+        return {start if shape == "start" else end: draw(st.one_of(version, st.just("*")))}
+    if shape == "empty":
+        v = draw(version)
+        return {"startExcluding": v, "endExcluding": v}
+    low, high = sorted((draw(version), draw(version)), key=version_key)
+    return {start: low, end: high}
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(_SPAN_VERSIONS), max_size=10), _span_mappings())
+def test_span_matches_the_position_oracle(versions, mapping):
+    constraint = VersionConstraint.from_mapping(mapping)
+    keys = sorted(map(version_key, versions))
+    lo, hi = constraint.span(keys)
+    positions = [ref_position(constraint, key) for key in keys]
+    assert [i for i in range(len(keys)) if lo <= i < hi] == [i for i, p in enumerate(positions) if p == 0]
+    # from the end bound's own index on, and only there, every key is above the range
+    assert list(range(hi, len(keys))) == [i for i, p in enumerate(positions) if p == 1]
 
 
 # ---------------------------------------------------------------------------
