@@ -134,14 +134,10 @@ VENN_REGIONS = tuple("&".join(c) for n in range(1, len(KNOWLEDGE_ORDER) + 1) for
 def venn_counts(catalog: Catalog, tie_rule: TieRule = TieRule.INCLUSIVE) -> dict[str, int]:
     """Counts of the seven knowledge-group regions over CVE-bearing campaigns."""
     counts = {region: 0 for region in VENN_REGIONS}
-    total = 0
     for campaign in catalog.campaigns:
         if campaign.vector_only:
             continue
-        groups = classify_campaign(campaign, catalog, tie_rule)
-        if not groups:
-            continue
-        total += 1
+        groups = classify_campaign(campaign, catalog, tie_rule)  # a campaign with a CVE has a group
         counts["&".join(sorted(groups, key=KNOWLEDGE_ORDER.index))] += 1
-    counts["total"] = total
+    counts["total"] = sum(counts.values())
     return counts

@@ -438,7 +438,8 @@ def catalog_diagnostics(catalog: Catalog) -> dict:
             if timeline is None:
                 off_catalog.append({"cve": cve, "vendor": pc.vendor, "product": pc.product})
                 continue
-            if not affected_releases(pc.constraint, timeline):
+            lo, hi = pc.constraint.span(timeline.keys)
+            if lo >= hi:  # keys[lo:hi] is empty: the constraint matches no release
                 dead_constraints.append(
                     {"cve": cve, "vendor": pc.vendor, "product": pc.product, "match": pc.constraint.to_mapping()}
                 )

@@ -234,10 +234,6 @@ def _load(args: argparse.Namespace) -> Catalog:
 # Artifact rendering (all file output funnels through emit_files)
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def emit_files(files: dict[str, str], out_dir, formats: str = "both") -> dict[str, str]:
     """Write named artifacts deterministically; returns {name: sha256}.
 
@@ -261,7 +257,7 @@ def emit_files(files: dict[str, str], out_dir, formats: str = "both") -> dict[st
     }
     if not selected:
         raise UsageError(f"--format {formats} selects none of {', '.join(sorted(files))}")
-    manifest = {name: _digest(text.encode("utf-8")) for name, text in sorted(selected.items())}
+    manifest = {name: hashlib.sha256(text.encode("utf-8")).hexdigest() for name, text in sorted(selected.items())}
     for name, text in sorted(selected.items()):
         try:
             (out / name).write_text(text, encoding="utf-8")
@@ -395,17 +391,17 @@ def _classify_files(catalog: Catalog, tie_rule: TieRule) -> dict[str, str]:
 def _survival_files(catalog: Catalog, tie_rule: TieRule, products: Optional[set[ProductKey]] = None,
                     kk_only: bool = False, include_unexploited: bool = False) -> dict[str, str]:
     """survival.csv over the CVEs affecting one of `products`, or every CVE when None."""
-    samples = exploit_ages(catalog, include_unexploited=include_unexploited, kk_only=kk_only, tie_rule=tie_rule)
+    samples = _flag_value("--kk-only/--include-unexploited", exploit_ages,
+                          catalog, include_unexploited, kk_only, tie_rule)
     if products is not None:
         wanted = {cve for cve, vuln in catalog.vulns.items() if any(pc.key in products for pc in vuln.affected)}
         samples = [s for s in samples if s.cve_id in wanted]
     if not samples:
         raise DataError("no exploit-age samples under the given filters")
-    curve = kaplan_meier(samples)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["age_months", "survival"])
-    for t, s in curve.points:
+    for t, s in kaplan_meier(samples):
         writer.writerow([t, f"{float(s):.6f}"])
     return {"survival.csv": buf.getvalue()}
 

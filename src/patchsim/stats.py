@@ -21,9 +21,6 @@ from .catalog import Catalog
 
 @dataclass(frozen=True)
 class BinomialCI:
-    successes: int
-    trials: int
-    confidence: float
     center: float
     low: float
     high: float
@@ -40,14 +37,7 @@ def agresti_coull(successes: int, trials: int, confidence: float = 0.95) -> Bino
     n_adj = trials + z2
     p_adj = (successes + z2 / 2.0) / n_adj
     half = z * math.sqrt(p_adj * (1.0 - p_adj) / n_adj)
-    return BinomialCI(
-        successes=successes,
-        trials=trials,
-        confidence=confidence,
-        center=p_adj,
-        low=max(0.0, p_adj - half),
-        high=min(1.0, p_adj + half),
-    )
+    return BinomialCI(center=p_adj, low=max(0.0, p_adj - half), high=min(1.0, p_adj + half))
 
 
 def pairwise_agreement(outcomes_a, outcomes_b, confidence: float = 0.95) -> tuple[Fraction, BinomialCI]:
@@ -74,15 +64,9 @@ class ExploitAgeSample:
     censored: bool = False
 
 
-@dataclass(frozen=True)
-class SurvivalCurve:
-    """Right-continuous step function; points hold the value from each event time on."""
-
-    points: tuple[tuple[int, Fraction], ...]
-
-
-def kaplan_meier(samples: Sequence[ExploitAgeSample]) -> SurvivalCurve:
-    """Product-limit survival estimate over exploit ages.
+def kaplan_meier(samples: Sequence[ExploitAgeSample]) -> tuple[tuple[int, Fraction], ...]:
+    """Product-limit survival estimate over exploit ages, as the (age, survival)
+    points of a right-continuous step function: each value holds from its age on.
 
     Censored samples leave the risk set at their age without counting as an
     event (ties: events first). With no censoring this reduces to the
@@ -104,7 +88,7 @@ def kaplan_meier(samples: Sequence[ExploitAgeSample]) -> SurvivalCurve:
             survival *= Fraction(at_risk - d, at_risk)
             points.append((t, survival))
         at_risk -= d + censorings.get(t, 0)
-    return SurvivalCurve(points=tuple(points))
+    return tuple(points)
 
 
 def exploit_ages(
@@ -116,7 +100,10 @@ def exploit_ages(
     """One sample per exploited CVE: months from publication to its first
     campaign. With kk_only, CVEs first exploited before publication are
     dropped from the sample altogether. include_unexploited adds CVEs seen
-    in no campaign as censored at the horizon end."""
+    in no campaign as censored at the horizon end. Asking for both is a
+    ValueError: kk_only keeps exploited CVEs only."""
+    if kk_only and include_unexploited:
+        raise ValueError("kk_only and include_unexploited cannot be combined")
     first_seen: dict[str, int] = {}
     for campaign in catalog.campaigns:
         for cve in campaign.cve_ids:
@@ -129,6 +116,6 @@ def exploit_ages(
             if kk_only and not tie_rule.happened(vuln.published_month, first_seen[cve]):
                 continue
             samples.append(ExploitAgeSample(cve, first_seen[cve] - vuln.published_month))
-        elif include_unexploited and not kk_only:
+        elif include_unexploited:
             samples.append(ExploitAgeSample(cve, catalog.horizon.end_index - vuln.published_month, censored=True))
     return samples

@@ -209,7 +209,7 @@ def percent_bounds(ci) -> tuple[int, int]:
 def survival_at(curve, age) -> Fraction:
     """Value of a right-continuous survival curve at `age`."""
     value = Fraction(1)
-    for t, s in curve.points:
+    for t, s in curve:
         if t > age:
             break
         value = s
@@ -221,7 +221,7 @@ def curve_problems(curve) -> list[str]:
     problems = []
     last = Fraction(1)
     last_t = None
-    for t, s in curve.points:
+    for t, s in curve:
         if last_t is not None and t <= last_t:
             problems.append(f"breakpoints not strictly increasing at {t}")
         if s > last:

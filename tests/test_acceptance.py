@@ -155,7 +155,7 @@ def test_criterion_7_survival_oracle():
         curve = kaplan_meier([ExploitAgeSample(f"c{i}", a) for i, a in enumerate(ages)])
         assert survival_at(curve, min(ages) - 1) == 1
         last = Fraction(1)
-        for _, s in curve.points:
+        for _, s in curve:
             assert s <= last
             last = s
         for t in sorted(set(ages)):

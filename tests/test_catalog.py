@@ -14,6 +14,7 @@ from patchsim.catalog import (
     validate_catalog,
 )
 from patchsim.months import DataError, Horizon
+from patchsim.versions import affected_releases
 
 
 def test_fixture_loads_fully_linked(fixture_catalog):
@@ -205,6 +206,38 @@ def test_diagnostics_count_dead_constraints():
     assert [d["cve"] for d in diag["constraints_matching_no_release"]] == ["CVE-2010-0002"]
     assert [d["cve"] for d in diag["constraints_for_products_without_timeline"]] == ["CVE-2010-0003"]
     assert diag["vector_only_campaigns"] == 0
+
+
+def _constraints_affecting_no_release(cat):
+    """Oracle: each constraint on a cataloged product whose affected_releases is
+    empty, in CVE order, as catalog_diagnostics lists it."""
+    return [
+        {"cve": cve, "vendor": pc.vendor, "product": pc.product, "match": pc.constraint.to_mapping()}
+        for cve, record in sorted(cat.vulns.items())
+        for pc in record.affected
+        if pc.key in cat.timelines and not affected_releases(pc.constraint, cat.timelines[pc.key])
+    ]
+
+
+def test_diagnostics_list_exactly_the_constraints_affecting_no_release():
+    rng = random.Random(1105)
+    catalogs = [random_catalog(rng) for _ in range(300)]
+    empty_range = vuln("CVE-2010-0001", 3, 5, ("acme", "app", {"startExcluding": "1.2", "endExcluding": "1.2"}))
+    between = vuln("CVE-2010-0002", 3, 5, ("acme", "app", {"exact": "1.1"}))  # between releases 1.0 and 1.2
+    point = vuln("CVE-2010-0003", 3, 5, ("acme", "app", {"startIncluding": "1.2", "endIncluding": "1.2"}))
+    timeline = [("1.0", 0), ("1.2", 2), ("1.10", 4)]
+    catalogs.append(make_catalog({("acme", "app"): timeline}, [empty_range, between, point], horizon_end=23))
+    dead = on_catalog = 0
+    for cat in catalogs:
+        expected = _constraints_affecting_no_release(cat)
+        assert catalog_diagnostics(cat)["constraints_matching_no_release"] == expected
+        dead += len(expected)
+        on_catalog += sum(pc.key in cat.timelines for record in cat.vulns.values() for pc in record.affected)
+    assert [(d["cve"], d["match"]) for d in expected] == [
+        ("CVE-2010-0001", {"startExcluding": "1.2", "endExcluding": "1.2"}),
+        ("CVE-2010-0002", {"exact": "1.1"}),
+    ]
+    assert 2 < dead < on_catalog  # the draws hold constraints that match and ones that do not
 
 
 # ---------------------------------------------------------------------------

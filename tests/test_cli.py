@@ -515,6 +515,32 @@ def _non_utf8_config(tmp_path, fixture_paths):
     return ["validate", *_data_args(fixture_paths), "--config", str(config)]
 
 
+def _flags(command, *flags):
+    """Run `command` on the fixture with extra flags."""
+    def make_argv(tmp_path, fixture_paths):
+        return [command, *_data_args(fixture_paths), *flags]
+    return make_argv
+
+
+def _file_flag(command, flag, name, text):
+    """Run `command` on the fixture with `flag` naming a file that holds `text`."""
+    def make_argv(tmp_path, fixture_paths):
+        path = tmp_path / name
+        path.write_text(text)
+        return [command, *_data_args(fixture_paths), flag, str(path)]
+    return make_argv
+
+
+def _out_under_file(tmp_path, fixture_paths):
+    (tmp_path / "plain").write_text("")
+    return ["evaluate", *_data_args(fixture_paths), "--out", str(tmp_path / "plain" / "out")]
+
+
+def _out_name_is_directory(tmp_path, fixture_paths):
+    (tmp_path / "out" / "evaluate.json").mkdir(parents=True)
+    return ["evaluate", *_data_args(fixture_paths), "--out", str(tmp_path / "out")]
+
+
 @pytest.mark.parametrize(
     "make_argv,code,fragment",
     [
@@ -563,6 +589,20 @@ def _non_utf8_config(tmp_path, fixture_paths):
         (_deeply_nested_vulns, 1, "vulns.json: invalid JSON: maximum recursion depth exceeded"),
         (_deeply_nested_config, 2, "run.json: maximum recursion depth exceeded"),
         (_non_utf8_config, 2, "run.json: 'utf-8' codec can't decode byte 0xff"),
+        (_flags("survival", "--kk-only", "--include-unexploited"), 2,
+         "--kk-only/--include-unexploited: kk_only and include_unexploited cannot be combined"),
+        (_file_flag("validate", "--vulns", "vulns.json", "{}"), 1, "vulns.json: top-level value must be an array"),
+        (_malformed_entry(affected={}), 1, "entry #0 (CVE-2009-4324): 'affected' must be an array"),
+        (_malformed_affected(match="9.1"), 1, "entry #0 (CVE-2009-4324): affected[0].match must be an object"),
+        (_appended_row("campaigns", ",2010-06,CVE-2009-4324,\n"), 1, "campaigns.csv:6: apt and date must be non-empty"),
+        (_file_flag("validate", "--config", "run.json", "[]"), 2, "run.json: top-level value must be an object"),
+        (_flags("validate", "--epoch", "2010-01", "--horizon", "2009-01"), 2,
+         "--epoch/--horizon: horizon end '2009-01' must be after epoch '2010-01'"),
+        (_flags("evaluate", "--strategies", "planned:-1"), 2, "--strategies: delay_months must be >= 0"),
+        (_out_under_file, 2, "cannot create output directory"),
+        (_out_name_is_directory, 2, "cannot write"),
+        (_flags("survival", "--kk-only", "--products", "adobe/flash"), 1,
+         "no exploit-age samples under the given filters"),
     ],
     ids=["no-epoch-release", "directory-input", "non-string-config", "format-selects-nothing",
          "reserved-after-published", "no-targeting-campaign", "integer-bound", "null-exact",
@@ -573,7 +613,9 @@ def _non_utf8_config(tmp_path, fixture_paths):
          "bad-baseline-scenario", "bad-scenarios-token", "bad-reserved-date", "bad-published-date",
          "long-releases-field", "long-campaigns-field", "wide-releases-row", "wide-campaigns-row",
          "wide-row-after-blank-line", "wide-row-after-multiline-field",
-         "nested-vulns", "nested-config", "non-utf8-config"],
+         "nested-vulns", "nested-config", "non-utf8-config", "kk-only-with-unexploited",
+         "object-vulns", "object-affected", "string-match", "empty-apt", "list-config", "horizon-before-epoch",
+         "negative-delay", "out-under-file", "output-name-is-directory", "no-survival-samples"],
 )
 def test_boundary_errors_exit_with_code_and_message(make_argv, code, fragment, tmp_path, fixture_paths, capsys):
     assert run(make_argv(tmp_path, fixture_paths)) == code

@@ -5,9 +5,12 @@ prints or writes: stdout and the artifacts that hold no name or date stay
 byte-identical, and series.csv differs only in its date column."""
 
 import csv
+import importlib.util
 import io
 import random
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,13 +23,31 @@ NAMELESS = ("evaluate.csv", "survival.csv", "venn.json")  # no identifier and no
 SHIFT = 5  # months: 2009-12 moves to 2010-05, across a year boundary
 # a YYYY-MM that starts a field, so never the "2009-43" inside CVE-2009-4324
 _DATE = re.compile(r"(?<![\w-])(\d{4})-(\d{2})(?!\d)")
-DATASETS = ["fixture", 13, 21, 55]  # the fixture, then random_catalog seeds
+# the fixture, the benchmark generator's paper shape at seed 1, then random_catalog seeds
+DATASETS = ["fixture", "paper-report", 13, 21, 55]
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _dataset(name, fixture_paths, directory):
+def _paper_report(directory, monkeypatch):
+    """(paths, epoch, horizon) of the generator's paper shape at seed 1; gen.py
+    is loaded by path, as test_workload_digests.py loads it."""
+    spec = importlib.util.spec_from_file_location("gen", PERFBENCH / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "gen", gen)  # dataclasses look their module up by name
+    spec.loader.exec_module(gen)
+    shape = gen.Shape()
+    gen.generate(shape, 1, directory)
+    paths = {name: directory / file for name, file in
+             (("releases", "releases.csv"), ("vulns", "vulns.json"), ("campaigns", "campaigns.csv"))}
+    return paths, shape.epoch, shape.horizon
+
+
+def _dataset(name, fixture_paths, directory, monkeypatch):
     """(paths, epoch, horizon) of one dataset."""
     if name == "fixture":
         return fixture_paths, DEFAULT_EPOCH, DEFAULT_HORIZON_END
+    if name == "paper-report":
+        return _paper_report(directory, monkeypatch)
     return save_catalog(random_catalog(random.Random(name)), directory), "2008-01", "2009-12"
 
 
@@ -90,8 +111,8 @@ def _shifted(text: str) -> str:
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
-def test_order_reversing_rename_moves_no_number(dataset, fixture_paths, tmp_path, capsys):
-    paths, epoch, horizon = _dataset(dataset, fixture_paths, tmp_path / "data")
+def test_order_reversing_rename_moves_no_number(dataset, fixture_paths, tmp_path, capsys, monkeypatch):
+    paths, epoch, horizon = _dataset(dataset, fixture_paths, tmp_path / "data", monkeypatch)
     base_out, base = _report(paths, epoch, horizon, tmp_path / "base", capsys)
     cat = load_catalog(paths["releases"], paths["vulns"], paths["campaigns"], Horizon.from_strings(epoch, horizon))
     renamed = _renamed(cat)
@@ -103,8 +124,8 @@ def test_order_reversing_rename_moves_no_number(dataset, fixture_paths, tmp_path
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
-def test_shifting_every_date_moves_no_number(dataset, fixture_paths, tmp_path, capsys):
-    paths, epoch, horizon = _dataset(dataset, fixture_paths, tmp_path / "data")
+def test_shifting_every_date_moves_no_number(dataset, fixture_paths, tmp_path, capsys, monkeypatch):
+    paths, epoch, horizon = _dataset(dataset, fixture_paths, tmp_path / "data", monkeypatch)
     base_out, base = _report(paths, epoch, horizon, tmp_path / "base", capsys)
     (tmp_path / "shifted").mkdir()
     shifted_paths = {name: tmp_path / "shifted" / path.name for name, path in paths.items()}

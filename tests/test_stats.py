@@ -143,13 +143,13 @@ def test_km_uncensored_example():
 
 def test_km_single_sample_steps_to_zero():
     curve = kaplan_meier([ExploitAgeSample("c", 0)])
-    assert curve.points == ((0, Fraction(0)),)
+    assert curve == ((0, Fraction(0)),)
     assert survival_at(curve, -1) == 1
 
 
 def test_km_tied_ages_single_step():
     curve = kaplan_meier([ExploitAgeSample(f"c{i}", 3) for i in range(5)])
-    assert curve.points == ((3, Fraction(0)),)
+    assert curve == ((3, Fraction(0)),)
 
 
 def test_km_censoring_reduces_risk_set_without_event():
@@ -216,6 +216,11 @@ def test_exploit_age_unexploited_omitted_or_censored():
 def test_exploit_age_kk_only_drops_pre_publication():
     kk = exploit_ages(_age_catalog(), kk_only=True)
     assert [(s.cve_id, s.age) for s in kk] == [("CVE-2010-0002", 0)]
+
+
+def test_exploit_age_kk_only_with_unexploited_is_rejected():
+    with pytest.raises(ValueError, match="kk_only and include_unexploited"):
+        exploit_ages(_age_catalog(), include_unexploited=True, kk_only=True)
 
 
 def test_fixture_exploit_ages_and_survival(fixture_catalog):
