@@ -24,7 +24,7 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, zip_longest
+from itertools import accumulate, groupby, zip_longest
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -60,6 +60,13 @@ class VersionRelease:
 
     def __hash__(self) -> int:
         return self._hash
+
+
+@dataclass(frozen=True)
+class Transition:
+    month: int
+    outgoing: VersionRelease
+    incoming: VersionRelease
 
 
 @dataclass(frozen=True)
@@ -174,12 +181,36 @@ class Catalog:
         return index
 
     @cached_property
-    def exploited(self) -> frozenset[VersionRelease]:
-        """Every cataloged release that some campaign-exploited CVE affects."""
-        hit: set[VersionRelease] = set()
-        for cve in self.campaign_cve_ids():
-            hit |= self.affected[cve]
-        return frozenset(hit)
+    def start(self) -> dict[ProductKey, VersionRelease]:
+        """The release every strategy starts from, per product in key order:
+        the oldest one already out at the epoch, preferring one that a
+        campaign-exploited CVE affects."""
+        exploited = {rel for cve in self.campaign_cve_ids() for rel in self.affected[cve]}
+        chosen: dict[ProductKey, VersionRelease] = {}
+        for key in sorted(self.timelines):
+            at_epoch = [r for r in self.timelines[key].releases if r.release_month <= 0]
+            if not at_epoch:
+                raise DataError(f"product {key[0]}/{key[1]} has no release at or before {self.horizon.format(0)}")
+            # releases are in (release_month, sort_key) order, so the first is the oldest
+            chosen[key] = ([r for r in at_epoch if r in exploited] or at_epoch)[0]
+        return chosen
+
+    @cached_property
+    def upgrades(self) -> tuple[Transition, ...]:
+        """The immediate strategy's transitions, products in key order and
+        months increasing within a product: from month 1 on (month 0 is the
+        common start), each month's newest release is installed when it is
+        a strict upgrade over the installed one. planned:k lands each of
+        them k months later, dropping those that would land past the window."""
+        transitions: list[Transition] = []
+        for key in sorted(self.timelines):
+            current = self.start[key]
+            for month, releases in groupby(self.timelines[key].releases, key=lambda r: r.release_month):
+                candidate = max(releases, key=lambda r: r.sort_key)
+                if 1 <= month <= self.horizon.end_index and candidate.sort_key > current.sort_key:  # never downgrade
+                    transitions.append(Transition(month, current, candidate))
+                    current = candidate
+        return tuple(transitions)
 
     @cached_property
     def hitting(self) -> dict[VersionRelease, tuple[str, ...]]:
@@ -348,6 +379,8 @@ def _load_vulns(path: Path, parse: _Parser) -> dict[str, VulnRecord]:
                 raise DataError(f"{where} ({cve}): affected[{j}] needs vendor, product and match")
             if not isinstance(item["vendor"], str) or not isinstance(item["product"], str):
                 raise DataError(f"{where} ({cve}): affected[{j}] vendor and product must be strings")
+            if not item["vendor"].strip() or not item["product"].strip():
+                raise DataError(f"{where} ({cve}): affected[{j}] vendor and product must be non-empty strings")
             if not isinstance(item["match"], dict):
                 raise DataError(f"{where} ({cve}): affected[{j}].match must be an object")
             try:

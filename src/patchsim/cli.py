@@ -88,10 +88,11 @@ def parse_products(text: str, catalog: Catalog) -> Optional[set[ProductKey]]:
 
 
 def parse_baseline(text: str, reactive_pick: str) -> tuple[StrategyConfig, Scenario]:
-    token, _, scen = text.partition("@")
-    cfg = StrategyConfig.parse(token, reactive_pick)
-    scenario = parse_scenario(scen) if scen else Scenario.UPDATE_FIRST
-    return cfg, scenario
+    token, at, scen = text.partition("@")
+    cfg, scen = StrategyConfig.parse(token, reactive_pick), scen.strip()
+    if at and not scen:
+        raise ValueError(f"no scenario after '@' in {text!r}")
+    return cfg, parse_scenario(scen) if at else Scenario.UPDATE_FIRST
 
 
 def _data_flags() -> argparse.ArgumentParser:

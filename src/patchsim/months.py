@@ -11,7 +11,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-_DATE_RE = re.compile(r"^(\d{4})-(\d{2})(?:-\d{2})?$")
+_DATE_RE = re.compile(r"([0-9]{4})-([0-9]{2})(?:-([0-9]{2}))?")
+_MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)  # not calendar.monthrange: it imports datetime and locale
 
 DEFAULT_EPOCH = "2008-01"
 DEFAULT_HORIZON_END = "2020-01"
@@ -22,13 +23,17 @@ class DataError(Exception):
 
 
 def split_date(text: str) -> tuple[int, int]:
-    """Split YYYY-MM or YYYY-MM-DD into (year, month); the day is dropped."""
-    m = _DATE_RE.match(text.strip())
+    """Split ASCII YYYY-MM or YYYY-MM-DD into (year, month); the day must
+    exist in its month and is then dropped."""
+    m = _DATE_RE.fullmatch(text.strip())
     if not m:
         raise DataError(f"expected YYYY-MM date, got {text!r}")
     year, month = int(m.group(1)), int(m.group(2))
     if not 1 <= month <= 12:
         raise DataError(f"month out of range in {text!r}")
+    leap_day = month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+    if m.group(3) and not 1 <= int(m.group(3)) <= _MONTH_DAYS[month - 1] + leap_day:
+        raise DataError(f"day out of range in {text!r}")
     return year, month
 
 

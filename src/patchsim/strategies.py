@@ -3,7 +3,7 @@
 Four strategies are modeled:
 
   immediate  adopt each month's newest release as soon as it appears
-  planned    same triggers as immediate, deployed after a fixed delay
+  planned    immediate's transitions, each deployed a fixed delay later
   reactive   update only when a published CVE hits the installed version
   informed   like reactive, but triggered at CVE reservation time
 
@@ -21,11 +21,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from itertools import groupby, islice
+from itertools import islice
 from typing import Container, Optional
 
-from .catalog import Catalog, MatrixSpace, ProductKey, ReleaseTimeline, VersionRelease
-from .months import DataError
+from .catalog import Catalog, MatrixSpace, ProductKey, ReleaseTimeline, Transition, VersionRelease
 
 
 class Scenario(Enum):
@@ -80,18 +79,10 @@ class StrategyConfig:
             return cls(kind, reactive_pick=reactive_pick)
         if not delay:
             raise ValueError(f"strategy {name!r} needs a delay, e.g. {name}:1")
-        try:
-            months = int(delay)
-        except ValueError:
-            raise ValueError(f"strategy {name!r} delay must be a whole number of months, got {delay!r}") from None
-        return cls(kind, months, reactive_pick)
-
-
-@dataclass(frozen=True)
-class Transition:
-    month: int
-    outgoing: VersionRelease
-    incoming: VersionRelease
+        digits = delay.removeprefix("-")  # a negative delay is rejected by __post_init__
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"strategy {name!r} delay must be a whole number of months, got {delay!r}")
+        return cls(kind, int(delay), reactive_pick)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,48 +115,7 @@ class DeploymentMatrix:
         return lo, apt_hi if self.scenario is Scenario.APT_FIRST else hi
 
 
-def initial_versions(catalog: Catalog) -> dict[ProductKey, VersionRelease]:
-    """Starting version per product: oldest release already out at the epoch,
-    preferring one vulnerable to a campaign-exploited CVE."""
-    exploited = catalog.exploited
-    chosen: dict[ProductKey, VersionRelease] = {}
-    for key in sorted(catalog.timelines):
-        timeline = catalog.timelines[key]
-        at_epoch = [r for r in timeline.releases if r.release_month <= 0]
-        if not at_epoch:
-            raise DataError(f"product {key[0]}/{key[1]} has no release at or before {catalog.horizon.format(0)}")
-        vulnerable = [r for r in at_epoch if r in exploited]
-        pool = vulnerable or at_epoch
-        chosen[key] = min(pool, key=lambda r: (r.release_month, r.sort_key))
-    return chosen
-
-
-def _planned(catalog: Catalog, start: dict[ProductKey, VersionRelease], delay: int) -> list[Transition]:
-    """Deploy each month's newest release `delay` months after it appears.
-
-    Month 0 is the mandated common starting state; a release only triggers
-    from month 1 on, and only if its deployment lands inside the window.
-    Within a month the newest version wins, and anything that is not a
-    strict upgrade over the installed version is skipped. Triggers come at
-    most once a month and all shift by the same delay, so no two deployments
-    share a month.
-    """
-    last_trigger = catalog.horizon.end_index - delay
-    transitions: list[Transition] = []
-    for key in sorted(catalog.timelines):
-        current = start[key]
-        for month, releases in groupby(catalog.timelines[key].releases, key=lambda r: r.release_month):
-            if not 1 <= month <= last_trigger:
-                continue
-            candidate = max(releases, key=lambda r: r.sort_key)
-            if candidate.sort_key <= current.sort_key:  # never downgrade
-                continue
-            transitions.append(Transition(month + delay, current, candidate))
-            current = candidate
-    return transitions
-
-
-def _reactive(catalog: Catalog, start: dict[ProductKey, VersionRelease], config: StrategyConfig) -> list[Transition]:
+def _reactive(catalog: Catalog, config: StrategyConfig) -> list[Transition]:
     """Update only in response to CVEs hitting the installed version.
 
     The decision clock starts at the CVE trigger (publication, or reservation
@@ -187,7 +137,7 @@ def _reactive(catalog: Catalog, start: dict[ProductKey, VersionRelease], config:
     transitions: list[Transition] = []
     for key in sorted(catalog.timelines):
         timeline = catalog.timelines[key]
-        current, m, last = start[key], 0, -1  # last: the month of the last transition
+        current, m, last = catalog.start[key], 0, -1  # last: the month of the last transition
         while hitting[current]:
             months, cves = order[current]
             m = max(m, months[0])
@@ -252,12 +202,12 @@ def first_nonvulnerable(
 def build_matrix(catalog: Catalog, config: StrategyConfig) -> DeploymentMatrix:
     """The update-first deployment of one strategy: each product's start
     release and the transitions the strategy makes from it."""
-    start = initial_versions(catalog)
     if config.kind in (StrategyKind.IMMEDIATE, StrategyKind.PLANNED):
-        transitions = _planned(catalog, start, config.delay_months)
+        delay, last = config.delay_months, catalog.horizon.end_index - config.delay_months
+        transitions = [Transition(t.month + delay, t.outgoing, t.incoming) for t in catalog.upgrades if t.month <= last]
     else:
-        transitions = _reactive(catalog, start, config)
-    return DeploymentMatrix(catalog.space, Scenario.UPDATE_FIRST, config, start, tuple(transitions))
+        transitions = _reactive(catalog, config)
+    return DeploymentMatrix(catalog.space, Scenario.UPDATE_FIRST, config, catalog.start, tuple(transitions))
 
 
 def apply_apt_first(matrix: DeploymentMatrix) -> DeploymentMatrix:

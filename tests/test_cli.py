@@ -555,6 +555,10 @@ def _out_name_is_directory(tmp_path, fixture_paths):
         (_malformed_affected(match={"exact": None}), 1, "affected[0].match: constraint fields ['exact']"),
         (_malformed_affected(match={"endIncluding": ["9.2"]}), 1, "affected[0].match: constraint fields"),
         (_malformed_affected(vendor=None), 1, "affected[0] vendor and product must be strings"),
+        (_malformed_affected(vendor=""), 1,
+         "entry #0 (CVE-2009-4324): affected[0] vendor and product must be non-empty strings"),
+        (_malformed_affected(product="  "), 1,
+         "entry #0 (CVE-2009-4324): affected[0] vendor and product must be non-empty strings"),
         (_report_without_out, 2, "--out"),
         (_tie_rule_config_for_evaluate, 2, "unknown option 'tie_rule' for evaluate"),
         (_non_utf8_releases, 1, "releases.csv:2: not UTF-8 text (byte 0xff)"),
@@ -603,10 +607,20 @@ def _out_name_is_directory(tmp_path, fixture_paths):
         (_out_name_is_directory, 2, "cannot write"),
         (_flags("survival", "--kk-only", "--products", "adobe/flash"), 1,
          "no exploit-age samples under the given filters"),
+        (_flags("evaluate", "--baseline", "immediate@"), 2, "--baseline: no scenario after '@' in 'immediate@'"),
+        (_flags("evaluate", "--strategies", "planned:1_0"), 2,
+         "--strategies: strategy 'planned' delay must be a whole number of months, got '1_0'"),
+        (_flags("evaluate", "--strategies", "planned:+3"), 2,
+         "--strategies: strategy 'planned' delay must be a whole number of months, got '+3'"),
+        (_flags("evaluate", "--strategies", "reactive:\uff11"), 2,
+         "--strategies: strategy 'reactive' delay must be a whole number of months, got '\uff11'"),
+        (_appended_row("releases", "adobe,reader,9.9,2009-02-31\n"), 1,
+         "releases.csv:10: field release_date: day out of range in '2009-02-31'"),
+        (_flags("validate", "--horizon", "2020-01-99"), 2, "--horizon: day out of range in '2020-01-99'"),
     ],
     ids=["no-epoch-release", "directory-input", "non-string-config", "format-selects-nothing",
          "reserved-after-published", "no-targeting-campaign", "integer-bound", "null-exact",
-         "list-bound", "null-vendor", "report-without-out", "tie-rule-config-for-evaluate",
+         "list-bound", "null-vendor", "empty-vendor", "blank-product", "report-without-out", "tie-rule-config-for-evaluate",
          "non-utf8-input", "non-utf8-after-bom", "superscript-digit-version", "overlong-digit-run", "overlong-digit-bound",
          "overlong-digit-exact", "null-cve", "numeric-cve",
          "reversed-range", "bad-epoch-flag", "bad-choice-config", "bad-strategy-delay",
@@ -615,7 +629,9 @@ def _out_name_is_directory(tmp_path, fixture_paths):
          "wide-row-after-blank-line", "wide-row-after-multiline-field",
          "nested-vulns", "nested-config", "non-utf8-config", "kk-only-with-unexploited",
          "object-vulns", "object-affected", "string-match", "empty-apt", "list-config", "horizon-before-epoch",
-         "negative-delay", "out-under-file", "output-name-is-directory", "no-survival-samples"],
+         "negative-delay", "out-under-file", "output-name-is-directory", "no-survival-samples",
+         "baseline-without-scenario", "underscored-delay", "signed-delay", "fullwidth-delay",
+         "nonexistent-release-day", "nonexistent-horizon-day"],
 )
 def test_boundary_errors_exit_with_code_and_message(make_argv, code, fragment, tmp_path, fixture_paths, capsys):
     assert run(make_argv(tmp_path, fixture_paths)) == code
@@ -709,6 +725,8 @@ def test_parse_helpers():
     cfg, scenario = parse_baseline("reactive:1@apt-first", "first")
     assert cfg == StrategyConfig(StrategyKind.REACTIVE, 1)
     assert scenario is Scenario.APT_FIRST
+    # the scenario after '@' is stripped, as each --scenarios token is
+    assert parse_baseline("immediate@ apt-first", "first") == (StrategyConfig(StrategyKind.IMMEDIATE), Scenario.APT_FIRST)
     with pytest.raises(ValueError):
         parse_strategies("", "first")
 

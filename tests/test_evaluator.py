@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from types import SimpleNamespace
 
 import pytest
@@ -303,10 +304,25 @@ def test_equal_configs_build_one_matrix(fixture_catalog, monkeypatch):
     assert built == [StrategyConfig(StrategyKind.IMMEDIATE), StrategyConfig(StrategyKind.PLANNED, 1)]
 
 
-def test_exploited_releases_are_indexed_once_per_catalog(fixture_paths, monkeypatch):
-    # every config's build_matrix reads its start releases from the catalog's
-    # exploited-release index, so evaluating ten configs unions the campaign
-    # CVEs' affected releases no more often than evaluating one
+def _count_computations(monkeypatch, name: str) -> list:
+    """Record each computation of the cached property Catalog.<name>."""
+    computed, compute = [], Catalog.__dict__[name].func
+
+    def counting(catalog):
+        computed.append(catalog)
+        return compute(catalog)
+
+    prop = cached_property(counting)
+    prop.__set_name__(Catalog, name)
+    monkeypatch.setattr(Catalog, name, prop)
+    return computed
+
+
+def test_start_releases_are_computed_once_per_catalog(fixture_paths, monkeypatch):
+    # every config's build_matrix reads its start releases and, for immediate
+    # and planned, its upgrade path from the catalog, so evaluating ten configs
+    # computes each once and unions the campaign CVEs' affected releases no
+    # more often than evaluating one
     unions = []
     campaign_cve_ids = Catalog.campaign_cve_ids
 
@@ -315,14 +331,24 @@ def test_exploited_releases_are_indexed_once_per_catalog(fixture_paths, monkeypa
         return campaign_cve_ids(catalog)
 
     monkeypatch.setattr(Catalog, "campaign_cve_ids", counting)
+    starts, upgrades = _count_computations(monkeypatch, "start"), _count_computations(monkeypatch, "upgrades")
+    built = []
+
+    def building(catalog, config):
+        built.append(build_matrix(catalog, config))
+        return built[-1]
+
+    monkeypatch.setattr(patchsim.evaluator, "build_matrix", building)
     configs = [StrategyConfig.parse(token) for token in DEFAULT_STRATEGIES.split(",")]
     calls = []
     for some in (configs[:1], configs):
         catalog = load_catalog(fixture_paths["releases"], fixture_paths["vulns"], fixture_paths["campaigns"])
-        unions.clear()
+        for log in (unions, starts, upgrades, built):
+            log.clear()
         assert len(evaluate(catalog, some)) == 2 * len(some)
         calls.append(len(unions))
-        assert catalog.exploited == {rel for cve in catalog.campaign_cve_ids() for rel in catalog.affected.get(cve, ())}
+        assert starts == upgrades == [catalog]
+        assert len(built) == len(some) and all(matrix.start is catalog.start for matrix in built)
     assert calls[0] == calls[1]
 
 

@@ -37,6 +37,9 @@ _MALFORMED = {
     "2008-00": "month out of range",
     "garbage": "expected YYYY-MM",
     "2008/01": "expected YYYY-MM",
+    "2010-01-99": "day out of range",
+    "2010-02-31": "day out of range",
+    "\uff12\uff10\uff11\uff10-01": "expected YYYY-MM",
 }
 
 

@@ -31,7 +31,6 @@ from patchsim.strategies import (
     build_matrix,
     count_updates,
     first_nonvulnerable,
-    initial_versions,
 )
 
 IMMEDIATE = StrategyConfig(StrategyKind.IMMEDIATE)
@@ -96,27 +95,27 @@ def test_initial_prefers_oldest_campaign_vulnerable_release():
         [campaign("Alpha", 5, ["CVE-2010-0001"])],
         horizon_end=23,
     )
-    assert initial_versions(cat)[("acme", "app")].version == "9.2"
+    assert cat.start[("acme", "app")].version == "9.2"
 
 
 def test_initial_falls_back_to_oldest_available():
     cat = make_catalog({("acme", "app"): [("9.1", 0), ("9.2", 0)]}, horizon_end=23)
-    assert initial_versions(cat)[("acme", "app")].version == "9.1"
+    assert cat.start[("acme", "app")].version == "9.1"
 
 
 def test_initial_single_release_at_epoch():
     cat = make_catalog({("acme", "app"): [("1.0", 0)]}, horizon_end=23)
-    assert initial_versions(cat)[("acme", "app")].version == "1.0"
+    assert cat.start[("acme", "app")].version == "1.0"
 
 
 def test_initial_missing_epoch_release_is_configuration_error():
     cat = make_catalog({("acme", "late-app"): [("1.0", 3)]}, horizon_end=23)
     with pytest.raises(DataError, match="late-app"):
-        initial_versions(cat)
+        cat.start
 
 
 def test_fixture_initials(fixture_catalog):
-    start = initial_versions(fixture_catalog)
+    start = fixture_catalog.start
     assert start[("adobe", "reader")].version == "9.1"
     assert start[("adobe", "flash")].version == "21.0.0.182"
 
