@@ -16,10 +16,9 @@ Attacks are classified on two axes at the campaign start month:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .catalog import CampaignRecord, Catalog, MatrixSpace, VulnRecord
 from .months import DataError
@@ -58,8 +57,7 @@ class AttackScenario(Enum):
         return self.value.endswith("P")
 
 
-@dataclass(frozen=True, eq=False)
-class ExposureMatrix:
+class ExposureMatrix(NamedTuple):
     space: MatrixSpace
     rows: tuple[int, ...]  # ascending indices of the rows targeted from campaign.start_month on
     campaign: CampaignRecord

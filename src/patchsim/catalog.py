@@ -13,6 +13,8 @@ Input formats:
 Dates are YYYY-MM or YYYY-MM-DD; day parts are truncated to the month.
 Dates before the epoch clamp to month 0 (the entity is simply "already
 there" when the window opens); dates past the horizon end are errors.
+Campaign rows with the same apt and month merge. Each truncation, clamp and
+merge is kept in `Catalog.notes`, naming its file and line.
 """
 
 from __future__ import annotations
@@ -20,18 +22,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, groupby, zip_longest
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
-from .months import DataError, Horizon
+from .months import DataError, Frozen, Horizon
 from .versions import VersionConstraint, affected_releases, version_key
-
-log = logging.getLogger(__name__)
 
 ProductKey = tuple[str, str]  # (vendor, name)
 
@@ -47,46 +45,50 @@ class AttackVector(Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class VersionRelease:
-    product: ProductKey
-    version: str
-    sort_key: tuple
-    release_month: int
+class VersionRelease(Frozen):
+    """One release of a product; equal releases agree on all four fields. Indexes
+    hash releases constantly, so the hash is computed once, from (product, version)."""
 
-    def __post_init__(self):
-        # indexes hash releases constantly: hash once, from what identifies a release
-        object.__setattr__(self, "_hash", hash((self.product, self.version)))
+    __slots__ = ("product", "version", "sort_key", "release_month", "_hash")
+
+    def __init__(self, product: ProductKey, version: str, sort_key: tuple, release_month: int):
+        init = object.__setattr__
+        init(self, "product", product)
+        init(self, "version", version)
+        init(self, "sort_key", sort_key)
+        init(self, "release_month", release_month)
+        init(self, "_hash", hash((product, version)))
+
+    def _key(self) -> tuple:
+        return self.product, self.version, self.sort_key, self.release_month
 
     def __hash__(self) -> int:
         return self._hash
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     month: int
     outgoing: VersionRelease
     incoming: VersionRelease
 
 
-@dataclass(frozen=True)
-class ReleaseTimeline:
-    releases: tuple[VersionRelease, ...]  # sorted by (release_month, sort_key) on construction
-    running_max: tuple[tuple, ...] = field(init=False, repr=False, compare=False)  # newest sort_key so far
-    by_version: tuple[VersionRelease, ...] = field(init=False, repr=False, compare=False)  # sorted by sort_key
-    keys: tuple[tuple, ...] = field(init=False, repr=False, compare=False)  # the sort_key of each by_version entry
+class ReleaseTimeline(Frozen):
+    """One product's releases in (release_month, sort_key) order, equal when they
+    are, and what range questions read: `running_max`, the newest sort_key so
+    far; `by_version`, the releases in sort_key order; `keys`, their sort_keys."""
 
-    def __post_init__(self):
-        ordered = tuple(sorted(self.releases, key=lambda r: (r.release_month, r.sort_key)))
-        object.__setattr__(self, "releases", ordered)
-        object.__setattr__(self, "running_max", tuple(accumulate((r.sort_key for r in ordered), max)))
+    def __init__(self, releases: tuple[VersionRelease, ...]):
+        ordered = tuple(sorted(releases, key=lambda r: (r.release_month, r.sort_key)))
         by_version = tuple(sorted(ordered, key=lambda r: r.sort_key))
-        object.__setattr__(self, "by_version", by_version)
-        object.__setattr__(self, "keys", tuple(r.sort_key for r in by_version))
+        running_max = tuple(accumulate((r.sort_key for r in ordered), max))
+        keys = tuple(r.sort_key for r in by_version)
+        vars(self).update(releases=ordered, running_max=running_max, by_version=by_version, keys=keys)
+
+    def _key(self) -> tuple[VersionRelease, ...]:
+        return self.releases
 
 
-@dataclass(frozen=True)
-class ProductConstraint:
+class ProductConstraint(NamedTuple):
     vendor: str
     product: str
     constraint: VersionConstraint
@@ -96,16 +98,14 @@ class ProductConstraint:
         return (self.vendor, self.product)
 
 
-@dataclass(frozen=True)
-class VulnRecord:
+class VulnRecord(NamedTuple):
     cve_id: str
     reserved_month: int
     published_month: int
     affected: tuple[ProductConstraint, ...]
 
 
-@dataclass(frozen=True)
-class CampaignRecord:
+class CampaignRecord(NamedTuple):
     apt_name: str
     start_month: int
     cve_ids: frozenset[str]
@@ -148,12 +148,17 @@ class TriggerOrder(dict):
         return entry
 
 
-@dataclass
-class Catalog:
-    horizon: Horizon
-    timelines: dict[ProductKey, ReleaseTimeline]
-    vulns: dict[str, VulnRecord]
-    campaigns: tuple[CampaignRecord, ...]
+class Catalog(Frozen):
+    """One dataset over one window; catalogs are equal when their first four
+    fields are. `notes` lists what the loader changed in the data, as
+    (kind, where, text) with kind "truncated", "clamped" or "merged"."""
+
+    def __init__(self, horizon: Horizon, timelines: dict[ProductKey, ReleaseTimeline], vulns: dict[str, VulnRecord],
+                 campaigns: tuple[CampaignRecord, ...], notes: tuple[tuple[str, str, str], ...] = ()):
+        vars(self).update(horizon=horizon, timelines=timelines, vulns=vulns, campaigns=campaigns, notes=notes)
+
+    def _key(self) -> tuple:
+        return self.horizon, self.timelines, self.vulns, self.campaigns
 
     def campaign_cve_ids(self) -> frozenset[str]:
         out: set[str] = set()
@@ -246,8 +251,7 @@ class Catalog:
         return index
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     entity: str
     rule: str
     detail: str = ""
@@ -266,6 +270,7 @@ class _Parser:
         self.horizon = horizon
         self.keys: dict[str, tuple] = {}
         self.dates: dict[str, tuple[int, bool]] = {}
+        self.notes: list[tuple[str, str, str]] = []  # Catalog.notes, in the order met
 
     def version_key(self, text: str) -> tuple:
         key = self.keys.get(text)
@@ -285,9 +290,9 @@ class _Parser:
                 raise DataError(f"{where}: {exc}") from exc
         index, clamped = parsed
         if len(year_month) == 10:  # an accepted YYYY-MM-DD; YYYY-MM is 7 long
-            log.info("%s: day-level date %r truncated to month", where, year_month)
+            self.notes.append(("truncated", where, year_month))
         if clamped:
-            log.info("%s: pre-epoch date %r clamped to %s", where, year_month, self.horizon.format(0))
+            self.notes.append(("clamped", where, year_month))
         return index
 
 
@@ -415,7 +420,7 @@ def _load_campaigns(path: Path, parse: _Parser, vulns: dict[str, VulnRecord]) ->
             raise DataError(f"{where}: campaign {apt} has neither CVEs nor attack vectors")
         key = (apt, month)
         if key in merged:
-            log.info("%s: merging duplicate campaign key %s/%s", where, apt, parse.horizon.format(month))
+            parse.notes.append(("merged", where, f"{apt}/{parse.horizon.format(month)}"))
             old_cves, old_vectors = merged[key]
             old_cves |= cves
             old_vectors |= vectors
@@ -436,7 +441,7 @@ def load_catalog(release_path, vuln_path, campaign_path, horizon: Optional[Horiz
     timelines = _load_releases(Path(release_path), parse)
     vulns = _load_vulns(Path(vuln_path), parse)
     campaigns = _load_campaigns(Path(campaign_path), parse, vulns)
-    return Catalog(horizon=horizon, timelines=timelines, vulns=vulns, campaigns=campaigns)
+    return Catalog(horizon, timelines, vulns, campaigns, tuple(parse.notes))
 
 
 # ---------------------------------------------------------------------------

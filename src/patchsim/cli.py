@@ -258,14 +258,16 @@ def emit_files(files: dict[str, str], out_dir, formats: str = "both") -> dict[st
     }
     if not selected:
         raise UsageError(f"--format {formats} selects none of {', '.join(sorted(files))}")
-    manifest = {name: hashlib.sha256(text.encode("utf-8")).hexdigest() for name, text in sorted(selected.items())}
+    manifest = {}
     for name, text in sorted(selected.items()):
+        data = text.encode("utf-8")  # the bytes hashed are the bytes written, on any platform
+        manifest[name] = hashlib.sha256(data).hexdigest()
         try:
-            (out / name).write_text(text, encoding="utf-8")
+            (out / name).write_bytes(data)
         except OSError as exc:
             raise UsageError(f"cannot write {out / name}: {exc}") from exc
     manifest_text = json.dumps({"tool": "patchsim", "files": manifest}, indent=2, sort_keys=True) + "\n"
-    (out / "manifest.json").write_text(manifest_text, encoding="utf-8")
+    (out / "manifest.json").write_bytes(manifest_text.encode("utf-8"))
     return manifest
 
 
@@ -438,6 +440,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     dead = diag["constraints_matching_no_release"]
     if dead:
         print(f"note: {len(dead)} constraint(s) match no cataloged release", file=sys.stderr)
+    for kind, what in (("truncated", "day-level date(s) truncated to the month"),
+                       ("clamped", f"pre-epoch date(s) clamped to {catalog.horizon.format(0)}"),
+                       ("merged", "duplicate campaign row(s) merged into one campaign")):
+        noted = [(where, text) for k, where, text in catalog.notes if k == kind]
+        if noted:
+            print(f"note: {len(noted)} {what}, first at {noted[0][0]} ({noted[0][1]!r})", file=sys.stderr)
     if violations:
         return 1
     print(f"ok: {diag['products']} products, {diag['vulns']} CVEs, {diag['campaigns']} campaigns")

@@ -12,10 +12,9 @@ at the reporting boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .campaigns import ExposureMatrix, build_campaign_matrix
 from .catalog import CampaignRecord, Catalog
@@ -34,8 +33,7 @@ from .strategies import (
 Runs = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class CampaignOutcome:
+class CampaignOutcome(NamedTuple):
     campaign: CampaignRecord
     success_months: Runs  # sorted, disjoint, non-adjacent, non-empty [a, b) month runs
 
@@ -44,8 +42,7 @@ class CampaignOutcome:
         return bool(self.success_months)
 
 
-@dataclass(frozen=True, eq=False)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     config: StrategyConfig
     scenario: Scenario
     overall: Fraction

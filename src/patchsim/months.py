@@ -2,13 +2,12 @@
 
 All dates inside the simulator are plain integers: the number of months
 elapsed since the configured epoch (index 0). Calendar strings only appear
-at the I/O boundary.
+at the I/O boundary. The package's error and record base types live here too.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
 _DATE_RE = re.compile(r"([0-9]{4})-([0-9]{2})(?:-([0-9]{2}))?")
@@ -20,6 +19,28 @@ DEFAULT_HORIZON_END = "2020-01"
 
 class DataError(Exception):
     """A problem in input data; every data error the library raises is this type."""
+
+
+class Frozen:
+    """Base of records whose fields are set once, when made (a cached property fills
+    itself once); records of one type are equal when their `_key()` is, by default identity."""
+
+    __slots__ = ()
+
+    def _key(self):
+        return id(self)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self._key()!r}"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
 
 
 def split_date(text: str) -> tuple[int, int]:
@@ -37,13 +58,14 @@ def split_date(text: str) -> tuple[int, int]:
     return year, month
 
 
-@dataclass(frozen=True)
-class Horizon:
+class Horizon(Frozen):
     """Analysis window [epoch, end], both inclusive, month granularity."""
 
-    epoch_year: int
-    epoch_month: int
-    end_index: int
+    def __init__(self, epoch_year: int, epoch_month: int, end_index: int):
+        vars(self).update(epoch_year=epoch_year, epoch_month=epoch_month, end_index=end_index)
+
+    def _key(self) -> tuple[int, int, int]:
+        return self.epoch_year, self.epoch_month, self.end_index
 
     @classmethod
     def from_strings(cls, epoch: str = DEFAULT_EPOCH, end: str = DEFAULT_HORIZON_END) -> "Horizon":

@@ -10,17 +10,15 @@ pre-publication) feed a product-limit survival estimator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .campaigns import TieRule
 from .catalog import Catalog
 
 
-@dataclass(frozen=True)
-class BinomialCI:
+class BinomialCI(NamedTuple):
     center: float
     low: float
     high: float
@@ -57,8 +55,7 @@ def pairwise_agreement(outcomes_a, outcomes_b, confidence: float = 0.95) -> tupl
 # Survival of vulnerabilities past publication
 
 
-@dataclass(frozen=True)
-class ExploitAgeSample:
+class ExploitAgeSample(NamedTuple):
     cve_id: str
     age: int  # months from publication to first exploitation; may be negative
     censored: bool = False

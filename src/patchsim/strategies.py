@@ -18,13 +18,13 @@ transition month, modeling an attacker who strikes before the update lands.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from itertools import islice
 from typing import Container, Optional
 
 from .catalog import Catalog, MatrixSpace, ProductKey, ReleaseTimeline, Transition, VersionRelease
+from .months import Frozen
 
 
 class Scenario(Enum):
@@ -42,21 +42,22 @@ class StrategyKind(Enum):
     INFORMED_REACTIVE = "informed"
 
 
-@dataclass(frozen=True)
-class StrategyConfig:
-    kind: StrategyKind
-    delay_months: int = 0
-    reactive_pick: str = REACTIVE_PICKS[0]
+class StrategyConfig(Frozen):
+    """A strategy's kind, delay and reactive pick, checked when made and equal when all three are."""
 
-    def __post_init__(self):
-        if self.delay_months < 0:
+    def __init__(self, kind: StrategyKind, delay_months: int = 0, reactive_pick: str = REACTIVE_PICKS[0]):
+        if delay_months < 0:
             raise ValueError("delay_months must be >= 0")
-        if self.kind is StrategyKind.IMMEDIATE and self.delay_months != 0:
+        if kind is StrategyKind.IMMEDIATE and delay_months != 0:
             raise ValueError("immediate strategy has no delay")
-        if self.reactive_pick not in REACTIVE_PICKS:
-            raise ValueError(f"reactive_pick must be {' or '.join(map(repr, REACTIVE_PICKS))}, got {self.reactive_pick!r}")
-        if self.kind in (StrategyKind.IMMEDIATE, StrategyKind.PLANNED):
-            object.__setattr__(self, "reactive_pick", REACTIVE_PICKS[0])  # unused here: equal configs build once
+        if reactive_pick not in REACTIVE_PICKS:
+            raise ValueError(f"reactive_pick must be {' or '.join(map(repr, REACTIVE_PICKS))}, got {reactive_pick!r}")
+        if kind in (StrategyKind.IMMEDIATE, StrategyKind.PLANNED):
+            reactive_pick = REACTIVE_PICKS[0]  # unused here: equal configs build once
+        vars(self).update(kind=kind, delay_months=delay_months, reactive_pick=reactive_pick)
+
+    def _key(self) -> tuple[StrategyKind, int, str]:
+        return self.kind, self.delay_months, self.reactive_pick
 
     @property
     def label(self) -> str:
@@ -67,31 +68,31 @@ class StrategyConfig:
     @classmethod
     def parse(cls, token: str, reactive_pick: str = REACTIVE_PICKS[0]) -> "StrategyConfig":
         """Parse a 'name[:delay]' token, e.g. 'planned:3'."""
-        name, _, delay = token.strip().partition(":")
+        name, colon, delay = token.strip().partition(":")
         try:
             kind = StrategyKind(name)
         except ValueError:
             allowed = ", ".join(sorted(k.value for k in StrategyKind))
             raise ValueError(f"unknown strategy {name!r}; allowed: {allowed}") from None
         if kind is StrategyKind.IMMEDIATE:
-            if delay:
+            if colon:  # "immediate:" too: an empty delay is still a delay
                 raise ValueError("immediate takes no delay")
             return cls(kind, reactive_pick=reactive_pick)
         if not delay:
             raise ValueError(f"strategy {name!r} needs a delay, e.g. {name}:1")
-        digits = delay.removeprefix("-")  # a negative delay is rejected by __post_init__
+        digits = delay.removeprefix("-")  # a negative delay is rejected when the config is made
         if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"strategy {name!r} delay must be a whole number of months, got {delay!r}")
         return cls(kind, int(delay), reactive_pick)
 
 
-@dataclass(frozen=True, eq=False)
-class DeploymentMatrix:
-    space: MatrixSpace
-    scenario: Scenario
-    config: StrategyConfig
-    start: dict[ProductKey, VersionRelease]
-    transitions: tuple[Transition, ...]  # products in key order, months increasing within a product
+class DeploymentMatrix(Frozen):
+    """One strategy's start release per product and its transitions (products in
+    key order, months increasing within a product) under one scenario."""
+
+    def __init__(self, space: MatrixSpace, scenario: Scenario, config: StrategyConfig,
+                 start: dict[ProductKey, VersionRelease], transitions: tuple[Transition, ...]):
+        vars(self).update(space=space, scenario=scenario, config=config, start=start, transitions=transitions)
 
     @cached_property
     def bounds(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -215,7 +216,7 @@ def apply_apt_first(matrix: DeploymentMatrix) -> DeploymentMatrix:
     This only sets the scenario tag that `intervals` reads, and the copy
     shares the matrix's one interval pass, so applying it twice gives the
     same deployment."""
-    tagged = replace(matrix, scenario=Scenario.APT_FIRST)
+    tagged = DeploymentMatrix(matrix.space, Scenario.APT_FIRST, matrix.config, matrix.start, matrix.transitions)
     vars(tagged)["bounds"] = matrix.bounds  # fills the copy's cached_property
     return tagged
 

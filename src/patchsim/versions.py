@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 # Segment encoding: numeric runs become (0, int), alphabetic runs (1, str).
 # Plain tuple comparison then yields a total order with numbers sorting
@@ -44,18 +43,16 @@ def version_key(raw: str) -> tuple[Segment, ...]:
     )
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(NamedTuple):
     """One side of a constraint and its version key, read when the constraint is
     made: a digit run too long for int() fails there, at load."""
 
     version: str
     inclusive: bool
-    key: tuple = field(repr=False, compare=False)
+    key: tuple
 
 
-@dataclass(frozen=True)
-class VersionConstraint:
+class VersionConstraint(NamedTuple):
     """Either a single exact version or a (possibly half-open) range.
 
     Field semantics mirror NVD CPE match objects: startIncluding/startExcluding

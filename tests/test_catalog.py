@@ -8,6 +8,7 @@ import pytest
 from conftest import campaign, make_catalog, make_timeline, random_catalog, ref_matches, save_catalog, vuln
 from patchsim.catalog import (
     AttackVector,
+    Catalog,
     ReleaseTimeline,
     catalog_diagnostics,
     load_catalog,
@@ -81,7 +82,7 @@ def test_duplicate_cve_rejected(tmp_path, fixture_paths):
         load_catalog(fixture_paths["releases"], bad, fixture_paths["campaigns"])
 
 
-def test_day_dates_truncate_and_pre_epoch_clamps(tmp_path, fixture_paths, caplog):
+def test_day_dates_truncate_and_pre_epoch_clamps(tmp_path, fixture_paths):
     releases = tmp_path / "releases.csv"
     releases.write_text(
         "vendor,product,version,release_date\n"
@@ -92,12 +93,15 @@ def test_day_dates_truncate_and_pre_epoch_clamps(tmp_path, fixture_paths, caplog
     campaigns.write_text("apt,date,cves,vectors\nGhost,2010-01,,undetermined\n")
     vulns = tmp_path / "vulns.json"
     vulns.write_text("[]")
-    with caplog.at_level("INFO", logger="patchsim.catalog"):
-        cat = load_catalog(releases, vulns, campaigns)
+    cat = load_catalog(releases, vulns, campaigns)
     months = [r.release_month for r in cat.timelines[("adobe", "reader")].releases]
     assert months == [0, 2]
-    assert any("clamped" in rec.message for rec in caplog.records)
-    assert any("truncated" in rec.message for rec in caplog.records)
+    assert cat.notes == (
+        ("truncated", f"{releases}:2: field release_date", "2005-06-15"),
+        ("clamped", f"{releases}:2: field release_date", "2005-06-15"),
+        ("truncated", f"{releases}:3: field release_date", "2008-03-09"),
+    )
+    assert cat == Catalog(cat.horizon, cat.timelines, cat.vulns, cat.campaigns)  # notes are not compared
 
 
 def test_same_apt_same_month_merges_cve_sets(tmp_path, fixture_paths):
@@ -113,6 +117,7 @@ def test_same_apt_same_month_merges_cve_sets(tmp_path, fixture_paths):
     merged = next(c for c in cat.campaigns if c.start_month == 24)
     assert merged.cve_ids == {"CVE-2009-4324", "CVE-2009-0520"}
     assert merged.vectors == {AttackVector.SPEARPHISHING, AttackVector.DRIVE_BY}
+    assert cat.notes == (("merged", f"{campaigns}:3", "Ghost/2010-01"),)
 
 
 def test_unknown_vector_rejected(tmp_path, fixture_paths):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -39,6 +40,21 @@ def test_validate_ok_fixture(fixture_paths, capsys):
     assert run(["validate", *_data_args(fixture_paths)]) == 0
     out = capsys.readouterr().out
     assert "ok:" in out
+
+
+def test_validate_notes_what_the_loader_changed(tmp_path, fixture_paths, capsys):
+    releases, campaigns = tmp_path / "releases.csv", tmp_path / "campaigns.csv"
+    releases.write_text(fixture_paths["releases"].read_text() + "acme,old,1.0,2006-05-17\nacme,old,1.1,2007-02\n")
+    campaigns.write_text(fixture_paths["campaigns"].read_text() + "Quartz,2009-03-02,,valid-accounts\n")
+    argv = ["validate", *_data_args(fixture_paths), "--releases", str(releases), "--campaigns", str(campaigns)]
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("ok: ")
+    assert err == (
+        f"note: 2 day-level date(s) truncated to the month, first at {releases}:10: field release_date ('2006-05-17')\n"
+        f"note: 2 pre-epoch date(s) clamped to 2008-01, first at {releases}:10: field release_date ('2006-05-17')\n"
+        f"note: 1 duplicate campaign row(s) merged into one campaign, first at {campaigns}:6 ('Quartz/2009-03')\n"
+    )
 
 
 def test_validate_corrupted_fixture_exits_1(tmp_path, fixture_paths, capsys):
@@ -217,6 +233,8 @@ def test_report_bundles_everything(fixture_paths, tmp_path, capsys):
         "evaluate.json", "evaluate.csv", "series.csv",
         "classify.csv", "venn.json", "survival.csv", "diagnostics.json",
     }
+    for name, digest in manifest["files"].items():  # each file holds the very bytes its entry hashes
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 _FIXTURE_REPORT_DIGESTS = {
@@ -617,6 +635,7 @@ def _out_name_is_directory(tmp_path, fixture_paths):
         (_appended_row("releases", "adobe,reader,9.9,2009-02-31\n"), 1,
          "releases.csv:10: field release_date: day out of range in '2009-02-31'"),
         (_flags("validate", "--horizon", "2020-01-99"), 2, "--horizon: day out of range in '2020-01-99'"),
+        (_flags("evaluate", "--strategies", "immediate:"), 2, "--strategies: immediate takes no delay"),
     ],
     ids=["no-epoch-release", "directory-input", "non-string-config", "format-selects-nothing",
          "reserved-after-published", "no-targeting-campaign", "integer-bound", "null-exact",
@@ -631,7 +650,7 @@ def _out_name_is_directory(tmp_path, fixture_paths):
          "object-vulns", "object-affected", "string-match", "empty-apt", "list-config", "horizon-before-epoch",
          "negative-delay", "out-under-file", "output-name-is-directory", "no-survival-samples",
          "baseline-without-scenario", "underscored-delay", "signed-delay", "fullwidth-delay",
-         "nonexistent-release-day", "nonexistent-horizon-day"],
+         "nonexistent-release-day", "nonexistent-horizon-day", "immediate-empty-delay"],
 )
 def test_boundary_errors_exit_with_code_and_message(make_argv, code, fragment, tmp_path, fixture_paths, capsys):
     assert run(make_argv(tmp_path, fixture_paths)) == code

@@ -2,11 +2,15 @@
 product, CVE and APT id by an order-reversing map, or shifting every date and
 the window by the same number of months, must not move any number `report`
 prints or writes: stdout and the artifacts that hold no name or date stay
-byte-identical, and series.csv differs only in its date column."""
+byte-identical, and series.csv differs only in its date column. Adding a
+product that no CVE affects moves only update counts and the product count,
+and adding vector-only campaigns moves only classify.csv and the campaign
+counts of diagnostics.json."""
 
 import csv
 import importlib.util
 import io
+import json
 import random
 import re
 import sys
@@ -20,6 +24,7 @@ from patchsim.cli import run
 from patchsim.months import DEFAULT_EPOCH, DEFAULT_HORIZON_END, Horizon
 
 NAMELESS = ("evaluate.csv", "survival.csv", "venn.json")  # no identifier and no date in them
+ARTIFACTS = ("evaluate.json", "evaluate.csv", "series.csv", "classify.csv", "venn.json", "survival.csv", "diagnostics.json")
 SHIFT = 5  # months: 2009-12 moves to 2010-05, across a year boundary
 # a YYYY-MM that starts a field, so never the "2009-43" inside CVE-2009-4324
 _DATE = re.compile(r"(?<![\w-])(\d{4})-(\d{2})(?!\d)")
@@ -51,13 +56,13 @@ def _dataset(name, fixture_paths, directory, monkeypatch):
     return save_catalog(random_catalog(random.Random(name)), directory), "2008-01", "2009-12"
 
 
-def _report(paths, epoch, horizon, out, capsys) -> tuple[str, dict[str, bytes]]:
-    """stdout and the compared artifacts of one `report` run."""
+def _report(paths, epoch, horizon, out, capsys, names=(*NAMELESS, "series.csv")) -> tuple[str, dict[str, bytes]]:
+    """stdout and the named artifacts of one `report` run."""
     files = [f"--{name}={paths[name]}" for name in ("releases", "vulns", "campaigns")]
     code = run(["report", *files, f"--epoch={epoch}", f"--horizon={horizon}", f"--out={out}"])
     stdout, stderr = capsys.readouterr()
     assert code == 0, stderr
-    return stdout, {name: (out / name).read_bytes() for name in (*NAMELESS, "series.csv")}
+    return stdout, {name: (out / name).read_bytes() for name in names}
 
 
 def _series(data: bytes) -> tuple[list, list]:
@@ -140,3 +145,67 @@ def test_shifting_every_date_moves_no_number(dataset, fixture_paths, tmp_path, c
     base_rows, base_dates = _series(base["series.csv"])
     assert rows == base_rows
     assert dates[1:] == [_shifted(date) for date in base_dates[1:]]
+
+
+def _appended(paths, directory, name: str, rows: str) -> dict:
+    """Copies of the input files, with `rows` appended to the `name` file."""
+    directory.mkdir()
+    copies = {key: directory / path.name for key, path in paths.items()}
+    for key, path in paths.items():
+        copies[key].write_bytes(path.read_bytes() + (rows.encode() if key == name else b""))
+    return copies
+
+
+def _csv_rows(data: bytes) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(data.decode())))
+
+
+def _table(stdout: str) -> list[list[str]]:
+    """The stdout table's cells; columns are at least two spaces apart."""
+    return [re.split(r" {2,}", line) for line in stdout.splitlines()]
+
+
+@pytest.mark.parametrize("dataset", DATASETS)
+def test_a_product_no_cve_affects_moves_only_update_counts(dataset, fixture_paths, tmp_path, capsys, monkeypatch):
+    paths, epoch, horizon = _dataset(dataset, fixture_paths, tmp_path / "data", monkeypatch)
+    base_out, base = _report(paths, epoch, horizon, tmp_path / "base", capsys, ARTIFACTS)
+    # out at the epoch, upgraded in the window's last month: only immediate installs the upgrade
+    added = f"zz-idle,app,1.0,{epoch}\nzz-idle,app,2.0,{horizon}\n"
+    grown = _appended(paths, tmp_path / "grown", "releases", added)
+    out, files = _report(grown, epoch, horizon, tmp_path / "grown-out", capsys, ARTIFACTS)
+    for name in ("series.csv", "classify.csv", "venn.json", "survival.csv"):
+        assert files[name] == base[name], name
+    reports, base_reports = json.loads(files["evaluate.json"]), json.loads(base["evaluate.json"])
+    for report, base_report in zip(reports, base_reports, strict=True):
+        upgraded = report["strategy"] == "immediate"
+        base_updates = base_report.pop("updates")
+        assert report.pop("updates") == {"raw": base_updates["raw"] + 1 + upgraded, "net": base_updates["net"] + upgraded}
+        assert report == base_report
+    rows, base_rows = _csv_rows(files["evaluate.csv"]), _csv_rows(base["evaluate.csv"])
+    assert [row[:3] + row[5:] for row in rows] == [row[:3] + row[5:] for row in base_rows]  # less updates_raw/net
+    table, base_table = _table(out), _table(base_out)
+    assert [row[:2] + row[3:] for row in table] == [row[:2] + row[3:] for row in base_table]  # less #Updates
+    assert [int(row[2]) for row in table[1:]] == [int(row[2]) + 1 + (row[1] == "immediate") for row in base_table[1:]]
+    diagnostics, base_diagnostics = json.loads(files["diagnostics.json"]), json.loads(base["diagnostics.json"])
+    assert diagnostics == {**base_diagnostics, "products": base_diagnostics["products"] + 1}
+
+
+@pytest.mark.parametrize("dataset", DATASETS)
+def test_vector_only_campaigns_move_only_classify_rows(dataset, fixture_paths, tmp_path, capsys, monkeypatch):
+    paths, epoch, horizon = _dataset(dataset, fixture_paths, tmp_path / "data", monkeypatch)
+    base_out, base = _report(paths, epoch, horizon, tmp_path / "base", capsys, ARTIFACTS)
+    added = f"zz-vectors,{epoch},,spearphishing\nzz-vectors,{horizon},,drive-by|valid-accounts\n"
+    grown = _appended(paths, tmp_path / "grown", "campaigns", added)
+    out, files = _report(grown, epoch, horizon, tmp_path / "grown-out", capsys, ARTIFACTS)
+    assert out == base_out
+    for name in ("evaluate.json", "evaluate.csv", "series.csv", "venn.json", "survival.csv"):
+        assert files[name] == base[name], name
+    classified = _csv_rows(files["classify.csv"])
+    assert [row for row in classified if row[0] != "zz-vectors"] == _csv_rows(base["classify.csv"])
+    assert [row for row in classified if row[0] == "zz-vectors"] == [["zz-vectors", date, "", ""] for date in (epoch, horizon)]
+    diagnostics, base_diagnostics = json.loads(files["diagnostics.json"]), json.loads(base["diagnostics.json"])
+    assert diagnostics == {
+        **base_diagnostics,
+        "campaigns": base_diagnostics["campaigns"] + 2,
+        "vector_only_campaigns": base_diagnostics["vector_only_campaigns"] + 2,
+    }

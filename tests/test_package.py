@@ -4,10 +4,21 @@ no less, so re-exports cannot creep back and README cannot drift."""
 import ast
 import builtins
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import patchsim
+from conftest import campaign, make_catalog, vuln
+from patchsim.campaigns import build_campaign_matrix
+from patchsim.catalog import Violation
+from patchsim.evaluator import evaluate
+from patchsim.stats import ExploitAgeSample, agresti_coull
+from patchsim.strategies import Scenario, StrategyConfig, StrategyKind, build_matrix
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -89,3 +100,63 @@ def test_src_keeps_no_cache_across_calls():
         }
         assert not (from_functools | attributes) & {"cache", "lru_cache"}, path.name
         assert not any(isinstance(node, ast.Global) for node in ast.walk(tree)), path.name
+
+
+def test_src_imports_neither_dataclasses_nor_logging():
+    # starting the CLI is part of every run: dataclasses pulls in inspect and execs
+    # generated methods per class, and logging would only report what Catalog.notes holds
+    for path in sorted(Path(patchsim.__file__).parent.glob("*.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:  # module is None for "from . import x"
+                imported.add(node.module.split(".")[0])
+        assert not imported & {"dataclasses", "logging"}, path.name
+
+
+def test_cli_starts_without_dataclasses_inspect_or_logging():
+    code = (
+        "import sys\n"
+        "import patchsim.cli\n"
+        "patchsim.cli.build_parser()\n"
+        "print(sorted({'dataclasses', 'inspect', 'logging'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(patchsim.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def _frozen_records() -> dict:
+    """Record type name -> (one record of it, a field to assign), for each type whose fields are fixed."""
+    cat = make_catalog({("acme", "app"): [("1.0", 0), ("2.0", 3)]},
+                       [vuln("CVE-2010-0001", 1, 2, ("acme", "app", {"endIncluding": "1.0"}))],
+                       [campaign("Alpha", 4, ["CVE-2010-0001"])], horizon_end=23)
+    timeline = cat.timelines["acme", "app"]
+    pc = cat.vulns["CVE-2010-0001"].affected[0]
+    config = StrategyConfig(StrategyKind.IMMEDIATE)
+    matrix = build_matrix(cat, config)
+    [report] = evaluate(cat, [config], [Scenario.UPDATE_FIRST])
+    records = [
+        (timeline.releases[0], "version"), (matrix.transitions[0], "month"), (timeline, "releases"),
+        (pc, "vendor"), (cat.vulns["CVE-2010-0001"], "cve_id"), (cat.campaigns[0], "start_month"),
+        (Violation("x", "rule"), "detail"), (cat.horizon, "end_index"), (pc.constraint.end, "version"),
+        (pc.constraint, "kind"), (config, "delay_months"), (matrix, "transitions"),
+        (report.outcomes[0], "success_months"), (report, "overall"),
+        (build_campaign_matrix(cat.campaigns[0], cat), "rows"), (agresti_coull(1, 2), "low"),
+        (ExploitAgeSample("x", 1), "age"), (cat, "campaigns"),
+    ]
+    return {type(record).__name__: (record, field) for record, field in records}
+
+
+@pytest.mark.parametrize("name", [
+    "VersionRelease", "Transition", "ReleaseTimeline", "ProductConstraint", "VulnRecord", "CampaignRecord",
+    "Violation", "Horizon", "Bound", "VersionConstraint", "StrategyConfig", "DeploymentMatrix",
+    "CampaignOutcome", "EvaluationReport", "ExposureMatrix", "BinomialCI", "ExploitAgeSample",
+    "Catalog",  # its cached indexes would go stale if a field changed
+])
+def test_records_refuse_field_assignment(name):
+    record, field = _frozen_records()[name]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -439,7 +438,7 @@ def test_planned_is_immediate_truncated_and_shifted(fixture_catalog):
         end = cat.horizon.end_index
         for delay in (1, 2, 3, 7):
             planned = build_matrix(cat, StrategyConfig(StrategyKind.PLANNED, delay))
-            shifted = tuple(replace(t, month=t.month + delay) for t in immediate.transitions if t.month <= end - delay)
+            shifted = tuple(t._replace(month=t.month + delay) for t in immediate.transitions if t.month <= end - delay)
             assert planned.start == immediate.start, (index, delay)
             assert planned.transitions == shifted, (index, delay)
 
