@@ -78,9 +78,9 @@ class ExposureMatrix(NamedTuple):
 
 
 def build_campaign_matrix(campaign: CampaignRecord, catalog: Catalog) -> ExposureMatrix:
-    """List every release affected by one of the campaign's CVEs."""
+    """List every release affected by one of the campaign's CVEs (`Catalog.affected_by`)."""
     space = catalog.space
-    rows = sorted({space.row_index[rel] for cve in campaign.cve_ids for rel in catalog.affected[cve]})
+    rows = sorted({space.row_index[rel] for cve in campaign.cve_ids for rel in catalog.affected_by(cve)})
     return ExposureMatrix(space=space, rows=tuple(rows), campaign=campaign)
 
 

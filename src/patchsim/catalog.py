@@ -24,9 +24,9 @@ import io
 import json
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, groupby, zip_longest
+from itertools import accumulate, groupby
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .months import DataError, Frozen, Horizon
 from .versions import VersionConstraint, affected_releases, version_key
@@ -132,22 +132,6 @@ class MatrixSpace:
         self.n_months: int = catalog.horizon.n_months
 
 
-class TriggerOrder(dict):
-    """Release -> (months, cves): the CVEs hitting it sorted by (trigger month,
-    id) and their months, so cves[:bisect_right(months, m)] have triggered by
-    month m. An entry is filled on its first lookup."""
-
-    def __init__(self, catalog: Catalog, informed: bool):
-        super().__init__()
-        self.hitting = catalog.hitting
-        self.month = {cve: v.reserved_month if informed else v.published_month for cve, v in catalog.vulns.items()}
-
-    def __missing__(self, rel: VersionRelease) -> tuple[tuple[int, ...], tuple[str, ...]]:
-        cves = tuple(sorted(self.hitting[rel], key=self.month.__getitem__))  # hitting is in id order
-        entry = self[rel] = tuple(map(self.month.__getitem__, cves)), cves
-        return entry
-
-
 class Catalog(Frozen):
     """One dataset over one window; catalogs are equal when their first four
     fields are. `notes` lists what the loader changed in the data, as
@@ -173,31 +157,33 @@ class Catalog(Frozen):
 
     @cached_property
     def affected(self) -> dict[str, frozenset[VersionRelease]]:
-        """The affects-index: CVE id -> every cataloged release one of its
-        constraints matches. Products without a timeline contribute nothing."""
-        index = {}
-        for cve, vuln in self.vulns.items():
-            hit: set[VersionRelease] = set()
-            for pc in vuln.affected:
-                timeline = self.timelines.get(pc.key)
-                if timeline is not None:
-                    hit |= affected_releases(pc.constraint, timeline)
-            index[cve] = frozenset(hit)
-        return index
+        """CVE id -> every cataloged release one of its constraints matches, for
+        every CVE; built on first read (`fix_month` reads it, `evaluate` does not)."""
+        return {cve: self.affected_by(cve) for cve in self.vulns}
+
+    def affected_by(self, cve: str) -> frozenset[VersionRelease]:
+        """Every cataloged release one of the CVE's constraints matches: the union of
+        their `affected_releases` slices. Products without a timeline contribute nothing."""
+        hit: set[VersionRelease] = set()
+        for pc in self.vulns[cve].affected:
+            timeline = self.timelines.get(pc.key)
+            if timeline is not None:
+                hit |= affected_releases(pc.constraint, timeline)
+        return frozenset(hit)
 
     @cached_property
     def start(self) -> dict[ProductKey, VersionRelease]:
         """The release every strategy starts from, per product in key order:
         the oldest one already out at the epoch, preferring one that a
         campaign-exploited CVE affects."""
-        exploited = {rel for cve in self.campaign_cve_ids() for rel in self.affected[cve]}
+        exploited, hitting = self.campaign_cve_ids(), self.hitting
         chosen: dict[ProductKey, VersionRelease] = {}
         for key in sorted(self.timelines):
             at_epoch = [r for r in self.timelines[key].releases if r.release_month <= 0]
             if not at_epoch:
                 raise DataError(f"product {key[0]}/{key[1]} has no release at or before {self.horizon.format(0)}")
             # releases are in (release_month, sort_key) order, so the first is the oldest
-            chosen[key] = ([r for r in at_epoch if r in exploited] or at_epoch)[0]
+            chosen[key] = ([r for r in at_epoch if not exploited.isdisjoint(hitting[r])] or at_epoch)[0]
         return chosen
 
     @cached_property
@@ -219,18 +205,26 @@ class Catalog(Frozen):
 
     @cached_property
     def hitting(self) -> dict[VersionRelease, tuple[str, ...]]:
-        """The affects-index read the other way: release -> the ids of every
-        CVE affecting it, in id order; an empty tuple for an unaffected release."""
-        index: dict[VersionRelease, list[str]] = {rel: [] for t in self.timelines.values() for rel in t.releases}
-        for cve in sorted(self.affected):
-            for rel in self.affected[cve]:
-                index[rel].append(cve)
-        return {rel: tuple(cves) for rel, cves in index.items()}
+        """Release -> the ids of every CVE affecting it, in id order and each once;
+        an empty tuple for an unaffected release. Each constraint adds its `span`
+        slice of its product's `by_version`."""
+        index = {key: [[] for _ in t.by_version] for key, t in self.timelines.items()}  # parallel to by_version
+        for cve in sorted(self.vulns):
+            for pc in self.vulns[cve].affected:
+                timeline = self.timelines.get(pc.key)
+                if timeline is not None:
+                    lo, hi = pc.constraint.span(timeline.keys)
+                    for cves in index[pc.key][lo:hi]:
+                        if not cves or cves[-1] != cve:  # two constraints of the CVE may overlap
+                            cves.append(cve)
+        return {rel: tuple(cves) for key, t in self.timelines.items() for rel, cves in zip(t.by_version, index[key])}
 
     @cached_property
-    def trigger_order(self) -> dict[bool, TriggerOrder]:
-        """`hitting` in trigger order, for the published (False) and the
-        reserved (True) clock; shared by every reactive or informed build."""
+    def trigger_order(self) -> dict:
+        """`strategies.TriggerOrder` for the published (False) and the reserved
+        (True) clock; shared by every reactive or informed build."""
+        from .strategies import TriggerOrder  # the builders' own index; strategies imports this module
+
         return {informed: TriggerOrder(self, informed) for informed in (False, True)}
 
     @cached_property
@@ -264,12 +258,13 @@ class Violation(NamedTuple):
 class _Parser:
     """Reads the version and date texts of one load, each distinct text once.
     A text that fails is never stored, so each of its occurrences raises
-    naming its own file and line."""
+    naming its own file and line. A record's location comes from a function,
+    called only when an error or a note names it."""
 
     def __init__(self, horizon: Horizon):
         self.horizon = horizon
         self.keys: dict[str, tuple] = {}
-        self.dates: dict[str, tuple[int, bool]] = {}
+        self.dates: dict[str, tuple[int, bool, bool, str]] = {}
         self.notes: list[tuple[str, str, str]] = []  # Catalog.notes, in the order met
 
     def version_key(self, text: str) -> tuple:
@@ -278,21 +273,23 @@ class _Parser:
             key = self.keys[text] = version_key(text)
         return key
 
-    def month(self, text: str, where: str) -> int:
-        """The month index of the date field that `where` names; a malformed or
-        post-horizon date is a DataError."""
-        year_month = text.strip()
-        parsed = self.dates.get(year_month)
+    def month(self, text: str, at: Callable[[], str], field: str) -> int:
+        """The month index of date field `field` of the record at `at()`; a
+        malformed or post-horizon date is a DataError."""
+        parsed = self.dates.get(text)
         if parsed is None:
+            year_month = text.strip()
             try:
-                parsed = self.dates[year_month] = self.horizon.parse_clamped(year_month)
+                index, clamped = self.horizon.parse_clamped(year_month)
             except DataError as exc:
-                raise DataError(f"{where}: {exc}") from exc
-        index, clamped = parsed
-        if len(year_month) == 10:  # an accepted YYYY-MM-DD; YYYY-MM is 7 long
-            self.notes.append(("truncated", where, year_month))
+                raise DataError(f"{at()}: field {field}: {exc}") from exc
+            # an accepted YYYY-MM-DD is 10 long, YYYY-MM 7
+            parsed = self.dates[text] = index, len(year_month) == 10, clamped, year_month
+        index, truncated, clamped, year_month = parsed
+        if truncated:
+            self.notes.append(("truncated", f"{at()}: field {field}", year_month))
         if clamped:
-            self.notes.append(("clamped", where, year_month))
+            self.notes.append(("clamped", f"{at()}: field {field}", year_month))
         return index
 
 
@@ -308,11 +305,12 @@ def _read_text(path: Path) -> str:
         raise DataError(f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from exc
 
 
-def _csv_rows(path: Path, header: list[str]) -> Iterator[tuple[str, dict]]:
-    """Each record of a CSV file that must start with `header`, with the
-    "file:line" it starts on (blank lines skipped but counted) and None for
-    missing trailing fields; an unparsable or too-wide record is a data error."""
+def _csv_rows(path: Path, header: list[str]) -> Iterator[tuple[int, list]]:
+    """Each record of a CSV file that must start with `header`, with the line
+    it starts on (blank lines skipped but counted) and its fields padded with
+    None to the header's width; an unparsable or too-wide record is a data error."""
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    width = len(header)
     try:
         fields = next(reader, None)
         if fields != header:
@@ -320,9 +318,9 @@ def _csv_rows(path: Path, header: list[str]) -> Iterator[tuple[str, dict]]:
         line = reader.line_num  # the last physical line read: a record starts on the next one
         for fields in reader:
             if fields:
-                if len(fields) > len(header):
-                    raise DataError(f"{path}:{line + 1}: {len(fields)} fields, the header has {len(header)}")
-                yield f"{path}:{line + 1}", dict(zip_longest(header, fields))
+                if len(fields) > width:
+                    raise DataError(f"{path}:{line + 1}: {len(fields)} fields, the header has {width}")
+                yield line + 1, fields + [None] * (width - len(fields))
             line = reader.line_num
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
@@ -331,20 +329,23 @@ def _csv_rows(path: Path, header: list[str]) -> Iterator[tuple[str, dict]]:
 def _load_releases(path: Path, parse: _Parser) -> dict[ProductKey, ReleaseTimeline]:
     rows: dict[ProductKey, list[VersionRelease]] = {}
     seen: set[tuple[str, str, str]] = set()
-    for where, row in _csv_rows(path, ["vendor", "product", "version", "release_date"]):
-        vendor = (row["vendor"] or "").strip()
-        name = (row["product"] or "").strip()
-        version = (row["version"] or "").strip()
-        if not vendor or not name or not version or row["release_date"] is None:
-            raise DataError(f"{where}: vendor, product, version and release_date must be non-empty")
-        if (vendor, name, version) in seen:
-            raise DataError(f"{where}: duplicate release {vendor}/{name} {version}")
-        seen.add((vendor, name, version))
-        month = parse.month(row["release_date"], f"{where}: field release_date")
+
+    def at() -> str:
+        return f"{path}:{line}"
+
+    for line, (vendor, name, version, date) in _csv_rows(path, ["vendor", "product", "version", "release_date"]):
+        vendor, name, version = vendor.strip(), (name or "").strip(), (version or "").strip()
+        if not vendor or not name or not version or date is None:
+            raise DataError(f"{at()}: vendor, product, version and release_date must be non-empty")
+        release = (vendor, name, version)
+        if release in seen:
+            raise DataError(f"{at()}: duplicate release {vendor}/{name} {version}")
+        seen.add(release)
+        month = parse.month(date, at, "release_date")
         try:
             sort_key = parse.version_key(version)
         except ValueError as exc:  # a digit run too long for int()
-            raise DataError(f"{where}: field version: {exc}") from exc
+            raise DataError(f"{at()}: field version: {exc}") from exc
         key = (vendor, name)
         rows.setdefault(key, []).append(VersionRelease(key, version, sort_key, month))
     return {key: ReleaseTimeline(tuple(rels)) for key, rels in rows.items()}
@@ -358,69 +359,78 @@ def _load_vulns(path: Path, parse: _Parser) -> dict[str, VulnRecord]:
     if not isinstance(entries, list):
         raise DataError(f"{path}: top-level value must be an array")
     vulns: dict[str, VulnRecord] = {}
+
+    def at() -> str:
+        return f"{path}: entry #{i} ({cve})"
+
     for i, entry in enumerate(entries):
-        where = f"{path}: entry #{i}"
         if not isinstance(entry, dict):
-            raise DataError(f"{where}: expected an object")
+            raise DataError(f"{path}: entry #{i}: expected an object")
         try:
             cve = entry["cve"]
             reserved_raw = entry["reserved"]
             published_raw = entry["published"]
             affected_raw = entry["affected"]
         except KeyError as exc:
-            raise DataError(f"{where}: missing field {exc.args[0]!r}") from exc
+            raise DataError(f"{path}: entry #{i}: missing field {exc.args[0]!r}") from exc
         if not isinstance(cve, str) or not cve.strip():
-            raise DataError(f"{where}: 'cve' must be a non-empty string, got {cve!r}")
+            raise DataError(f"{path}: entry #{i}: 'cve' must be a non-empty string, got {cve!r}")
         cve = cve.strip()
         if cve in vulns:
-            raise DataError(f"{where}: duplicate CVE id {cve}")
-        reserved = parse.month(str(reserved_raw), f"{where} ({cve}): field reserved")
-        published = parse.month(str(published_raw), f"{where} ({cve}): field published")
+            raise DataError(f"{path}: entry #{i}: duplicate CVE id {cve}")
+        reserved = parse.month(str(reserved_raw), at, "reserved")
+        published = parse.month(str(published_raw), at, "published")
         if not isinstance(affected_raw, list):
-            raise DataError(f"{where} ({cve}): 'affected' must be an array")
+            raise DataError(f"{at()}: 'affected' must be an array")
         affected = []
         for j, item in enumerate(affected_raw):
-            if not isinstance(item, dict) or not {"vendor", "product", "match"} <= set(item):
-                raise DataError(f"{where} ({cve}): affected[{j}] needs vendor, product and match")
-            if not isinstance(item["vendor"], str) or not isinstance(item["product"], str):
-                raise DataError(f"{where} ({cve}): affected[{j}] vendor and product must be strings")
-            if not item["vendor"].strip() or not item["product"].strip():
-                raise DataError(f"{where} ({cve}): affected[{j}] vendor and product must be non-empty strings")
-            if not isinstance(item["match"], dict):
-                raise DataError(f"{where} ({cve}): affected[{j}].match must be an object")
+            if not isinstance(item, dict) or not item.keys() >= {"vendor", "product", "match"}:
+                raise DataError(f"{at()}: affected[{j}] needs vendor, product and match")
+            vendor, product, match = item["vendor"], item["product"], item["match"]
+            if not isinstance(vendor, str) or not isinstance(product, str):
+                raise DataError(f"{at()}: affected[{j}] vendor and product must be strings")
+            vendor, product = vendor.strip(), product.strip()
+            if not vendor or not product:
+                raise DataError(f"{at()}: affected[{j}] vendor and product must be non-empty strings")
+            if not isinstance(match, dict):
+                raise DataError(f"{at()}: affected[{j}].match must be an object")
             try:
-                constraint = VersionConstraint.from_mapping(item["match"], parse.version_key)
+                constraint = VersionConstraint.from_mapping(match, parse.version_key)
             except ValueError as exc:
-                raise DataError(f"{where} ({cve}): affected[{j}].match: {exc}") from exc
-            affected.append(ProductConstraint(item["vendor"].strip(), item["product"].strip(), constraint))
+                raise DataError(f"{at()}: affected[{j}].match: {exc}") from exc
+            affected.append(ProductConstraint(vendor, product, constraint))
         vulns[cve] = VulnRecord(cve, reserved, published, tuple(affected))
     return vulns
 
 
 def _load_campaigns(path: Path, parse: _Parser, vulns: dict[str, VulnRecord]) -> tuple[CampaignRecord, ...]:
     merged: dict[tuple[str, int], tuple[set[str], set[AttackVector]]] = {}
-    for where, row in _csv_rows(path, ["apt", "date", "cves", "vectors"]):
-        apt = (row["apt"] or "").strip()
-        if not apt or row["date"] is None:
-            raise DataError(f"{where}: apt and date must be non-empty")
-        month = parse.month(row["date"], f"{where}: field date")
-        cves = {c.strip() for c in (row["cves"] or "").split("|") if c.strip()}
+
+    def at() -> str:
+        return f"{path}:{line}"
+
+    for line, (apt, date, cve_field, vector_field) in _csv_rows(path, ["apt", "date", "cves", "vectors"]):
+        apt = apt.strip()
+        if not apt or date is None:
+            raise DataError(f"{at()}: apt and date must be non-empty")
+        month = parse.month(date, at, "date")
+        cves = {c.strip() for c in (cve_field or "").split("|") if c.strip()}
         for cve in sorted(cves):
             if cve not in vulns:
-                raise DataError(f"{where}: campaign {apt} references unknown CVE {cve}")
-        tags = [t.strip() for t in (row["vectors"] or "").split("|") if t.strip()]
+                raise DataError(f"{at()}: campaign {apt} references unknown CVE {cve}")
+        tags = [t.strip() for t in (vector_field or "").split("|") if t.strip()]
         vectors = set()
         for tag in tags:
             try:
                 vectors.add(AttackVector(tag))
             except ValueError:
                 allowed = ", ".join(sorted(v.value for v in AttackVector))
-                raise DataError(f"{where}: unknown attack vector {tag!r}; allowed: {allowed}") from None
+                raise DataError(f"{at()}: unknown attack vector {tag!r}; allowed: {allowed}") from None
         if not cves and not vectors:
-            raise DataError(f"{where}: campaign {apt} has neither CVEs nor attack vectors")
+            raise DataError(f"{at()}: campaign {apt} has neither CVEs nor attack vectors")
         key = (apt, month)
         if key in merged:
-            parse.notes.append(("merged", where, f"{apt}/{parse.horizon.format(month)}"))
+            parse.notes.append(("merged", at(), f"{apt}/{parse.horizon.format(month)}"))
             old_cves, old_vectors = merged[key]
             old_cves |= cves
             old_vectors |= vectors

@@ -128,8 +128,9 @@ def _reactive(catalog: Catalog, config: StrategyConfig) -> list[Transition]:
 
     The CVEs outstanding at month m are a prefix of those hitting the
     installed release in trigger order (`Catalog.trigger_order`), so each
-    product visits only its trigger and landing months, and a landing that no
-    new trigger precedes installs the escape already found.
+    product visits only its trigger and landing months. The first escape from
+    each prefix by the horizon end is found once per clock: it is the first
+    escape at a landing month if it is out by then, and otherwise there is none.
     """
     delay, pick = config.delay_months, config.reactive_pick
     end, hitting = catalog.horizon.end_index, catalog.hitting
@@ -137,32 +138,71 @@ def _reactive(catalog: Catalog, config: StrategyConfig) -> list[Transition]:
 
     transitions: list[Transition] = []
     for key in sorted(catalog.timelines):
-        timeline = catalog.timelines[key]
         current, m, last = catalog.start[key], 0, -1  # last: the month of the last transition
-        while hitting[current]:
-            months, cves = order[current]
+        months, cves, escapes = order[current]
+        while cves:
             m = max(m, months[0])
-            due = bisect_right(months, m)  # cves[:due] are outstanding at m
-            escape = first_nonvulnerable(timeline, _Blocked(cves[:due], hitting), at=end, installed=current)
+            escape = escapes[bisect_right(months, m)]  # clear of the CVEs outstanding at m
             if escape is None:  # the outstanding CVEs only grow, so no later escape exists
                 break
             land = max(max(m, escape.release_month) + delay, last + 1)  # at most one change a month
             if land > end:  # the deployment would land outside the window
                 break
-            due_at_land = bisect_right(months, land)
-            if due_at_land == due and pick == "first":  # nothing triggered since m: the escape is first at land
-                rel = escape
+            due = bisect_right(months, land)  # cves[:due] are outstanding at land
+            if pick == "first":
+                rel = escapes[due]  # the first escape at land, if it is out by then
             else:
-                rel = first_nonvulnerable(timeline, _Blocked(cves[:due_at_land], hitting), land, current, pick)
-            if rel is not None:  # otherwise CVEs triggered since m blocked every candidate: reschedule
+                rel = first_nonvulnerable(catalog.timelines[key], _Blocked(cves[:due], hitting), land, current, pick)
+            # otherwise CVEs triggered since m blocked every candidate out by land: reschedule
+            if rel is not None and rel.release_month <= land:
                 transitions.append(Transition(land, current, rel))
                 current, last = rel, land
+                months, cves, escapes = order[current]
             m = land
     return transitions
 
 
+class TriggerOrder(dict):
+    """One clock's index for the reactive builders: release -> (months, cves,
+    escapes). cves are the CVEs hitting the release sorted by (trigger month,
+    id) and months their trigger months, so cves[:bisect_right(months, m)] have
+    triggered by month m; escapes[due] is the first release newer than it that
+    none of cves[:due] hits, out by the horizon end, or None. An entry is filled
+    on its first lookup and each escape on its first need. Neither depends on a
+    build's delay, pick or landing month, so every build on the clock shares them."""
+
+    def __init__(self, catalog: Catalog, informed: bool):
+        super().__init__()
+        self.hitting, self.timelines, self.end = catalog.hitting, catalog.timelines, catalog.horizon.end_index
+        self.month = {cve: v.reserved_month if informed else v.published_month for cve, v in catalog.vulns.items()}
+
+    def __missing__(self, rel: VersionRelease) -> tuple[tuple[int, ...], tuple[str, ...], "_Escapes"]:
+        cves = tuple(sorted(self.hitting[rel], key=self.month.__getitem__))  # hitting is in id order
+        escapes = _Escapes(self.timelines[rel.product], self.hitting, self.end, rel, cves)
+        entry = self[rel] = tuple(map(self.month.__getitem__, cves)), cves, escapes
+        return entry
+
+
+class _Escapes(dict):
+    """due -> the first release newer than `installed` that none of cves[:due] hits, out by
+    month `end`. Like its TriggerOrder, it holds no reference back to the catalog, so a
+    catalog is freed as soon as the last reference to it goes, without a cycle collection."""
+
+    __slots__ = ("timeline", "hitting", "end", "installed", "cves")
+
+    def __init__(self, timeline: ReleaseTimeline, hitting: dict[VersionRelease, tuple[str, ...]], end: int,
+                 installed: VersionRelease, cves: tuple[str, ...]):
+        super().__init__()
+        self.timeline, self.hitting, self.end, self.installed, self.cves = timeline, hitting, end, installed, cves
+
+    def __missing__(self, due: int) -> Optional[VersionRelease]:
+        blocked = _Blocked(self.cves[:due], self.hitting)
+        escape = self[due] = first_nonvulnerable(self.timeline, blocked, self.end, self.installed)
+        return escape
+
+
 class _Blocked:
-    """Releases hit by an outstanding CVE: the union of their `Catalog.affected` sets."""
+    """Releases hit by an outstanding CVE: those whose `Catalog.hitting` entry names one."""
 
     def __init__(self, outstanding: tuple[str, ...], hitting: dict[VersionRelease, tuple[str, ...]]):
         self.outstanding, self.hitting = frozenset(outstanding), hitting

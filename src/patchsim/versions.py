@@ -29,18 +29,13 @@ _RUN = re.compile(r"\d+|[^\d.\-_+ ]+")
 
 def version_key(raw: str) -> tuple[Segment, ...]:
     """Normalize a raw version string into a comparable key."""
-    segments = [(_NUM, int(run)) if run.isdecimal() else (_ALPHA, run) for run in _RUN.findall(raw.strip().lower())]
+    runs = _RUN.findall(raw.strip().lower())
+    key = [(_NUM, int(run)) if run.isdecimal() else (_ALPHA, run) for run in runs]
     # "6u13" means major 6, update 13: drop a lone "u" wedged between numbers
-    return tuple(
-        seg
-        for i, seg in enumerate(segments)
-        if not (
-            seg == (_ALPHA, "u")
-            and 0 < i < len(segments) - 1
-            and segments[i - 1][0] == _NUM
-            and segments[i + 1][0] == _NUM
-        )
-    )
+    for i in range(len(runs) - 2, 0, -1):  # backwards, so deleting keeps the lower indices
+        if runs[i] == "u" and runs[i - 1].isdecimal() and runs[i + 1].isdecimal():
+            del key[i]
+    return tuple(key)
 
 
 class Bound(NamedTuple):
@@ -50,6 +45,12 @@ class Bound(NamedTuple):
     version: str
     inclusive: bool
     key: tuple
+
+
+# a range constraint's bound fields: (0 for the start or 1 for the end, inclusive)
+_RANGE_FIELDS = {
+    "startIncluding": (0, True), "startExcluding": (0, False), "endIncluding": (1, True), "endExcluding": (1, False),
+}
 
 
 class VersionConstraint(NamedTuple):
@@ -72,30 +73,30 @@ class VersionConstraint(NamedTuple):
         def bad(problem: str) -> ValueError:
             return ValueError(f"{problem} in {json.dumps(obj, sort_keys=True)}")
 
-        not_text = sorted(key for key, value in obj.items() if not isinstance(value, str))
+        bounds: list = [None, None]  # the start and the end field, as (version, inclusive)
+        not_text, unknown = [], []
+        for name, value in obj.items():
+            field = _RANGE_FIELDS.get(name)
+            if not isinstance(value, str):
+                not_text.append(name)
+            elif field is not None:
+                bounds[field[0]] = value, field[1]
+            elif name != "exact":
+                unknown.append(name)
         if not_text:
-            raise bad(f"constraint fields {not_text} must be version strings")
+            raise bad(f"constraint fields {sorted(not_text)} must be version strings")
         if "exact" in obj:
-            extras = set(obj) - {"exact"}
-            if extras:
-                raise bad(f"exact constraint mixed with {sorted(extras)}")
+            if len(obj) > 1:
+                raise bad(f"exact constraint mixed with {sorted(set(obj) - {'exact'})}")
             b = Bound(obj["exact"], True, key_of(obj["exact"]))
             return cls("exact", b, b)
-        known = {"startIncluding", "startExcluding", "endIncluding", "endExcluding"}
-        unknown = set(obj) - known
         if unknown:
             raise bad(f"unknown constraint fields {sorted(unknown)}")
         for side in ("start", "end"):
             if f"{side}Including" in obj and f"{side}Excluding" in obj:
                 raise bad(f"both {side} bounds present")
-
-        def bound(side: str) -> Optional[Bound]:
-            for kind, inclusive in (("Including", True), ("Excluding", False)):
-                if obj.get(side + kind, "*") != "*":  # "*" means unbounded on that side
-                    return Bound(obj[side + kind], inclusive, key_of(obj[side + kind]))
-            return None
-
-        start, end = bound("start"), bound("end")
+        # "*" means unbounded on that side
+        start, end = [None if b is None or b[0] == "*" else Bound(b[0], b[1], key_of(b[0])) for b in bounds]
         if start is not None and end is not None and start.key > end.key:
             raise bad("range bounds reversed")
         return cls("range", start, end)

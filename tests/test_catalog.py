@@ -269,6 +269,16 @@ def test_affects_index_matches_reference_on_random_catalogs():
                 shapes["update-notation"] += vendor == "oracle"
             shapes["multi-product"] += len({(vendor, product) for vendor, product, _ in affected}) > 1
             assert cat.affected[cve] == expected, (cve, affected)
+        # `hitting` is built from constraint spans, not from `affected`, so it has its own oracle
+        for timeline in cat.timelines.values():
+            for rel in timeline.releases:
+                ids = sorted(
+                    cve
+                    for cve, affected in drawn.items()
+                    if any((vendor, product) == rel.product and ref_matches(match, rel.version)
+                           for vendor, product, match in affected)
+                )
+                assert cat.hitting[rel] == tuple(ids), rel
     # every widened shape of random_catalog was exercised
     assert all(shapes.values()), shapes
 

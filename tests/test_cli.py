@@ -636,6 +636,8 @@ def _out_name_is_directory(tmp_path, fixture_paths):
          "releases.csv:10: field release_date: day out of range in '2009-02-31'"),
         (_flags("validate", "--horizon", "2020-01-99"), 2, "--horizon: day out of range in '2020-01-99'"),
         (_flags("evaluate", "--strategies", "immediate:"), 2, "--strategies: immediate takes no delay"),
+        (_appended_row("campaigns", "Basalt,2010/05,,drive-by\n"), 1,
+         "campaigns.csv:6: field date: expected YYYY-MM date, got '2010/05'"),
     ],
     ids=["no-epoch-release", "directory-input", "non-string-config", "format-selects-nothing",
          "reserved-after-published", "no-targeting-campaign", "integer-bound", "null-exact",
@@ -650,7 +652,7 @@ def _out_name_is_directory(tmp_path, fixture_paths):
          "object-vulns", "object-affected", "string-match", "empty-apt", "list-config", "horizon-before-epoch",
          "negative-delay", "out-under-file", "output-name-is-directory", "no-survival-samples",
          "baseline-without-scenario", "underscored-delay", "signed-delay", "fullwidth-delay",
-         "nonexistent-release-day", "nonexistent-horizon-day", "immediate-empty-delay"],
+         "nonexistent-release-day", "nonexistent-horizon-day", "immediate-empty-delay", "bad-campaign-date"],
 )
 def test_boundary_errors_exit_with_code_and_message(make_argv, code, fragment, tmp_path, fixture_paths, capsys):
     assert run(make_argv(tmp_path, fixture_paths)) == code

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
@@ -350,6 +352,30 @@ def test_start_releases_are_computed_once_per_catalog(fixture_paths, monkeypatch
         assert starts == upgrades == [catalog]
         assert len(built) == len(some) and all(matrix.start is catalog.start for matrix in built)
     assert calls[0] == calls[1]
+
+
+def test_evaluate_builds_neither_the_affects_index_nor_fix_months(fixture_catalog):
+    # the builders read `hitting` and exposure reads the campaign CVEs' slices, so evaluating
+    # never pays for every CVE's release set; fix months are only for classifying
+    configs = [StrategyConfig.parse(token) for token in DEFAULT_STRATEGIES.split(",")]
+    assert len(evaluate(fixture_catalog, configs)) == 2 * len(configs)
+    assert "affected" not in vars(fixture_catalog)
+    assert "fix_month" not in vars(fixture_catalog)
+
+
+def test_an_evaluated_catalog_is_freed_without_the_cycle_collector(fixture_paths):
+    # the indexes that builds share live on the catalog and must not point back at it: a
+    # reference cycle would keep every index alive after the run, until a collection
+    configs = [StrategyConfig.parse(token) for token in DEFAULT_STRATEGIES.split(",")]
+    gc.disable()
+    try:
+        catalog = load_catalog(fixture_paths["releases"], fixture_paths["vulns"], fixture_paths["campaigns"])
+        evaluate(catalog, configs)
+        freed = weakref.ref(catalog)
+        del catalog
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_baseline_reuses_its_report_outcomes(fixture_catalog, monkeypatch):

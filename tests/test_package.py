@@ -100,6 +100,53 @@ def test_src_keeps_no_cache_across_calls():
         }
         assert not (from_functools | attributes) & {"cache", "lru_cache"}, path.name
         assert not any(isinstance(node, ast.Global) for node in ast.walk(tree)), path.name
+        assert _module_state_writes(tree) == [], path.name
+
+
+_MUTATORS = {"append", "add", "update", "setdefault", "pop", "clear"}
+
+
+def _module_state_writes(tree: ast.Module) -> list[str]:
+    """Writes from inside a function to a name the module assigns at its top level:
+    a subscript store, or a call of a mutating method. Neither needs `global`."""
+    module_names = {
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    writes = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        local = {a.arg for a in ast.walk(function.args) if isinstance(a, ast.arg)}
+        local |= {n.id for n in ast.walk(function) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        for node in ast.walk(function):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATORS:
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in module_names - local:
+                writes.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return writes
+
+
+def test_module_state_gate_sees_writes_without_global():
+    source = (
+        "_memo = {}\n_seen = []\nCHOICES = ('a', 'b')\n"
+        "def cached(key):\n    _memo[key] = 1\n    _seen.append(key)\n    return CHOICES[0]\n"
+        "def shadowed(_memo):\n    _memo[0] = 1\n"
+        "def also():\n    del _memo['x']\n    _memo.setdefault('y', 2)\n"
+    )
+    assert _module_state_writes(ast.parse(source)) == [
+        "line 5: _memo[key]",
+        "line 6: _seen.append(key)",
+        "line 11: _memo['x']",
+        "line 12: _memo.setdefault('y', 2)",
+    ]
 
 
 def test_src_imports_neither_dataclasses_nor_logging():

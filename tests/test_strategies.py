@@ -489,6 +489,36 @@ def test_builders_match_month_walking_reference_on_random_catalogs(delay):
             _assert_matches_reference(catalog, config, seed)
 
 
+_TWO_RANGES = {
+    "overlapping": ({"startIncluding": "1.0", "endExcluding": "2.0"}, {"startIncluding": "1.5", "endIncluding": "2.1"}),
+    "disjoint": ({"startIncluding": "1.0", "endExcluding": "1.5"}, {"startIncluding": "2.0", "endExcluding": "2.3"}),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_TWO_RANGES))
+def test_one_cve_with_two_ranges_on_one_product(shape):
+    # neither random_catalog nor the benchmark's generator draws two constraints of one CVE
+    # on one product: `hitting` must list the CVE once per release, and the escapes that the
+    # builds of a clock share must skip both ranges. CVE-2010-0002 triggers first, so the
+    # first escape (2.0) is blocked by the second range once CVE-2010-0001 triggers too
+    key = ("acme", "app")
+    versions = [("1.0", 0), ("1.2", 1), ("1.5", 2), ("1.7", 3), ("2.0", 4), ("2.1", 5), ("2.3", 6), ("3.0", 10)]
+    first, second = _TWO_RANGES[shape]
+    records = [
+        vuln("CVE-2010-0001", 1, 3, ("acme", "app", first), ("acme", "app", second)),
+        vuln("CVE-2010-0002", 0, 1, ("acme", "app", {"endIncluding": "1.7"})),
+    ]
+    cat = make_catalog({key: versions}, records, [campaign("Apt", 5, ["CVE-2010-0001"])], horizon_end=14)
+    releases = cat.timelines[key].releases
+    union = {rel for rel in releases if ref_matches(first, rel.version) or ref_matches(second, rel.version)}
+    assert cat.affected["CVE-2010-0001"] == union
+    for rel in releases:
+        assert cat.hitting[rel].count("CVE-2010-0001") == (rel in union), (shape, rel.version)
+    for delay in (0, 1, 3):
+        for config in configs_with_delay(delay)[1:]:  # reactive and informed, both picks, on one catalog
+            _assert_matches_reference(cat, config, shape)
+
+
 def test_reactive_builds_on_one_catalog_match_builds_alone(fixture_paths):
     # Catalog.trigger_order is filled as builds ask for it and shared by every reactive and
     # informed build of a catalog: no build may see what another one left behind
