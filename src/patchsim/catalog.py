@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .months import DataError, Frozen, Horizon
-from .versions import VersionConstraint, affected_releases, version_key
+from .versions import VersionConstraint, version_key
 
 ProductKey = tuple[str, str]  # (vendor, name)
 
@@ -156,19 +156,23 @@ class Catalog(Frozen):
         return MatrixSpace(self)
 
     @cached_property
-    def affected(self) -> dict[str, frozenset[VersionRelease]]:
-        """CVE id -> every cataloged release one of its constraints matches, for
-        every CVE; built on first read (`fix_month` reads it, `evaluate` does not)."""
-        return {cve: self.affected_by(cve) for cve in self.vulns}
+    def slices(self) -> dict[str, tuple[tuple[ProductConstraint, int, int], ...]]:
+        """CVE id -> (constraint, lo, hi) for each of its constraints on a product
+        with a timeline, in record order: the constraint's `span` over that
+        timeline's `keys`, so `by_version[lo:hi]` is what it affects and
+        `by_version[hi:]` lies above it. The one place that asks `span`."""
+        timelines = self.timelines
+        return {
+            cve: tuple((pc, *pc.constraint.span(timelines[pc.key].keys)) for pc in v.affected if pc.key in timelines)
+            for cve, v in self.vulns.items()
+        }
 
     def affected_by(self, cve: str) -> frozenset[VersionRelease]:
-        """Every cataloged release one of the CVE's constraints matches: the union of
-        their `affected_releases` slices. Products without a timeline contribute nothing."""
+        """Every cataloged release one of the CVE's constraints matches: the union
+        of its `slices`. Products without a timeline contribute nothing."""
         hit: set[VersionRelease] = set()
-        for pc in self.vulns[cve].affected:
-            timeline = self.timelines.get(pc.key)
-            if timeline is not None:
-                hit |= affected_releases(pc.constraint, timeline)
+        for pc, lo, hi in self.slices[cve]:
+            hit.update(self.timelines[pc.key].by_version[lo:hi])
         return frozenset(hit)
 
     @cached_property
@@ -206,17 +210,15 @@ class Catalog(Frozen):
     @cached_property
     def hitting(self) -> dict[VersionRelease, tuple[str, ...]]:
         """Release -> the ids of every CVE affecting it, in id order and each once;
-        an empty tuple for an unaffected release. Each constraint adds its `span`
-        slice of its product's `by_version`."""
+        an empty tuple for an unaffected release. Each (constraint, lo, hi) of a
+        CVE's `slices` adds the CVE to `by_version[lo:hi]` of its product."""
         index = {key: [[] for _ in t.by_version] for key, t in self.timelines.items()}  # parallel to by_version
-        for cve in sorted(self.vulns):
-            for pc in self.vulns[cve].affected:
-                timeline = self.timelines.get(pc.key)
-                if timeline is not None:
-                    lo, hi = pc.constraint.span(timeline.keys)
-                    for cves in index[pc.key][lo:hi]:
-                        if not cves or cves[-1] != cve:  # two constraints of the CVE may overlap
-                            cves.append(cve)
+        slices = self.slices
+        for cve in sorted(slices):
+            for pc, lo, hi in slices[cve]:
+                for cves in index[pc.key][lo:hi]:
+                    if not cves or cves[-1] != cve:  # two constraints of the CVE may overlap
+                        cves.append(cve)
         return {rel: tuple(cves) for key, t in self.timelines.items() for rel, cves in zip(t.by_version, index[key])}
 
     @cached_property
@@ -230,18 +232,14 @@ class Catalog(Frozen):
     @cached_property
     def fix_month(self) -> dict[str, Optional[int]]:
         """Campaign CVE id -> release month of the earliest cataloged release
-        strictly above one of its constraints' ranges that no constraint of
-        the CVE affects; None when no release escapes. Products without a
+        above one of its `slices` (in `by_version[hi:]`) that is not in
+        `affected_by(cve)`; None when no release escapes. Products without a
         timeline contribute nothing."""
         index: dict[str, Optional[int]] = {}
         for cve in sorted(self.campaign_cve_ids()):
-            escapes, affected = [], self.affected[cve]
-            for pc in self.vulns[cve].affected:
-                timeline = self.timelines.get(pc.key)
-                if timeline is not None:
-                    _, hi = pc.constraint.span(timeline.keys)  # by_version[hi:] lies above the range
-                    escapes.extend(rel.release_month for rel in timeline.by_version[hi:] if rel not in affected)
-            index[cve] = min(escapes, default=None)
+            affected = self.affected_by(cve)
+            above = (rel for pc, _, hi in self.slices[cve] for rel in self.timelines[pc.key].by_version[hi:])
+            index[cve] = min((rel.release_month for rel in above if rel not in affected), default=None)
         return index
 
 
@@ -478,19 +476,15 @@ def validate_catalog(catalog: Catalog) -> list[Violation]:
 
 def catalog_diagnostics(catalog: Catalog) -> dict:
     """Non-fatal data-quality counters (e.g. constraints matching no release)."""
-    dead_constraints = []
-    off_catalog = []
-    for cve, vuln in sorted(catalog.vulns.items()):
-        for pc in vuln.affected:
-            timeline = catalog.timelines.get(pc.key)
-            if timeline is None:
-                off_catalog.append({"cve": cve, "vendor": pc.vendor, "product": pc.product})
-                continue
-            lo, hi = pc.constraint.span(timeline.keys)
-            if lo >= hi:  # keys[lo:hi] is empty: the constraint matches no release
-                dead_constraints.append(
-                    {"cve": cve, "vendor": pc.vendor, "product": pc.product, "match": pc.constraint.to_mapping()}
-                )
+    dead_constraints = [
+        {"cve": cve, "vendor": pc.vendor, "product": pc.product, "match": pc.constraint.to_mapping()}
+        for cve, slices in sorted(catalog.slices.items()) for pc, lo, hi in slices
+        if lo >= hi  # by_version[lo:hi] is empty: the constraint matches no release
+    ]
+    off_catalog = [
+        {"cve": cve, "vendor": pc.vendor, "product": pc.product}
+        for cve, vuln in sorted(catalog.vulns.items()) for pc in vuln.affected if pc.key not in catalog.timelines
+    ]
     vector_only = sum(1 for c in catalog.campaigns if c.vector_only)
     return {
         "constraints_matching_no_release": dead_constraints,

@@ -56,8 +56,13 @@ def parse_scenario(token: str) -> Scenario:
 
 
 def _comma_list(text: str, parse, what: str) -> list:
-    """Parse each non-blank token of a comma list; an empty list is an error."""
-    out = [parse(token) for token in map(str.strip, text.split(",")) if token]
+    """Parse each non-blank token of a comma list; an empty list or a repeated value is an error."""
+    out: list = []
+    for token in filter(None, map(str.strip, text.split(","))):
+        value = parse(token)
+        if value in out:
+            raise ValueError(f"{what} {token!r} repeats an earlier one")
+        out.append(value)
     if not out:
         raise ValueError(f"at least one {what} is required")
     return out

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import campaign, make_catalog, random_catalog, vuln
+from conftest import campaign, make_catalog, random_catalog, ref_above, ref_matches, vuln
 from patchsim.campaigns import (
     AttackScenario,
     TieRule,
@@ -178,7 +178,7 @@ def test_fix_month_of_an_empty_range_counts_the_releases_at_its_end():
     c = campaign("Alpha", 1, ["CVE-2008-000A", "CVE-2008-000B"])
     releases = [("1.0", 0), ("2.0", 3), ("3.0", 6)]
     cat = make_catalog({("acme", "app"): releases}, [empty, exact], [c], horizon_end=11)
-    assert cat.affected["CVE-2008-000A"] == frozenset()
+    assert cat.affected_by("CVE-2008-000A") == frozenset()
     assert cat.fix_month == {"CVE-2008-000A": 3, "CVE-2008-000B": 3}
     assert campaign_scenarios(c, cat) == {"CVE-2008-000A": AttackScenario.KK_U, "CVE-2008-000B": AttackScenario.KK_U}
 
@@ -188,6 +188,43 @@ def test_fix_month_absent_when_no_release_escapes():
     c = campaign("Alpha", 5, ["CVE-2010-0001"])
     cat = make_catalog({("acme", "app"): [("1.0", 0), ("2.0", 3)]}, [record], [c], horizon_end=11)
     assert cat.fix_month == {"CVE-2010-0001": None}
+
+
+def test_classifying_never_builds_the_release_index(fixture_catalog):
+    # fix months read the campaign CVEs' slices; the release -> CVE index is the builders' own
+    assert fixture_catalog.fix_month
+    assert "hitting" not in vars(fixture_catalog)
+    for c in fixture_catalog.campaigns:
+        classify_campaign(c, fixture_catalog)
+    assert "hitting" not in vars(fixture_catalog)
+
+
+def test_fix_month_matches_reference_on_random_catalogs():
+    rng = random.Random(7)
+    fixed = unfixed = 0
+    for _ in range(300):
+        # the oracle reads the match objects as drawn, not the parsed constraints
+        drawn: dict = {}
+        cat = random_catalog(rng, affected_out=drawn)
+        expected = {}
+        for cve in cat.campaign_cve_ids():
+            by_product: dict = {}
+            for vendor, product, match in drawn[cve]:
+                by_product.setdefault((vendor, product), []).append(match)
+            expected[cve] = min(
+                (
+                    rel.release_month
+                    for key, matches in by_product.items() if key in cat.timelines
+                    for rel in cat.timelines[key].releases
+                    if any(ref_above(m, rel.version) for m in matches)
+                    and not any(ref_matches(m, rel.version) for m in matches)
+                ),
+                default=None,
+            )
+        assert cat.fix_month == expected
+        unfixed += sum(month is None for month in expected.values())
+        fixed += sum(month is not None for month in expected.values())
+    assert fixed and unfixed, (fixed, unfixed)  # the draws hold CVEs with and without an escape
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,7 @@ def test_affects_index_matches_reference_on_random_catalogs():
         # the oracle reads the match objects as drawn, not the parsed constraints
         drawn: dict = {}
         cat = random_catalog(rng, affected_out=drawn)
-        assert set(cat.affected) == set(cat.vulns) == set(drawn)
+        assert set(cat.slices) == set(cat.vulns) == set(drawn)
         for cve, affected in drawn.items():
             expected = set()
             for vendor, product, match in affected:
@@ -268,8 +268,8 @@ def test_affects_index_matches_reference_on_random_catalogs():
                 shapes["wildcard"] += "*" in match.values()
                 shapes["update-notation"] += vendor == "oracle"
             shapes["multi-product"] += len({(vendor, product) for vendor, product, _ in affected}) > 1
-            assert cat.affected[cve] == expected, (cve, affected)
-        # `hitting` is built from constraint spans, not from `affected`, so it has its own oracle
+            assert cat.affected_by(cve) == expected, (cve, affected)
+        # `hitting` and `affected_by` each read the slices their own way, so each has an oracle
         for timeline in cat.timelines.values():
             for rel in timeline.releases:
                 ids = sorted(

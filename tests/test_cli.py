@@ -638,6 +638,12 @@ def _out_name_is_directory(tmp_path, fixture_paths):
         (_flags("evaluate", "--strategies", "immediate:"), 2, "--strategies: immediate takes no delay"),
         (_appended_row("campaigns", "Basalt,2010/05,,drive-by\n"), 1,
          "campaigns.csv:6: field date: expected YYYY-MM date, got '2010/05'"),
+        (_flags("evaluate", "--strategies", "planned:1,planned:01"), 2,
+         "--strategies: strategy 'planned:01' repeats an earlier one"),
+        (_flags("evaluate", "--scenarios", "update-first, update-first"), 2,
+         "--scenarios: scenario 'update-first' repeats an earlier one"),
+        (_flags("survival", "--products", "adobe/flash,adobe/flash"), 2,
+         "--products: product 'adobe/flash' repeats an earlier one"),
     ],
     ids=["no-epoch-release", "directory-input", "non-string-config", "format-selects-nothing",
          "reserved-after-published", "no-targeting-campaign", "integer-bound", "null-exact",
@@ -652,7 +658,8 @@ def _out_name_is_directory(tmp_path, fixture_paths):
          "object-vulns", "object-affected", "string-match", "empty-apt", "list-config", "horizon-before-epoch",
          "negative-delay", "out-under-file", "output-name-is-directory", "no-survival-samples",
          "baseline-without-scenario", "underscored-delay", "signed-delay", "fullwidth-delay",
-         "nonexistent-release-day", "nonexistent-horizon-day", "immediate-empty-delay", "bad-campaign-date"],
+         "nonexistent-release-day", "nonexistent-horizon-day", "immediate-empty-delay", "bad-campaign-date",
+         "repeated-strategy", "repeated-scenario", "repeated-product"],
 )
 def test_boundary_errors_exit_with_code_and_message(make_argv, code, fragment, tmp_path, fixture_paths, capsys):
     assert run(make_argv(tmp_path, fixture_paths)) == code

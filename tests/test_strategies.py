@@ -511,7 +511,7 @@ def test_one_cve_with_two_ranges_on_one_product(shape):
     cat = make_catalog({key: versions}, records, [campaign("Apt", 5, ["CVE-2010-0001"])], horizon_end=14)
     releases = cat.timelines[key].releases
     union = {rel for rel in releases if ref_matches(first, rel.version) or ref_matches(second, rel.version)}
-    assert cat.affected["CVE-2010-0001"] == union
+    assert cat.affected_by("CVE-2010-0001") == union
     for rel in releases:
         assert cat.hitting[rel].count("CVE-2010-0001") == (rel in union), (shape, rel.version)
     for delay in (0, 1, 3):
