@@ -78,10 +78,13 @@ class ExposureMatrix(NamedTuple):
 
 
 def build_campaign_matrix(campaign: CampaignRecord, catalog: Catalog) -> ExposureMatrix:
-    """List every release affected by one of the campaign's CVEs (`Catalog.affected_by`)."""
-    space = catalog.space
-    rows = sorted({space.row_index[rel] for cve in campaign.cve_ids for rel in catalog.affected_by(cve)})
-    return ExposureMatrix(space=space, rows=tuple(rows), campaign=campaign)
+    """List every release one of the campaign's CVEs affects: the rows of their `Catalog.slices`."""
+    space, slices = catalog.space, catalog.slices
+    rows: set[int] = set()
+    for cve in campaign.cve_ids:
+        for pc, lo, hi in slices[cve]:
+            rows.update(space.version_rows[pc.key][lo:hi])
+    return ExposureMatrix(space=space, rows=tuple(sorted(rows)), campaign=campaign)
 
 
 def classify_attack(

@@ -45,6 +45,9 @@ class AttackVector(Enum):
     UNDETERMINED = "undetermined"
 
 
+_VECTORS = {v.value: v for v in AttackVector}
+
+
 class VersionRelease(Frozen):
     """One release of a product; equal releases agree on all four fields. Indexes
     hash releases constantly, so the hash is computed once, from (product, version)."""
@@ -129,6 +132,10 @@ class MatrixSpace:
             rows.extend(catalog.timelines[key].releases)
         self.rows: tuple[VersionRelease, ...] = tuple(rows)
         self.row_index: dict[VersionRelease, int] = {rel: i for i, rel in enumerate(rows)}
+        # each product's rows in `by_version` order, so a slice's rows are version_rows[key][lo:hi]
+        self.version_rows: dict[ProductKey, tuple[int, ...]] = {
+            key: tuple(map(self.row_index.__getitem__, t.by_version)) for key, t in catalog.timelines.items()
+        }
         self.n_months: int = catalog.horizon.n_months
 
 
@@ -413,17 +420,14 @@ def _load_campaigns(path: Path, parse: _Parser, vulns: dict[str, VulnRecord]) ->
             raise DataError(f"{at()}: apt and date must be non-empty")
         month = parse.month(date, at, "date")
         cves = {c.strip() for c in (cve_field or "").split("|") if c.strip()}
-        for cve in sorted(cves):
-            if cve not in vulns:
-                raise DataError(f"{at()}: campaign {apt} references unknown CVE {cve}")
-        tags = [t.strip() for t in (vector_field or "").split("|") if t.strip()]
-        vectors = set()
-        for tag in tags:
-            try:
-                vectors.add(AttackVector(tag))
-            except ValueError:
-                allowed = ", ".join(sorted(v.value for v in AttackVector))
-                raise DataError(f"{at()}: unknown attack vector {tag!r}; allowed: {allowed}") from None
+        unknown = cves.difference(vulns)  # looks up each campaign CVE, not each vulnerability
+        if unknown:
+            raise DataError(f"{at()}: campaign {apt} references unknown CVE {min(unknown)}")
+        try:
+            vectors = {_VECTORS[tag] for tag in map(str.strip, (vector_field or "").split("|")) if tag}
+        except KeyError as exc:
+            allowed = ", ".join(sorted(_VECTORS))
+            raise DataError(f"{at()}: unknown attack vector {exc.args[0]!r}; allowed: {allowed}") from None
         if not cves and not vectors:
             raise DataError(f"{at()}: campaign {apt} has neither CVEs nor attack vectors")
         key = (apt, month)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
+import gc
 import io
 import json
 import os
@@ -263,6 +263,8 @@ def emit_files(files: dict[str, str], out_dir, formats: str = "both") -> dict[st
     }
     if not selected:
         raise UsageError(f"--format {formats} selects none of {', '.join(sorted(files))}")
+    import hashlib  # here, not at the top: no other command path hashes
+
     manifest = {}
     for name, text in sorted(selected.items()):
         data = text.encode("utf-8")  # the bytes hashed are the bytes written, on any platform
@@ -271,7 +273,10 @@ def emit_files(files: dict[str, str], out_dir, formats: str = "both") -> dict[st
             (out / name).write_bytes(data)
         except OSError as exc:
             raise UsageError(f"cannot write {out / name}: {exc}") from exc
-    manifest_text = json.dumps({"tool": "patchsim", "files": manifest}, indent=2, sort_keys=True) + "\n"
+    # json.dumps(indent=2, sort_keys=True)'s layout, without the pure-Python encoder an
+    # indent selects: its closures make a reference cycle on every call
+    entries = ",\n    ".join(f"{json.dumps(name)}: {json.dumps(digest)}" for name, digest in manifest.items())
+    manifest_text = f'{{\n  "files": {{\n    {entries}\n  }},\n  "tool": "patchsim"\n}}\n'
     (out / "manifest.json").write_bytes(manifest_text.encode("utf-8"))
     return manifest
 
@@ -283,51 +288,48 @@ def emit_report(reports: list[EvaluationReport], catalog: Catalog, out_dir, form
     return emit_files(_evaluation_files(reports, catalog), out_dir, formats)
 
 
-def _json_list(items: list[str], depth: int) -> str:
-    """A JSON array of rendered items, laid out as json.dumps(indent=2) lays
-    out an array `depth` levels deep."""
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
-
-
 def _evaluation_json(reports: list[EvaluationReport], catalog: Catalog) -> str:
     """evaluate.json: per report its summary and campaign outcomes, in the bytes
     json.dumps(..., indent=2, sort_keys=True) + "\n" gives. It is written from
     a template because an indent makes json.dumps fall back to its pure-Python
-    encoder; each leaf still goes through json.dumps, keys in sorted order."""
+    encoder; each leaf still goes through json.dumps, keys in sorted order.
+    The file is one join of its pieces, and each distinct tuple of success
+    runs is rendered once."""
     sep = ",\n          "
     labels = [json.dumps(label) for label in catalog.horizon.labels]
+    runs_text = {(): "[]"}
     campaigns, parts = (), []
-    rendered = []
+    out, pad = ["["], "\n  "
     for r in reports:
         listed = tuple(o.campaign for o in r.outcomes)
         if listed != campaigns:  # the reports of one evaluation list the same campaigns
             campaigns = listed
-            parts = [
-                (f'{{\n        "apt": {json.dumps(c.apt_name)},\n        "months": ',
-                 f',\n        "start": {labels[c.start_month]},\n        "success": ')
-                for c in campaigns
-            ]
-        outcomes, successes = [], 0
-        for (head, tail), o in zip(parts, r.outcomes):
-            if o.success_months:
-                months = sep.join([sep.join(labels[a:b]) for a, b in o.success_months])
-                outcomes.append(f"{head}[\n          {months}\n        ]{tail}true\n      }}")
-                successes += 1
-            else:
-                outcomes.append(f"{head}[]{tail}false\n      }}")
+            parts = []
+            for c in campaigns:
+                tail = f',\n        "start": {labels[c.start_month]},\n        "success": '
+                parts.append((f'{{\n        "apt": {json.dumps(c.apt_name)},\n        "months": ',
+                              tail + "true\n      }", tail + "false\n      }"))
+        successes = sum(1 for o in r.outcomes if o.success_months)
         ci = agresti_coull(successes, len(r.outcomes), 0.95)
         odds = None if r.odds_vs_baseline is None else round(r.odds_vs_baseline, 3)
-        rendered.append(f"""{{
+        out.append(f"""{pad}{{
     "ci95_percent": [
       {json.dumps(round(ci.low * 100, 2))},
       {json.dumps(round(ci.high * 100, 2))}
     ],
     "delay_months": {json.dumps(r.config.delay_months)},
     "odds_vs_baseline": {json.dumps(odds)},
-    "outcomes": {_json_list(outcomes, 2)},
+    "outcomes": [""")
+        item = "\n      "
+        for (head, succeeded, failed), o in zip(parts, r.outcomes):
+            runs = o.success_months
+            text = runs_text.get(runs)
+            if text is None:
+                text = runs_text[runs] = f"[\n          {sep.join([sep.join(labels[a:b]) for a, b in runs])}\n        ]"
+            out += (item, head, text, succeeded if runs else failed)
+            item = ",\n      "
+        out.append("\n    ]," if r.outcomes else "],")
+        out.append(f"""
     "overall_probability": {{
       "fraction": {json.dumps(f"{r.overall.numerator}/{r.overall.denominator}")},
       "percent": {json.dumps(percent_1dp(r.overall))}
@@ -339,7 +341,9 @@ def _evaluation_json(reports: list[EvaluationReport], catalog: Catalog) -> str:
       "raw": {json.dumps(r.updates_raw)}
     }}
   }}""")
-    return _json_list(rendered, 0) + "\n"
+        pad = ",\n  "
+    out.append("\n]\n" if reports else "]\n")
+    return "".join(out)
 
 
 def _evaluation_files(reports: list[EvaluationReport], catalog: Catalog) -> dict[str, str]:
@@ -365,12 +369,17 @@ def _evaluation_files(reports: list[EvaluationReport], catalog: Catalog) -> dict
     writer = csv.writer(buf)
     labels = [f"{r.config.label}@{r.scenario.value}" for r in reports]
     writer.writerow(["month", "date"] + labels)
-    columns = []
+    # evaluate shares one Fraction per (successes, active) pair across its reports; each
+    # object is rendered once, keyed by id: the reports keep it alive, and hashing a Fraction is slow
+    columns, texts = [], {id(None): ""}
     for r in reports:
         column, shown, text = [], object(), ""
         for p in r.monthly:
-            if p is not shown:  # monthly_probabilities repeats one object while the counts hold
-                shown, text = p, "" if p is None else percent_1dp(p)
+            if p is not shown:
+                shown = p
+                text = texts.get(id(p))
+                if text is None:
+                    text = texts[id(p)] = percent_1dp(p)
             column.append(text)
         columns.append(column)
     writer.writerows(zip(range(len(catalog.horizon.labels)), catalog.horizon.labels, *columns))
@@ -522,21 +531,29 @@ _COMMANDS = {
 
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    # a command's objects live until it returns, and the only cycles it makes are
+    # the parser's, so automatic collection would only rescan live objects
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help, 2 for usage errors
-        return int(exc.code or 0)
-    try:
-        args = _apply_config_file(args, argv)
-        return _COMMANDS[args.command](args)
-    except (UsageError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 0 for --help, 2 for usage errors
+            return int(exc.code or 0)
+        try:
+            args = _apply_config_file(args, argv)
+            return _COMMANDS[args.command](args)
+        except (UsageError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except DataError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def main() -> None:

@@ -46,8 +46,9 @@ class EvaluationReport(NamedTuple):
     config: StrategyConfig
     scenario: Scenario
     overall: Fraction
-    # one entry per month; consecutive months with the same success and active
-    # counts share one object, so a reader may render a value once per object
+    # one entry per month; months with the same success and active counts share
+    # one object, across every report of one evaluate call, so a reader may
+    # render a value once per object
     monthly: tuple[Optional[Fraction], ...]
     updates_raw: int
     updates_net: int
@@ -87,7 +88,13 @@ def monthly_probabilities(outcomes: Sequence[CampaignOutcome], n_months: int) ->
     """Successful over active campaigns for each month below n_months; None
     where none are active. A campaign is active from its start month on and
     counts as successful only in success months at or after its start.
-    Consecutive months with the same counts share one Fraction object."""
+    Months with the same success and active counts share one Fraction object."""
+    return _monthly(outcomes, n_months, {})
+
+
+def _monthly(outcomes: Sequence[CampaignOutcome], n_months: int, shared: dict) -> tuple[Optional[Fraction], ...]:
+    """monthly_probabilities, taking each month's Fraction from `shared`, keyed by
+    its (successes, active) counts, and adding the ones it makes."""
     starts, delta = [0] * n_months, [0] * (n_months + 1)
     for o in outcomes:
         start = o.campaign.start_month
@@ -106,7 +113,9 @@ def monthly_probabilities(outcomes: Sequence[CampaignOutcome], n_months: int) ->
     for hits_active in zip(accumulate(delta), accumulate(starts)):
         if hits_active != counts:
             counts = hits_active
-            value = Fraction(*counts) if counts[1] else None
+            value = shared.get(counts)
+            if value is None and counts[1]:
+                value = shared[counts] = Fraction(*counts)
         series.append(value)
     return tuple(series)
 
@@ -182,12 +191,12 @@ def evaluate(
             scored[config, scenario] = matrix, outcomes
     baseline_overall = overall_probability(scored[tuple(baseline)][1])
 
-    reports = []
+    reports, shared = [], {}
     for config in configs:
         for scenario in scenarios:
             matrix, outcomes = scored[config, scenario]
             overall = overall_probability(outcomes)
-            monthly = monthly_probabilities(outcomes, catalog.horizon.n_months)
+            monthly = _monthly(outcomes, catalog.horizon.n_months, shared)
             raw, net = count_updates(matrix)
             reports.append(
                 EvaluationReport(

@@ -69,37 +69,36 @@ class VersionConstraint(NamedTuple):
         """Parse a constraint object such as {"endIncluding": "9.2"}, reading
         each bound's version with `key_of`; a malformed one is a ValueError that
         quotes it as sorted JSON."""
-
-        def bad(problem: str) -> ValueError:
-            return ValueError(f"{problem} in {json.dumps(obj, sort_keys=True)}")
-
         bounds: list = [None, None]  # the start and the end field, as (version, inclusive)
-        not_text, unknown = [], []
+        not_text, unknown, doubled = [], [], []
         for name, value in obj.items():
             field = _RANGE_FIELDS.get(name)
             if not isinstance(value, str):
                 not_text.append(name)
             elif field is not None:
+                if bounds[field[0]] is not None:  # the Including and the Excluding field of one side
+                    doubled.append(field[0])
                 bounds[field[0]] = value, field[1]
             elif name != "exact":
                 unknown.append(name)
         if not_text:
-            raise bad(f"constraint fields {sorted(not_text)} must be version strings")
-        if "exact" in obj:
-            if len(obj) > 1:
-                raise bad(f"exact constraint mixed with {sorted(set(obj) - {'exact'})}")
-            b = Bound(obj["exact"], True, key_of(obj["exact"]))
-            return cls("exact", b, b)
-        if unknown:
-            raise bad(f"unknown constraint fields {sorted(unknown)}")
-        for side in ("start", "end"):
-            if f"{side}Including" in obj and f"{side}Excluding" in obj:
-                raise bad(f"both {side} bounds present")
-        # "*" means unbounded on that side
-        start, end = [None if b is None or b[0] == "*" else Bound(b[0], b[1], key_of(b[0])) for b in bounds]
-        if start is not None and end is not None and start.key > end.key:
-            raise bad("range bounds reversed")
-        return cls("range", start, end)
+            problem = f"constraint fields {sorted(not_text)} must be version strings"
+        elif "exact" in obj:
+            if len(obj) == 1:
+                b = Bound(obj["exact"], True, key_of(obj["exact"]))
+                return cls("exact", b, b)
+            problem = f"exact constraint mixed with {sorted(set(obj) - {'exact'})}"
+        elif unknown:
+            problem = f"unknown constraint fields {sorted(unknown)}"
+        elif doubled:
+            problem = f"both {('start', 'end')[min(doubled)]} bounds present"
+        else:
+            # "*" means unbounded on that side
+            start, end = [None if b is None or b[0] == "*" else Bound(b[0], b[1], key_of(b[0])) for b in bounds]
+            if start is None or end is None or start.key <= end.key:
+                return cls("range", start, end)
+            problem = "range bounds reversed"
+        raise ValueError(f"{problem} in {json.dumps(obj, sort_keys=True)}")
 
     def to_mapping(self) -> dict:
         if self.kind == "exact":

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -171,6 +172,8 @@ def test_format_selector_limits_files(fixture_paths, tmp_path):
     ])
     names = {p.name for p in tmp_path.iterdir()}
     assert names == {"evaluate.json", "manifest.json"}
+    text = (tmp_path / "manifest.json").read_text()  # a one-entry manifest keeps the encoder's layout too
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_classify_outputs(fixture_paths, tmp_path):
@@ -228,7 +231,9 @@ def test_report_bundles_everything(fixture_paths, tmp_path, capsys):
         "--out", str(tmp_path),
     ])
     assert code == 0
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    text = (tmp_path / "manifest.json").read_text()
+    manifest = json.loads(text)
+    assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"  # the encoder's own layout
     assert set(manifest["files"]) == {
         "evaluate.json", "evaluate.csv", "series.csv",
         "classify.csv", "venn.json", "survival.csv", "diagnostics.json",
@@ -762,3 +767,47 @@ def test_parse_helpers():
 def test_help_exits_zero():
     assert run(["--help"]) == 0
     assert run(["evaluate", "--help"]) == 0
+
+
+def _argv_exiting(code: int, fixture_paths, tmp_path) -> list[str]:
+    if code == 0:
+        return ["evaluate", *_data_args(fixture_paths), "--strategies", "immediate", "--out", str(tmp_path)]
+    if code == 1:
+        bad = tmp_path / "releases.csv"
+        bad.write_text("vendor,product,version,release_date\nadobe,reader,9.1,never\n")
+        return ["validate", "--releases", str(bad), "--vulns", str(fixture_paths["vulns"]),
+                "--campaigns", str(fixture_paths["campaigns"])]
+    return ["evaluate", *_data_args(fixture_paths), "--strategies", "bogus"]
+
+
+@pytest.mark.parametrize("code", [0, 1, 2])
+@pytest.mark.parametrize("collecting", [True, False])
+def test_run_leaves_the_cycle_collector_as_it_found_it(code, collecting, fixture_paths, tmp_path, capsys):
+    # run pauses automatic collection for the command; whatever the exit, the caller's setting comes back
+    argvs = [_argv_exiting(code, fixture_paths, tmp_path)] + ([["validate", "--frobnicate"], ["--help"]] if code == 2 else [])
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for argv in argvs:
+            assert run(argv) == (0 if argv == ["--help"] else code)
+            assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_a_command_leaves_no_more_cycles_than_its_parser(fixture_paths, tmp_path, capsys):
+    # with automatic collection paused, what a command leaves in reference cycles waits for
+    # the next collection; it must be no more than the parser that build_parser makes
+    argv = ["evaluate", *_data_args(fixture_paths), "--out", str(tmp_path)]
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        assert run(argv) == 0  # what a first call sets up once is not garbage
+        gc.collect()
+        build_parser()
+        parser_cycles = gc.collect()
+        assert run(argv) == 0
+        assert 0 < gc.collect() <= parser_cycles
+    finally:
+        if was:
+            gc.enable()

@@ -1,4 +1,6 @@
+import csv
 import gc
+import io
 import random
 import weakref
 from collections import Counter
@@ -536,6 +538,29 @@ def test_monthly_series_matches_per_month_rescan_on_random_catalogs():
             ]
             for m in range(1, cat.horizon.n_months):
                 assert (report.monthly[m] is report.monthly[m - 1]) == (counts[m] == counts[m - 1])
+
+
+def test_reports_of_one_evaluate_share_each_monthly_fraction(fixture_catalog):
+    # the reports of one evaluate call take each month's Fraction from one table keyed by
+    # its (successes, active) counts, so series.csv renders each value once
+    configs = [StrategyConfig.parse(token) for token in DEFAULT_STRATEGIES.split(",")]
+    catalogs = [fixture_catalog] + [random_catalog(random.Random(seed)) for seed in range(10)]
+    for catalog in filter(exposure_matrices, catalogs):
+        reports = evaluate(catalog, configs)
+        by_counts: dict = {}
+        for r in reports:
+            for m, p in enumerate(r.monthly):
+                counts = (sum(m in months_of(o.success_months) for o in r.outcomes),
+                          sum(o.campaign.start_month <= m for o in r.outcomes))
+                assert p is (None if counts[1] == 0 else by_counts.setdefault(counts, p))
+        assert len({id(p) for r in reports for p in r.monthly if p is not None}) == len(by_counts)
+        # the series.csv that renders each shared object once equals one rendered cell by cell
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["month", "date", *(f"{r.config.label}@{r.scenario.value}" for r in reports)])
+        for m, label in enumerate(catalog.horizon.labels):
+            writer.writerow([m, label, *("" if r.monthly[m] is None else ref_percent_1dp(r.monthly[m]) for r in reports)])
+        assert _evaluation_files(reports, catalog)["series.csv"] == buf.getvalue()
 
 
 @pytest.mark.parametrize("delay", [0, 1, 3, 7])

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -228,3 +229,54 @@ def test_records_refuse_field_assignment(name):
     record, field = _frozen_records()[name]
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
+
+
+# names that only tests and the benchmark reach; this list may only shrink
+UNREFERENCED_IN_SRC = {"evaluator.probability_at", "campaigns.ExposureMatrix.cells", "versions.affected_releases"}
+
+
+def _definitions(tree: ast.Module, module: str):
+    """(qualified name, bare name, node) of each top-level function, class, method and module constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield f"{module}.{node.name}.{item.name}", item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    yield f"{module}.{target.id}", target.id, node
+
+
+def _references(tree: ast.AST) -> list[str]:
+    """Every name a tree loads, reads as an attribute or imports by name."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.extend(alias.name for alias in node.names)
+    return out
+
+
+def test_every_src_definition_is_used_documented_or_the_entry_point():
+    # a helper that nothing calls is dead code: a definition must be referenced somewhere in
+    # src outside its own body, be a README Library name, or be the console entry point
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(Path(patchsim.__file__).parent.glob("*.py"))}
+    everywhere = Counter(name for tree in trees.values() for name in _references(tree))
+    scripts = re.findall(r'^\w+ = "patchsim\.(\w+):(\w+)"$', (README.parent / "pyproject.toml").read_text(), re.M)
+    entry_points = {f"{module}.{name}" for module, name in scripts}
+    assert entry_points == {"cli.main"}
+    unused = set()
+    for module, tree in trees.items():
+        for qualified, name, node in _definitions(tree, module):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            outside = everywhere[name] - _references(node).count(name)
+            if not outside and name not in _readme_library_names() and qualified not in entry_points:
+                unused.add(qualified)
+    assert unused == UNREFERENCED_IN_SRC

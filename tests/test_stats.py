@@ -183,6 +183,24 @@ def test_km_uncensored_equals_empirical_survival(ages):
     assert survival_at(curve, min(ages) - 1) == 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-5, 8), st.integers(0, 4)), min_size=1, max_size=60))
+def test_km_matches_scipy_on_censored_samples(drawn):
+    # scipy's Kaplan-Meier estimate is the oracle; a draw of 0 or 1 of 0..4 censors, about 40%
+    scipy_stats = pytest.importorskip("scipy.stats")
+    samples = [ExploitAgeSample(f"c{i}", age, flag < 2) for i, (age, flag) in enumerate(drawn)]
+    curve = kaplan_meier(samples)
+    sf = scipy_stats.ecdf(scipy_stats.CensoredData(
+        uncensored=[s.age for s in samples if not s.censored], right=[s.age for s in samples if s.censored])).sf
+    steps, previous = [], 1.0
+    for age, value in zip(sf.quantiles, sf.probabilities):  # every sample age, censored ones included
+        assert abs(float(survival_at(curve, int(age))) - value) <= 1e-12
+        if value != previous:
+            steps.append(int(age))
+            previous = value
+    assert steps == [t for t, _ in curve]
+
+
 # ---------------------------------------------------------------------------
 # Exploit ages
 
