@@ -12,7 +12,7 @@ every other name is imported from its own module.
 from .catalog import catalog_diagnostics, load_catalog, validate_catalog
 from .evaluator import evaluate
 from .months import DataError
-from .stats import agresti_coull, exploit_ages, kaplan_meier, pairwise_agreement
+from .stats import agresti_coull, exploit_ages, kaplan_meier
 from .strategies import Scenario, StrategyConfig, StrategyKind
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Campaign exposure and vulnerability-lifecycle classification.
 
-A campaign's exposure lists, over the rows of the shared (product-version x
-month) space, every release affected by one of its CVEs. Each listed row is
-targeted from the campaign start through the end of the window (a campaign is
-assumed to stay active once observed), so the rows and the start month
+A campaign's exposure is every release one of its CVEs affects, as merged
+spans of each product's `by_version` positions. Each of those releases is
+targeted from the campaign start through the end of the window (a campaign
+is assumed to stay active once observed), so the spans and the start month
 describe the whole exposed region.
 
 Attacks are classified on two axes at the campaign start month:
@@ -20,8 +20,8 @@ from enum import Enum
 from itertools import combinations
 from typing import NamedTuple, Optional
 
-from .catalog import CampaignRecord, Catalog, MatrixSpace, VulnRecord
-from .months import DataError
+from .catalog import CampaignRecord, Catalog, ProductKey, VulnRecord
+from .months import DataError, Horizon
 
 
 class TieRule(Enum):
@@ -58,33 +58,35 @@ class AttackScenario(Enum):
 
 
 class ExposureMatrix(NamedTuple):
-    space: MatrixSpace
-    rows: tuple[int, ...]  # ascending indices of the rows targeted from campaign.start_month on
+    # (product, lo, hi): by_version[lo:hi] of the product is targeted from campaign.start_month
+    # on; sorted, non-empty, and disjoint and non-touching within a product
+    spans: tuple[tuple[ProductKey, int, int], ...]
     campaign: CampaignRecord
+    horizon: Horizon  # the catalog's, which its deployments hold too
 
     @property
     def empty(self) -> bool:
-        return not self.rows
+        return not self.spans
 
     @property
     def cells(self) -> memoryview:
-        """The rows as a read-only mask, one byte per row of the space: 1 where
-        targeted. Nothing in the package reads it; the benchmark's span tracer
-        sizes exposures by its nbytes."""
-        mask = bytearray(len(self.space.rows))
-        for r in self.rows:
-            mask[r] = 1
-        return memoryview(bytes(mask))
+        """A read-only mask of one set byte per targeted release. Nothing in the
+        package reads it; the benchmark's span tracer sizes exposures by its nbytes."""
+        return memoryview(b"\x01" * sum(hi - lo for _, lo, hi in self.spans))
 
 
 def build_campaign_matrix(campaign: CampaignRecord, catalog: Catalog) -> ExposureMatrix:
-    """List every release one of the campaign's CVEs affects: the rows of their `Catalog.slices`."""
-    space, slices = catalog.space, catalog.slices
-    rows: set[int] = set()
-    for cve in campaign.cve_ids:
-        for pc, lo, hi in slices[cve]:
-            rows.update(space.version_rows[pc.key][lo:hi])
-    return ExposureMatrix(space=space, rows=tuple(sorted(rows)), campaign=campaign)
+    """Every release one of the campaign's CVEs affects: their non-empty
+    `Catalog.slices`, sorted, with those of a product that overlap or touch merged."""
+    slices = catalog.slices
+    spans: list[tuple[ProductKey, int, int]] = []
+    for key, lo, hi in sorted((pc.key, lo, hi) for cve in campaign.cve_ids for pc, lo, hi in slices[cve] if lo < hi):
+        if spans and spans[-1][0] == key and lo <= spans[-1][2]:
+            if hi > spans[-1][2]:
+                spans[-1] = (key, spans[-1][1], hi)
+        else:
+            spans.append((key, lo, hi))
+    return ExposureMatrix(tuple(spans), campaign, catalog.horizon)
 
 
 def classify_attack(

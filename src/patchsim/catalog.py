@@ -123,22 +123,6 @@ class CampaignRecord(NamedTuple):
         return not self.cve_ids
 
 
-class MatrixSpace:
-    """Release rows and month count shared by deployments and exposure matrices."""
-
-    def __init__(self, catalog: Catalog):
-        rows: list[VersionRelease] = []
-        for key in sorted(catalog.timelines):
-            rows.extend(catalog.timelines[key].releases)
-        self.rows: tuple[VersionRelease, ...] = tuple(rows)
-        self.row_index: dict[VersionRelease, int] = {rel: i for i, rel in enumerate(rows)}
-        # each product's rows in `by_version` order, so a slice's rows are version_rows[key][lo:hi]
-        self.version_rows: dict[ProductKey, tuple[int, ...]] = {
-            key: tuple(map(self.row_index.__getitem__, t.by_version)) for key, t in catalog.timelines.items()
-        }
-        self.n_months: int = catalog.horizon.n_months
-
-
 class Catalog(Frozen):
     """One dataset over one window; catalogs are equal when their first four
     fields are. `notes` lists what the loader changed in the data, as
@@ -156,11 +140,6 @@ class Catalog(Frozen):
         for c in self.campaigns:
             out |= c.cve_ids
         return frozenset(out)
-
-    @cached_property
-    def space(self) -> MatrixSpace:
-        """The one row space every deployment and exposure of this catalog shares."""
-        return MatrixSpace(self)
 
     @cached_property
     def slices(self) -> dict[str, tuple[tuple[ProductConstraint, int, int], ...]]:
@@ -213,6 +192,25 @@ class Catalog(Frozen):
                     transitions.append(Transition(month, current, candidate))
                     current = candidate
         return tuple(transitions)
+
+    @cached_property
+    def position(self) -> dict[VersionRelease, int]:
+        """Release -> its index in its product's `by_version`, the axis of `slices`."""
+        return {rel: i for t in self.timelines.values() for i, rel in enumerate(t.by_version)}
+
+    @cached_property
+    def upgrade_steps(self) -> dict[ProductKey, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Per product, the `position` of its start release and of each of its
+        `upgrades`' incoming releases, and the months each is installed from:
+        0, then each upgrade's month. planned:k shifts and cuts these, as it
+        does the upgrades."""
+        position = self.position
+        steps = {key: ([position[rel]], [0]) for key, rel in self.start.items()}
+        for t in self.upgrades:
+            positions, months = steps[t.incoming.product]
+            positions.append(position[t.incoming])
+            months.append(t.month)
+        return {key: (tuple(positions), tuple(months)) for key, (positions, months) in steps.items()}
 
     @cached_property
     def hitting(self) -> dict[VersionRelease, tuple[str, ...]]:

@@ -1,17 +1,19 @@
 """Compromise-probability evaluation of update strategies.
 
-For each strategy deployment and campaign exposure, the installed intervals
-of the rows that the campaign targets, clipped to its start month, are the
-months in which an installed version was being targeted; merged, they are a
-campaign outcome's success runs. A campaign counts as (potentially)
-successful if it has at least one run; the overall probability is the
-fraction of targeting campaigns that ever succeed.
+A deployment installs ever newer releases of each product, so the months in
+which the installed release lies in one of a campaign's version spans form
+one run. Clipped to the campaign start and merged, those runs are the months
+in which an installed version was being targeted: a campaign outcome's
+success runs. A campaign counts as (potentially) successful if it has at
+least one run; the overall probability is the fraction of targeting
+campaigns that ever succeed.
 Probabilities are exact rationals internally and only rendered to percentages
 at the reporting boundary.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -59,18 +61,26 @@ class EvaluationReport(NamedTuple):
 def successful_months(deployment: DeploymentMatrix, exposure: ExposureMatrix) -> Runs:
     """Months in which some installed version is targeted by the campaign, as
     sorted [a, b) runs with overlapping or touching runs merged, so equal
-    months give equal runs."""
-    if deployment.space is not exposure.space:
-        raise ValueError("deployment and exposure matrices use different row spaces")
-    lo, hi = deployment.intervals
+    months give equal runs. Per span, the steps i..j-1 whose positions lie in
+    it are installed over [months[i], months[j]), through months[j] apt-first
+    (the last of them stays during its transition month), or to the window
+    end when no step follows."""
+    if deployment.horizon is not exposure.horizon:
+        raise ValueError("deployment and exposure come from different catalogs' version spaces")
+    steps, end, apt = deployment.steps, deployment.horizon.n_months, deployment.scenario is Scenario.APT_FIRST
     start = exposure.campaign.start_month
     runs = []
-    for r in exposure.rows:
-        a, b = lo[r], hi[r]
-        if a < start:
-            a = start
-        if b > a:  # skips rows never installed or replaced by the start
-            runs.append((a, b))
+    for key, lo, hi in exposure.spans:
+        positions, months = steps[key]
+        i = bisect_left(positions, lo)
+        j = bisect_left(positions, hi, i)
+        if i < j:  # some step installs a release of the span
+            a = months[i]
+            b = months[j] + apt if j < len(months) else end
+            if a < start:
+                a = start
+            if b > a:  # skips a run over by the start, or a start release replaced in month 0
+                runs.append((a, b))
     if len(runs) < 2:
         return tuple(runs)
     runs.sort()

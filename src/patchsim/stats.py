@@ -1,10 +1,10 @@
 """Interval estimation and survival analysis for strategy comparison.
 
-Binomial proportions (successful-campaign rates, pairwise strategy
-agreement) get adjusted-count Agresti-Coull intervals, the recommended
-choice for sample sizes of 40 and up. Exploit ages (months from CVE
-publication to first observed exploitation, negative when exploited
-pre-publication) feed a product-limit survival estimator.
+Binomial proportions (successful-campaign rates) get adjusted-count
+Agresti-Coull intervals, the recommended choice for sample sizes of 40 and
+up. Exploit ages (months from CVE publication to first observed
+exploitation, negative when exploited pre-publication) feed a product-limit
+survival estimator.
 """
 
 from __future__ import annotations
@@ -36,19 +36,6 @@ def agresti_coull(successes: int, trials: int, confidence: float = 0.95) -> Bino
     p_adj = (successes + z2 / 2.0) / n_adj
     half = z * math.sqrt(p_adj * (1.0 - p_adj) / n_adj)
     return BinomialCI(center=p_adj, low=max(0.0, p_adj - half), high=min(1.0, p_adj + half))
-
-
-def pairwise_agreement(outcomes_a, outcomes_b, confidence: float = 0.95) -> tuple[Fraction, BinomialCI]:
-    """Proportion of campaigns on which two strategies agree (both succeed
-    or both fail), with its confidence interval."""
-    keys_a = [o.campaign.key for o in outcomes_a]
-    keys_b = [o.campaign.key for o in outcomes_b]
-    if keys_a != keys_b:
-        raise ValueError("outcome lists cover different campaign sets")
-    if not keys_a:
-        raise ValueError("no campaigns to compare")
-    matches = sum(1 for a, b in zip(outcomes_a, outcomes_b) if a.success == b.success)
-    return Fraction(matches, len(keys_a)), agresti_coull(matches, len(keys_a), confidence)
 
 
 # ---------------------------------------------------------------------------

@@ -7,24 +7,26 @@ Four strategies are modeled:
   reactive   update only when a published CVE hits the installed version
   informed   like reactive, but triggered at CVE reservation time
 
-Every transition installs a strictly newer release, so each release is
-installed over one run of months, and a deployment is one [lo, hi) interval
-per release row. build_matrix produces an optimistic deployment (within a
-transition month only the incoming version is installed). The pessimistic
-scenario additionally keeps the outgoing version installed during its
-transition month, modeling an attacker who strikes before the update lands.
+Every transition installs a strictly newer release, so each product's
+installed version only goes up: a deployment is, per product, the positions
+in `by_version` it installs, ascending, and the months it installs them.
+build_matrix produces an optimistic deployment (within a transition month
+only the incoming version is installed). The pessimistic scenario
+additionally keeps the outgoing version installed during its transition
+month, modeling an attacker who strikes before the update lands.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from enum import Enum
-from functools import cached_property
 from itertools import islice
 from typing import Container, Optional
 
-from .catalog import Catalog, MatrixSpace, ProductKey, ReleaseTimeline, Transition, VersionRelease
-from .months import Frozen
+from .catalog import Catalog, ProductKey, ReleaseTimeline, Transition, VersionRelease
+from .months import Frozen, Horizon
+
+Steps = dict[ProductKey, tuple[tuple[int, ...], tuple[int, ...]]]
 
 
 class Scenario(Enum):
@@ -88,35 +90,20 @@ class StrategyConfig(Frozen):
 
 class DeploymentMatrix(Frozen):
     """One strategy's start release per product and its transitions (products in
-    key order, months increasing within a product) under one scenario."""
+    key order, months increasing within a product) under one scenario, over the
+    catalog's horizon. `steps` holds the same deployment per product as
+    (positions, months): the `Catalog.position` of the start release and of each
+    incoming release, ascending, and 0 followed by each transition month, so
+    the release at positions[i] is installed from months[i] until months[i + 1],
+    or to the horizon end after the last step."""
 
-    def __init__(self, space: MatrixSpace, scenario: Scenario, config: StrategyConfig,
-                 start: dict[ProductKey, VersionRelease], transitions: tuple[Transition, ...]):
-        vars(self).update(space=space, scenario=scenario, config=config, start=start, transitions=transitions)
-
-    @cached_property
-    def bounds(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """(lo, hi, apt_hi) per row, both scenarios in one pass: the row's
-        release is installed over months [lo, hi) update-first and [lo, apt_hi)
-        apt-first, where the outgoing release stays through its transition month."""
-        n, row, end = len(self.space.rows), self.space.row_index, self.space.n_months
-        lo, hi, apt_hi = [0] * n, [0] * n, [0] * n
-        for rel in self.start.values():
-            hi[row[rel]] = apt_hi[row[rel]] = end
-        for t in self.transitions:  # a replaced release is never installed again, so its ends are final
-            out, inc = row[t.outgoing], row[t.incoming]
-            hi[out], apt_hi[out], lo[inc], hi[inc], apt_hi[inc] = t.month, t.month + 1, t.month, end, end
-        return tuple(lo), tuple(hi), tuple(apt_hi)
-
-    @property
-    def intervals(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(lo, hi) per row under this deployment's scenario: the row's
-        release is installed over months [lo, hi), and lo == hi means never."""
-        lo, hi, apt_hi = self.bounds
-        return lo, apt_hi if self.scenario is Scenario.APT_FIRST else hi
+    def __init__(self, scenario: Scenario, config: StrategyConfig, start: dict[ProductKey, VersionRelease],
+                 transitions: tuple[Transition, ...], steps: Steps, horizon: Horizon):
+        vars(self).update(scenario=scenario, config=config, start=start, transitions=transitions, steps=steps,
+                          horizon=horizon)
 
 
-def _reactive(catalog: Catalog, config: StrategyConfig) -> list[Transition]:
+def _reactive(catalog: Catalog, config: StrategyConfig) -> tuple[list[Transition], Steps]:
     """Update only in response to CVEs hitting the installed version.
 
     The decision clock starts at the CVE trigger (publication, or reservation
@@ -131,14 +118,17 @@ def _reactive(catalog: Catalog, config: StrategyConfig) -> list[Transition]:
     product visits only its trigger and landing months. The first escape from
     each prefix by the horizon end is found once per clock: it is the first
     escape at a landing month if it is out by then, and otherwise there is none.
+    Returns the transitions and their steps.
     """
     delay, pick = config.delay_months, config.reactive_pick
-    end, hitting = catalog.horizon.end_index, catalog.hitting
+    end, hitting, position = catalog.horizon.end_index, catalog.hitting, catalog.position
     order = catalog.trigger_order[config.kind is StrategyKind.INFORMED_REACTIVE]
 
     transitions: list[Transition] = []
+    steps: Steps = {}
     for key in sorted(catalog.timelines):
         current, m, last = catalog.start[key], 0, -1  # last: the month of the last transition
+        positions, landed = [position[current]], [0]
         months, cves, escapes = order[current]
         while cves:
             m = max(m, months[0])
@@ -156,10 +146,13 @@ def _reactive(catalog: Catalog, config: StrategyConfig) -> list[Transition]:
             # otherwise CVEs triggered since m blocked every candidate out by land: reschedule
             if rel is not None and rel.release_month <= land:
                 transitions.append(Transition(land, current, rel))
+                positions.append(position[rel])
+                landed.append(land)
                 current, last = rel, land
                 months, cves, escapes = order[current]
             m = land
-    return transitions
+        steps[key] = tuple(positions), tuple(landed)
+    return transitions, steps
 
 
 class TriggerOrder(dict):
@@ -246,19 +239,21 @@ def build_matrix(catalog: Catalog, config: StrategyConfig) -> DeploymentMatrix:
     if config.kind in (StrategyKind.IMMEDIATE, StrategyKind.PLANNED):
         delay, last = config.delay_months, catalog.horizon.end_index - config.delay_months
         transitions = [Transition(t.month + delay, t.outgoing, t.incoming) for t in catalog.upgrades if t.month <= last]
+        steps = {}
+        for key, (positions, months) in catalog.upgrade_steps.items():
+            n = bisect_right(months, last, 1)  # the start and the upgrades that land by the horizon end
+            steps[key] = positions[:n], (0, *[month + delay for month in months[1:n]])
     else:
-        transitions = _reactive(catalog, config)
-    return DeploymentMatrix(catalog.space, Scenario.UPDATE_FIRST, config, catalog.start, tuple(transitions))
+        transitions, steps = _reactive(catalog, config)
+    return DeploymentMatrix(Scenario.UPDATE_FIRST, config, catalog.start, tuple(transitions), steps, catalog.horizon)
 
 
 def apply_apt_first(matrix: DeploymentMatrix) -> DeploymentMatrix:
     """Keep the outgoing version installed during each transition month.
-    This only sets the scenario tag that `intervals` reads, and the copy
-    shares the matrix's one interval pass, so applying it twice gives the
-    same deployment."""
-    tagged = DeploymentMatrix(matrix.space, Scenario.APT_FIRST, matrix.config, matrix.start, matrix.transitions)
-    vars(tagged)["bounds"] = matrix.bounds  # fills the copy's cached_property
-    return tagged
+    This only sets the scenario tag that scoring reads, and the copy shares
+    the matrix's steps, so applying it twice gives the same deployment."""
+    return DeploymentMatrix(Scenario.APT_FIRST, matrix.config, matrix.start, matrix.transitions, matrix.steps,
+                            matrix.horizon)
 
 
 def count_updates(matrix: DeploymentMatrix) -> tuple[int, int]:

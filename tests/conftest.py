@@ -8,7 +8,6 @@ from fractions import Fraction
 from itertools import groupby
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from patchsim.catalog import (
@@ -138,27 +137,29 @@ def save_catalog(catalog: Catalog, directory) -> dict[str, Path]:
 # Structural checks of built matrices and curves
 
 
-def dense(matrix) -> np.ndarray:
-    """A deployment as a rows x months bool array: set where the row's release
-    is installed in that month."""
-    lo, hi = map(np.array, matrix.intervals)
-    months = np.arange(matrix.space.n_months)
-    return (lo[:, None] <= months) & (months < hi[:, None])
-
-
-def product_keys(space) -> list:
-    """The products of a row space, in row order."""
-    return sorted({rel.product for rel in space.rows})
+def dense(matrix) -> frozenset:
+    """A deployment as its (release, month) cells, one for each month in which
+    the release is installed, walked month by month from the start releases,
+    the transitions and the scenario."""
+    moves = {(t.incoming.product, t.month): t for t in matrix.transitions}
+    apt_first = matrix.scenario is Scenario.APT_FIRST
+    cells = set()
+    for key, installed in matrix.start.items():
+        for m in range(matrix.horizon.n_months):
+            t = moves.get((key, m))
+            if t is not None:
+                if apt_first:
+                    cells.add((t.outgoing, m))
+                installed = t.incoming
+            cells.add((installed, m))
+    return frozenset(cells)
 
 
 def installed_series(matrix, product) -> list[set]:
     """Per-month installed set of releases for one product."""
-    out: list[set] = [set() for _ in range(matrix.space.n_months)]
-    cells = dense(matrix)
-    for i, rel in enumerate(matrix.space.rows):
-        if rel.product != product:
-            continue
-        for m in np.flatnonzero(cells[i]):
+    out: list[set] = [set() for _ in range(matrix.horizon.n_months)]
+    for rel, m in dense(matrix):
+        if rel.product == product:
             out[m].add(rel)
     return out
 
@@ -166,7 +167,7 @@ def installed_series(matrix, product) -> list[set]:
 def matrix_problems(matrix) -> list[str]:
     """Structural self-checks of a deployment matrix; empty when well-formed."""
     problems: list[str] = []
-    # the builders' order, which intervals relies on to set each release's end last
+    # the builders' order, in which they fill each product's steps
     products = [t.incoming.product for t in matrix.transitions]
     if products != sorted(products):
         problems.append("transitions are not grouped by product in key order")
@@ -175,7 +176,7 @@ def matrix_problems(matrix) -> list[str]:
         if any(a >= b for a, b in zip(months, months[1:])):
             problems.append(f"{key}: transition months do not strictly increase: {months}")
     transition_months = {(t.incoming.product, t.month): t for t in matrix.transitions}
-    for key in product_keys(matrix.space):
+    for key in sorted(matrix.start):
         prev_max = None
         for m, installed in enumerate(installed_series(matrix, key)):
             if matrix.scenario is Scenario.UPDATE_FIRST and len(installed) != 1:
@@ -419,13 +420,10 @@ def ref_targeted_releases(catalog: Catalog, campaign_record: CampaignRecord) -> 
 
 def ref_overall_probability(catalog: Catalog, matrix) -> Fraction | None:
     """Month-walking recount of the overall compromise probability."""
-    n_months = matrix.space.n_months
+    n_months = matrix.horizon.n_months
     installed_by_month: list[set] = [set() for _ in range(n_months)]
-    cells = dense(matrix)
-    for i, rel in enumerate(matrix.space.rows):
-        for m in range(n_months):
-            if cells[i, m]:
-                installed_by_month[m].add(rel)
+    for rel, m in dense(matrix):
+        installed_by_month[m].add(rel)
     included = succeeded = 0
     for record in catalog.campaigns:
         if not record.cve_ids:

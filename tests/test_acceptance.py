@@ -13,7 +13,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from conftest import dense, percent_bounds, random_catalog, ref_overall_probability, survival_at, vuln
@@ -125,7 +124,7 @@ def test_criterion_5_pessimistic_dominance():
         for config in _ORACLE_CONFIGS:
             optimistic = build_matrix(catalog, config)
             pessimistic = apply_apt_first(optimistic)
-            assert np.all(dense(optimistic) <= dense(pessimistic))
+            assert dense(optimistic) <= dense(pessimistic)
 
             def overall(matrix):
                 return overall_probability(
@@ -144,7 +143,7 @@ def test_criterion_6_planned_monotonicity():
         counts = [count_updates(matrix)[0] for matrix in planned]
         assert all(a >= b for a, b in zip(counts, counts[1:])), counts
         immediate = build_matrix(catalog, StrategyConfig(StrategyKind.IMMEDIATE))
-        assert np.array_equal(dense(planned[0]), dense(immediate))
+        assert dense(planned[0]) == dense(immediate)
     _verdict("6 planned monotonicity and zero-delay identity")
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import campaign, make_catalog, random_catalog, ref_above, ref_matches, vuln
+from conftest import campaign, make_catalog, random_catalog, ref_above, ref_matches, ref_targeted_releases, vuln
 from patchsim.campaigns import (
     AttackScenario,
     TieRule,
@@ -19,13 +19,18 @@ from patchsim.campaigns import (
 # Exposure matrices
 
 
+def _targeted(matrix, catalog) -> set:
+    """The releases an exposure's spans cover."""
+    return {rel for key, lo, hi in matrix.spans for rel in catalog.timelines[key].by_version[lo:hi]}
+
+
 def test_exposure_rows_set_from_start_month():
     v = vuln("CVE-2010-0001", 2, 4, ("acme", "app", {"endIncluding": "1.1"}))
     c = campaign("Alpha", 5, ["CVE-2010-0001"])
     cat = make_catalog({("acme", "app"): [("1.0", 0), ("1.1", 2), ("2.0", 4)]}, [v], [c], horizon_end=11)
     matrix = build_campaign_matrix(c, cat)
-    assert matrix.cells.shape == (len(matrix.space.rows),)
-    assert {rel.version: bool(matrix.cells[i]) for i, rel in enumerate(matrix.space.rows)} == {
+    targeted = _targeted(matrix, cat)
+    assert {rel.version: rel in targeted for rel in cat.timelines[("acme", "app")].releases} == {
         "1.0": True, "1.1": True, "2.0": False,
     }
     assert matrix.campaign.start_month == 5
@@ -37,7 +42,7 @@ def test_exposure_union_of_overlapping_cves_has_no_double_count():
     c = campaign("Alpha", 3, ["CVE-2010-0001", "CVE-2010-0002"])
     cat = make_catalog({("acme", "app"): [("1.0", 0), ("1.1", 1), ("2.0", 2)]}, [v1, v2], [c], horizon_end=11)
     matrix = build_campaign_matrix(c, cat)
-    assert matrix.rows == (0, 1, 2)
+    assert matrix.spans == ((("acme", "app"), 0, 3),)  # [0, 2) and [0, 3) merged
     assert matrix.cells.tolist() == [1, 1, 1]
 
 
@@ -46,7 +51,7 @@ def test_fixture_exposure_reader_cve(fixture_catalog):
         c for c in fixture_catalog.campaigns if c.apt_name == "Nightshade" and c.start_month == 23
     )
     matrix = build_campaign_matrix(reader_campaign, fixture_catalog)
-    targeted = {rel.version for i, rel in enumerate(matrix.space.rows) if matrix.cells[i]}
+    targeted = {rel.version for rel in _targeted(matrix, fixture_catalog)}
     assert targeted == {"9.1", "9.2"}
     assert matrix.campaign.start_month == 23
 
@@ -59,21 +64,41 @@ def test_exposure_empty_for_products_without_timeline():
 
 
 def test_exposure_uses_shared_space(fixture_catalog):
-    space = fixture_catalog.space
+    # every exposure holds the catalog's own horizon, as its deployments do, and one cell per targeted release
     for c in fixture_catalog.campaigns:
         if c.vector_only:
             continue
         matrix = build_campaign_matrix(c, fixture_catalog)
-        assert matrix.space is space
-        assert matrix.cells.shape == (len(space.rows),)
+        assert matrix.horizon is fixture_catalog.horizon
+        assert matrix.cells.nbytes == len(_targeted(matrix, fixture_catalog))
 
 
 def test_exposure_csv_export(fixture_catalog):
     quartz = next(c for c in fixture_catalog.campaigns if c.apt_name == "Quartz")
     matrix = build_campaign_matrix(quartz, fixture_catalog)
     flash_213 = next(r for r in fixture_catalog.timelines[("adobe", "flash")].releases if r.version == "21.0.0.213")
-    assert matrix.cells[matrix.space.row_index[flash_213]]
+    assert flash_213 in _targeted(matrix, fixture_catalog)
     assert matrix.campaign.start_month == 14  # targeted from month 14 to the end of the window
+
+
+def test_exposure_spans_are_merged_and_cover_the_targeted_releases(fixture_catalog):
+    # per product the spans are sorted, non-empty, disjoint and non-touching, and they
+    # cover exactly the releases that the reference matcher finds for the campaign's CVEs
+    catalogs = [fixture_catalog] + [random_catalog(random.Random(seed)) for seed in range(200)]
+    merged = 0
+    for index, cat in enumerate(catalogs):
+        for c in cat.campaigns:
+            matrix = build_campaign_matrix(c, cat)
+            spans = matrix.spans
+            assert spans == tuple(sorted(spans)), (index, c)
+            assert all(lo < hi for _, lo, hi in spans), (index, c)
+            for (key, _, hi), (next_key, next_lo, _) in zip(spans, spans[1:]):
+                assert key != next_key or hi < next_lo, (index, c, spans)
+            assert _targeted(matrix, cat) == ref_targeted_releases(cat, c), (index, c)
+            assert matrix.empty == (not spans)
+            slices = [(pc.key, lo, hi) for cve in c.cve_ids for pc, lo, hi in cat.slices[cve] if lo < hi]
+            merged += len(slices) > len(spans)
+    assert merged > 100  # many exposures merge overlapping or touching slices
 
 
 # ---------------------------------------------------------------------------

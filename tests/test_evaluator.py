@@ -41,6 +41,7 @@ from patchsim.evaluator import (
     probability_at,
     successful_months,
 )
+from patchsim.months import Horizon
 from patchsim.strategies import (
     Scenario,
     StrategyConfig,
@@ -84,16 +85,28 @@ def test_successful_months_includes_apt_first_transition_hit():
     assert months_of(successful_months(pessimistic, exposure)) == {4}
 
 
-def test_successful_months_reads_only_rows_installed_at_the_campaign_start():
-    # hand-built (lo, hi) per row around a campaign starting in month 4: row 0 is
-    # replaced exactly in the start month, row 1 is installed after the start,
-    # rows 2 and 3 are never installed (lo == hi), row 4 spans the start
-    space = object()
-    deployment = SimpleNamespace(space=space, intervals=((0, 6, 0, 7, 2), (4, 9, 0, 7, 5)))
-    record = campaign("Alpha", 4, ["CVE-2010-0001"])
+_HORIZON = Horizon(2008, 1, 11)  # months 0..11
 
-    def hit(*rows):
-        return months_of(successful_months(deployment, ExposureMatrix(space=space, rows=rows, campaign=record)))
+
+def _hand_made(steps: dict, start_month: int, spans) -> tuple:
+    """successful_months of an update-first deployment given as hand-made
+    (positions, months) steps per product, against the spans of a campaign
+    starting at `start_month`."""
+    deployment = SimpleNamespace(steps=steps, horizon=_HORIZON, scenario=Scenario.UPDATE_FIRST)
+    record = campaign("Alpha", start_month, ["CVE-2010-0001"])
+    return successful_months(deployment, ExposureMatrix(tuple(spans), record, _HORIZON))
+
+
+def test_successful_months_reads_only_rows_installed_at_the_campaign_start():
+    # around a campaign starting in month 4: a's position 0 is installed over [0, 4), so
+    # replaced exactly in the start month; b's position 1 is installed after the start,
+    # over [6, 9); a's position 1 and b's position 2 are never installed; c's position 1
+    # spans the start, over [2, 5)
+    steps = {"a": ((0, 2), (0, 4)), "b": ((0, 1, 3), (0, 6, 9)), "c": ((0, 1, 2), (0, 2, 5))}
+    rows = [("a", 0, 1), ("b", 1, 2), ("a", 1, 2), ("b", 2, 3), ("c", 1, 2)]
+
+    def hit(*indices):
+        return months_of(_hand_made(steps, 4, [rows[i] for i in indices]))
 
     assert hit(0) == frozenset()
     assert hit(1) == {6, 7, 8}
@@ -103,25 +116,31 @@ def test_successful_months_reads_only_rows_installed_at_the_campaign_start():
 
 
 def test_empty_intervals_give_no_run_and_no_success():
-    # a campaign starting in month 4: rows 0 and 2 are never installed (lo == hi,
-    # before and after the start), rows 1 and 3 are replaced exactly in the start month
-    space = object()
-    deployment = SimpleNamespace(space=space, intervals=((3, 0, 5, 2), (3, 4, 5, 4)))
+    # a campaign starting in month 4: c's position 0 is replaced in month 0, so never
+    # installed; a's position 1 is never installed; a's position 0 and b's position 1
+    # are replaced exactly in the start month
+    steps = {"a": ((0, 2), (0, 4)), "b": ((0, 1, 3), (0, 2, 4)), "c": ((0, 1), (0, 0))}
+    rows = [("c", 0, 1), ("a", 0, 1), ("a", 1, 2), ("b", 1, 2)]
     record = campaign("Alpha", 4, ["CVE-2010-0001"])
-    for rows in ((0,), (1,), (2,), (3,), (0, 1, 2, 3)):
-        runs = successful_months(deployment, ExposureMatrix(space=space, rows=rows, campaign=record))
+    for indices in ((0,), (1,), (2,), (3,), (0, 1, 2, 3)):
+        runs = _hand_made(steps, 4, [rows[i] for i in indices])
         assert runs == ()
         assert not CampaignOutcome(record, runs).success
 
 
 def test_overlapping_and_touching_runs_merge():
-    # rows installed over [4, 6), [6, 8), [8, 9) touch, [5, 7) overlaps them,
+    # releases installed over [4, 6), [6, 8), [8, 9) touch, [5, 7) overlaps them,
     # [10, 11) lies inside [10, 12), and [0, 3) is clipped to the start month 1
-    space = object()
-    deployment = SimpleNamespace(space=space, intervals=((4, 6, 8, 5, 10, 10, 0), (6, 8, 9, 7, 12, 11, 3)))
-    record = campaign("Alpha", 1, ["CVE-2010-0001"])
-    runs = successful_months(deployment, ExposureMatrix(space=space, rows=tuple(range(7)), campaign=record))
-    assert runs == ((1, 3), (4, 9), (10, 12))
+    steps = {
+        "a": ((0, 1, 2, 3, 4), (0, 4, 6, 8, 9)),  # [4, 6) and [8, 9)
+        "b": ((0, 1, 2), (0, 5, 7)),  # [5, 7)
+        "c": ((0, 1, 2), (0, 6, 8)),  # [6, 8)
+        "d": ((0, 1), (0, 10)),  # [10, 12): the last step lasts to the window end
+        "e": ((0, 1, 2), (0, 10, 11)),  # [10, 11)
+        "f": ((0, 1), (0, 3)),  # [0, 3)
+    }
+    spans = [("a", 1, 2), ("a", 3, 4), ("b", 1, 2), ("c", 1, 2), ("d", 1, 2), ("e", 1, 2), ("f", 0, 1)]
+    assert _hand_made(steps, 1, spans) == ((1, 3), (4, 9), (10, 12))
 
 
 def test_successful_months_rejects_mismatched_spaces(fixture_catalog):
@@ -482,17 +501,6 @@ def test_apt_first_dominates_update_first_on_fixture(fixture_catalog):
         apt_first = _report(reports, config.kind, config.delay_months, Scenario.APT_FIRST)
         assert apt_first.overall >= update_first.overall
         assert matrix.scenario is Scenario.UPDATE_FIRST
-
-
-def test_fixture_agreement_between_planned_and_reactive(fixture_catalog):
-    from patchsim.stats import pairwise_agreement
-
-    configs = [StrategyConfig(StrategyKind.PLANNED, 1), StrategyConfig(StrategyKind.REACTIVE, 1)]
-    planned, reactive = evaluate(fixture_catalog, configs, [Scenario.UPDATE_FIRST])
-    proportion, ci = pairwise_agreement(planned.outcomes, reactive.outcomes)
-    # planned succeeds only on Quartz; reactive also on Nightshade@23
-    assert proportion == Fraction(2, 3)
-    assert 0.0 <= ci.low <= float(proportion) <= ci.high <= 1.0
 
 
 def test_overall_matches_reference_walker_on_random_catalogs():

@@ -5,7 +5,8 @@ prints or writes: stdout and the artifacts that hold no name or date stay
 byte-identical, and series.csv differs only in its date column. Adding a
 product that no CVE affects moves only update counts and the product count,
 and adding vector-only campaigns moves only classify.csv and the campaign
-counts of diagnostics.json."""
+counts of diagnostics.json. Splitting a range constraint into two pieces that
+cover the same releases moves nothing."""
 
 import csv
 import importlib.util
@@ -14,11 +15,12 @@ import json
 import random
 import re
 import sys
+from functools import cmp_to_key
 from pathlib import Path
 
 import pytest
 
-from conftest import make_timeline, random_catalog, save_catalog
+from conftest import make_timeline, random_catalog, ref_compare, ref_matches, save_catalog
 from patchsim.catalog import CampaignRecord, Catalog, ProductConstraint, VulnRecord, load_catalog
 from patchsim.cli import run
 from patchsim.months import DEFAULT_EPOCH, DEFAULT_HORIZON_END, Horizon
@@ -209,3 +211,41 @@ def test_vector_only_campaigns_move_only_classify_rows(dataset, fixture_paths, t
         "campaigns": base_diagnostics["campaigns"] + 2,
         "vector_only_campaigns": base_diagnostics["vector_only_campaigns"] + 2,
     }
+
+
+def _split_point(catalog: Catalog, item: dict):
+    """A release version r at which one affected item's range splits into two
+    pieces that each match a release: r matches, and so does one version below it."""
+    if "exact" in item["match"]:
+        return None
+    timeline = catalog.timelines.get((item["vendor"].strip(), item["product"].strip()))
+    if timeline is None:
+        return None
+    matched = sorted({rel.version for rel in timeline.releases if ref_matches(item["match"], rel.version)},
+                     key=cmp_to_key(ref_compare))
+    higher = [v for v in matched if ref_compare(v, matched[0]) > 0]
+    return higher[len(higher) // 2] if higher else None
+
+
+@pytest.mark.parametrize("overlap", [True, False], ids=["shared-release", "adjacent"])
+@pytest.mark.parametrize("dataset", DATASETS)
+def test_splitting_a_range_constraint_moves_nothing(dataset, overlap, fixture_paths, tmp_path, capsys, monkeypatch):
+    # [start, end] becomes [start, r] and [r, end], or [start, r) and [r, end], for the first
+    # range of a campaign CVE that has a release r to split at
+    paths, epoch, horizon = _dataset(dataset, fixture_paths, tmp_path / "data", monkeypatch)
+    base_out, base = _report(paths, epoch, horizon, tmp_path / "base", capsys, ARTIFACTS)
+    cat = load_catalog(paths["releases"], paths["vulns"], paths["campaigns"], Horizon.from_strings(epoch, horizon))
+    entries = json.loads(paths["vulns"].read_text(encoding="utf-8"))
+    exploited = cat.campaign_cve_ids()
+    entry, j, r = next((entry, j, r) for entry in sorted(entries, key=lambda e: e["cve"]) if entry["cve"] in exploited
+                       for j, item in enumerate(entry["affected"]) if (r := _split_point(cat, item)) is not None)
+    item = entry["affected"][j]
+    starts = {k: v for k, v in item["match"].items() if k.startswith("start")}
+    ends = {k: v for k, v in item["match"].items() if k.startswith("end")}
+    pieces = [{**starts, "endIncluding" if overlap else "endExcluding": r}, {"startIncluding": r, **ends}]
+    entry["affected"][j:j + 1] = [{**item, "match": match} for match in pieces]
+    split = {**paths, "vulns": tmp_path / "split-vulns.json"}
+    split["vulns"].write_text(json.dumps(entries), encoding="utf-8")
+    out, files = _report(split, epoch, horizon, tmp_path / "split-out", capsys, ARTIFACTS)
+    assert out == base_out
+    assert files == base

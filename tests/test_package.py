@@ -213,7 +213,7 @@ def _frozen_records() -> dict:
         (Violation("x", "rule"), "detail"), (cat.horizon, "end_index"), (pc.constraint.end, "version"),
         (pc.constraint, "kind"), (config, "delay_months"), (matrix, "transitions"),
         (report.outcomes[0], "success_months"), (report, "overall"),
-        (build_campaign_matrix(cat.campaigns[0], cat), "rows"), (agresti_coull(1, 2), "low"),
+        (build_campaign_matrix(cat.campaigns[0], cat), "spans"), (agresti_coull(1, 2), "low"),
         (ExploitAgeSample("x", 1), "age"), (cat, "campaigns"),
     ]
     return {type(record).__name__: (record, field) for record, field in records}

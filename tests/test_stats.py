@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import campaign, curve_problems, make_catalog, percent_bounds, survival_at, vuln
-from patchsim.evaluator import CampaignOutcome
+from conftest import campaign, curve_problems, make_catalog, percent_bounds, random_catalog, survival_at, vuln
+from patchsim.campaigns import TieRule
 from patchsim.stats import (
-    BinomialCI,
     ExploitAgeSample,
     agresti_coull,
     exploit_ages,
     kaplan_meier,
-    pairwise_agreement,
 )
 
 
@@ -86,45 +84,6 @@ def test_agresti_coull_invariants(successes, trials, confidence):
     half = z * math.sqrt(ci.center * (1 - ci.center) / (trials + z * z))
     assert ci.low == pytest.approx(max(0.0, ci.center - half))
     assert ci.high == pytest.approx(min(1.0, ci.center + half))
-
-
-# ---------------------------------------------------------------------------
-# Pairwise agreement
-
-
-def _outcomes(flags, start=0):
-    return [
-        CampaignOutcome(campaign(f"apt{i}", start, ["CVE-2010-0001"]), frozenset({1} if f else set()))
-        for i, f in enumerate(flags)
-    ]
-
-
-def test_agreement_identical_vectors():
-    a = _outcomes([True, False, True])
-    proportion, ci = pairwise_agreement(a, a)
-    assert proportion == 1
-    assert isinstance(ci, BinomialCI)
-
-
-def test_agreement_complementary_vectors():
-    a = _outcomes([True, False, True, False])
-    b = _outcomes([False, True, False, True])
-    proportion, _ = pairwise_agreement(a, b)
-    assert proportion == 0
-
-
-def test_agreement_is_symmetric():
-    rng = random.Random(5)
-    a = _outcomes([rng.random() < 0.5 for _ in range(20)])
-    b = _outcomes([rng.random() < 0.5 for _ in range(20)])
-    assert pairwise_agreement(a, b)[0] == pairwise_agreement(b, a)[0]
-
-
-def test_agreement_rejects_mismatched_campaign_sets():
-    a = _outcomes([True, False])
-    b = _outcomes([True, False], start=3)
-    with pytest.raises(ValueError):
-        pairwise_agreement(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +193,44 @@ def test_exploit_age_unexploited_omitted_or_censored():
 def test_exploit_age_kk_only_drops_pre_publication():
     kk = exploit_ages(_age_catalog(), kk_only=True)
     assert [(s.cve_id, s.age) for s in kk] == [("CVE-2010-0002", 0)]
+
+
+def _ref_exploit_ages(catalog, include_unexploited, kk_only, tie_rule) -> list:
+    """Brute force: each CVE's first-seen month is the least start month of the
+    campaigns naming it, read anew for every CVE."""
+    samples = []
+    for cve in sorted(catalog.vulns):
+        published = catalog.vulns[cve].published_month
+        seen = [c.start_month for c in catalog.campaigns if cve in c.cve_ids]
+        if seen:
+            first = min(seen)
+            by_publication = first >= published if tie_rule is TieRule.INCLUSIVE else first > published
+            if not kk_only or by_publication:
+                samples.append(ExploitAgeSample(cve, first - published))
+        elif include_unexploited:
+            samples.append(ExploitAgeSample(cve, catalog.horizon.end_index - published, censored=True))
+    return samples
+
+
+def test_exploit_ages_match_first_seen_reference_on_random_catalogs():
+    options = [(False, False), (True, False), (False, True)]  # (include_unexploited, kk_only)
+    seen_later, tie_matters = 0, 0
+    for seed in range(200):
+        cat = random_catalog(random.Random(seed))
+        for include_unexploited, kk_only in options:
+            by_rule = {}
+            for tie_rule in TieRule:
+                expected = _ref_exploit_ages(cat, include_unexploited, kk_only, tie_rule)
+                got = exploit_ages(cat, include_unexploited, kk_only, tie_rule)
+                assert got == expected, (seed, include_unexploited, kk_only, tie_rule)
+                by_rule[tie_rule] = got
+            tie_matters += by_rule[TieRule.INCLUSIVE] != by_rule[TieRule.EXCLUSIVE]
+        starts = {}
+        for c in cat.campaigns:
+            for cve in c.cve_ids:
+                starts.setdefault(cve, set()).add(c.start_month)
+        seen_later += sum(len(months) > 1 for months in starts.values())
+    assert seen_later > 100 and tie_matters > 10  # CVEs seen again later, and kk_only ties, are common
 
 
 def test_exploit_age_kk_only_with_unexploited_is_rejected():
